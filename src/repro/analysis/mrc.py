@@ -4,9 +4,10 @@ The exact grid in :mod:`repro.analysis.sweeps` pays one full-trace
 simulation per (policy, cache size) cell — 48 replays for the default
 8-fraction x 6-key curve set.  This module estimates the whole set in
 **one** pass over the trace: every request is hashed once per salt
-(:func:`repro.trace.sampling.url_sample_rate_hash`) and fed to a bank of
-*shadow caches*, one per (sort key, capacity fraction), each scaled by
-its sampling rate (Waldspurger et al.'s SHARDS, extended to all six of
+(:func:`repro.trace.sampling.url_sample_rate_hash`) into that salt's
+per-rate samples, which a bank of *shadow caches*, one per (sort key,
+capacity fraction), each scaled by its sampling rate, then replays one
+cache at a time (Waldspurger et al.'s SHARDS, extended to all six of
 the paper's primary keys at once).
 
 Estimator construction
@@ -14,8 +15,8 @@ Estimator construction
 Three corrections make the raw shadow-cache ratios track the exact grid
 on traces of this suite's size:
 
-* **Per-salt control variate.**  Each salt also feeds an *infinite*
-  shadow cache at the same rate.  Its hit ratio measures how hot that
+* **Per-salt control variate.**  Each salt also tallies an *infinite*
+  cache at the same rate.  Its hit ratio measures how hot that
   salt's URL sample happens to be; scaling each shadow estimate by
   ``full-trace infinite HR / sample infinite HR`` cancels the
   URL-selection noise shared by every cell of the salt.
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.cache import SimCache
+from repro.core.cache import HIT, SimCache
 from repro.core.keys import TAXONOMY_KEYS, SortKey, key_by_name
 from repro.core.policy import KeyPolicy
 from repro.trace.record import Request
@@ -187,28 +188,24 @@ class MRCResult:
         return [point.record() for point in self.points]
 
 
-class _ShadowCell:
-    """One (key, fraction) shadow cache plus its tallies."""
+class _Tally:
+    """Requests and hits (and their bytes) seen at one sampling rate."""
 
-    __slots__ = ("cache", "rate", "requests", "hits", "bytes", "hit_bytes")
+    __slots__ = ("rate", "requests", "hits", "bytes", "hit_bytes")
 
-    def __init__(self, capacity: Optional[int], key: Optional[SortKey],
-                 rate: float, seed: int) -> None:
-        policy = KeyPolicy([key]) if key is not None else None
-        self.cache = SimCache(capacity=capacity, policy=policy, seed=seed)
+    def __init__(self, rate: float) -> None:
         self.rate = rate
         self.requests = 0
         self.hits = 0
         self.bytes = 0
         self.hit_bytes = 0
 
-    def feed(self, request: Request) -> None:
-        hit = self.cache.access(request).is_hit
+    def count(self, size: int, hit: bool) -> None:
         self.requests += 1
-        self.bytes += request.size
+        self.bytes += size
         if hit:
             self.hits += 1
-            self.hit_bytes += request.size
+            self.hit_bytes += size
 
     @property
     def hr(self) -> float:
@@ -217,6 +214,33 @@ class _ShadowCell:
     @property
     def whr(self) -> float:
         return 100.0 * self.hit_bytes / self.bytes if self.bytes else 0.0
+
+
+class _ShadowCell(_Tally):
+    """One (key, fraction) shadow cache plus its tallies."""
+
+    __slots__ = ("cache",)
+
+    def __init__(self, capacity: int, key: SortKey, rate: float,
+                 seed: int) -> None:
+        super().__init__(rate)
+        self.cache = SimCache(
+            capacity=capacity, policy=KeyPolicy([key]), seed=seed,
+        )
+
+    def replay(self, requests: Sequence[Request]) -> None:
+        access = self.cache.access_code
+        size_sum = hits = hit_bytes = 0
+        for request in requests:
+            size = request.size
+            size_sum += size
+            if access(request) == HIT:
+                hits += 1
+                hit_bytes += size
+        self.requests += len(requests)
+        self.bytes += size_sum
+        self.hits += hits
+        self.hit_bytes += hit_bytes
 
 
 def _mean_ci(
@@ -321,9 +345,9 @@ def single_pass_mrc(
         rates[fraction] = min(1.0, floored)
 
     # Shadow bank: per salt, one cell per (key, fraction) plus one
-    # infinite control-variate cell per distinct effective rate.
+    # infinite control-variate tally per distinct effective rate.
     banks: List[Dict[Tuple[str, float], _ShadowCell]] = []
-    controls: List[Dict[float, _ShadowCell]] = []
+    controls: List[Dict[float, _Tally]] = []
     for salt in salts:
         banks.append({
             (key.name, fraction): _ShadowCell(
@@ -333,28 +357,46 @@ def single_pass_mrc(
             for key in sort_keys for fraction in fractions
         })
         controls.append({
-            cell_rate: _ShadowCell(None, None, cell_rate, seed)
-            for cell_rate in set(rates.values())
+            cell_rate: _Tally(cell_rate) for cell_rate in set(rates.values())
         })
 
-    # The single pass: every request feeds the full-trace infinite
-    # reference (the control variate's numerator) and, per salt, the
-    # hash-selected shadow cells.
-    reference = _ShadowCell(None, None, 1.1, seed)
+    # The single pass: every request is hashed once per salt into that
+    # salt's per-rate samples (rates descend, so the first rate a URL's
+    # position misses ends the scan) and counted into the full-trace
+    # infinite reference (the control variate's numerator) and the
+    # sampled controls.  An infinite cache hits iff the URL's previous
+    # copy had this size, which depends on that URL's requests alone —
+    # so one URL -> size map answers for the reference and for every
+    # URL-sampled control at once.
+    reference = _Tally(1.0)
+    last_size: Dict[str, int] = {}
+    strata = [
+        [(cell_rate, control[cell_rate], [])
+         for cell_rate in sorted(control, reverse=True)]
+        for control in controls
+    ]
     bank_started = time.perf_counter()
-    shadow_accesses = 0
     for request in trace:
-        reference.feed(request)
-        for salt, bank, control in zip(salts, banks, controls):
-            position = url_sample_rate_hash(request.url, salt)
-            for cell in control.values():
-                if position < cell.rate:
-                    cell.feed(request)
-                    shadow_accesses += 1
-            for cell in bank.values():
-                if position < cell.rate:
-                    cell.feed(request)
-                    shadow_accesses += 1
+        url, size = request.url, request.size
+        hit = last_size.get(url) == size
+        if not hit:
+            last_size[url] = size
+        reference.count(size, hit)
+        for salt, salt_strata in zip(salts, strata):
+            position = url_sample_rate_hash(url, salt)
+            for cell_rate, control_tally, sample in salt_strata:
+                if position >= cell_rate:
+                    break
+                control_tally.count(size, hit)
+                sample.append(request)
+    # Each shadow cache then replays its rate's sample on its own, so
+    # one cache's dict and heap stay hot at a time.
+    shadow_accesses = 0
+    for bank, salt_strata in zip(banks, strata):
+        samples = {cell_rate: sample for cell_rate, _, sample in salt_strata}
+        for cell in bank.values():
+            cell.replay(samples[cell.rate])
+            shadow_accesses += len(samples[cell.rate])
     bank_seconds = time.perf_counter() - bank_started
     if not reference.requests:
         raise ValueError("trace is empty")

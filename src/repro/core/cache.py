@@ -59,6 +59,13 @@ class AccessOutcome(enum.Enum):
         return self is AccessOutcome.HIT
 
 
+#: ``OUTCOMES[code]`` is the :class:`AccessOutcome` of an integer outcome
+#: code, as :meth:`SimCache.access_code` returns them; ``HIT`` is 0, so
+#: ``not code`` reads "was a hit".
+OUTCOMES: Tuple[AccessOutcome, ...] = tuple(AccessOutcome)
+HIT, MISS, MISS_MODIFIED, MISS_TOO_LARGE = range(len(OUTCOMES))
+
+
 @dataclass
 class AccessResult:
     """Outcome of one access, with any entries evicted to make room."""
@@ -75,85 +82,87 @@ class AccessResult:
 class EvictionIndex:
     """Maintains policy order over the live entries of one cache."""
 
+    #: Whether a hit can move an entry in this index; when it cannot,
+    #: the cache's hit path skips :meth:`on_touch`.
+    tracks_hits = False
+
     def __init__(self, policy: KeyPolicy, entries: Dict[str, CacheEntry]) -> None:
         self.policy = policy
         self._entries = entries
 
     def add(self, entry: CacheEntry) -> None:
-        raise NotImplementedError
-
-    def discard(self, entry: CacheEntry) -> None:
-        raise NotImplementedError
+        """The entry was just admitted to the cache."""
 
     def on_touch(self, entry: CacheEntry) -> None:
-        raise NotImplementedError
+        """A hit just changed the entry's ATIME/NREF."""
 
     def pop_head(self) -> CacheEntry:
-        """Remove and return the entry first in removal order."""
+        """Return the entry first in removal order; the caller removes it
+        from the cache."""
         raise NotImplementedError
 
 
 class NaiveIndex(EvictionIndex):
     """Reference index: full re-sort at every eviction."""
 
-    def add(self, entry: CacheEntry) -> None:  # noqa: D102 - trivial
-        pass
-
-    def discard(self, entry: CacheEntry) -> None:  # noqa: D102 - trivial
-        pass
-
-    def on_touch(self, entry: CacheEntry) -> None:  # noqa: D102 - trivial
-        pass
-
     def pop_head(self) -> CacheEntry:
         if not self._entries:
             raise LookupError("cannot evict from an empty cache")
-        head = min(self._entries.values(), key=self.policy.sort_value)
-        return head
+        return min(self._entries.values(), key=self.policy.sort_value)
 
 
 class HeapIndex(EvictionIndex):
     """Heap with lazy invalidation.
 
     Every (re)insertion and every touch of a mutable-key entry pushes a
-    record stamped with the entry's current version; stale records are
-    discarded when they surface at the heap top.  A monotonically increasing
-    sequence number makes heap tuples totally ordered without ever comparing
+    record ``(sort value, seq, entry)`` and stamps the entry with ``seq``
+    (:attr:`CacheEntry.heap_seq`); a record is live iff its entry still
+    carries its sequence number — a newer push or a removal (which
+    clears the stamp) makes it stale, and stale records are dropped when
+    they surface at the heap top.  The monotonically increasing sequence
+    number also makes records totally ordered without ever comparing
     entries themselves.
+
+    Stale records would otherwise pile up with hits, not documents, so
+    whenever they outnumber the live ones (plus :attr:`SLACK`) the heap
+    is rebuilt from its live records — amortised O(1) per push, and pop
+    order cannot change because ``(value, seq)`` is a total order.
     """
+
+    #: Stale records tolerated beyond one per live entry.
+    SLACK = 64
 
     def __init__(self, policy: KeyPolicy, entries: Dict[str, CacheEntry]) -> None:
         super().__init__(policy, entries)
-        self._heap: List[Tuple[Tuple[float, ...], int, str]] = []
-        self._latest: Dict[str, Tuple[float, ...]] = {}
+        self._heap: List[Tuple[Tuple[float, ...], int, CacheEntry]] = []
         self._seq = 0
-
-    def _push(self, entry: CacheEntry) -> None:
-        self._seq += 1
-        value = self.policy.sort_value(entry)
-        self._latest[entry.url] = value
-        heapq.heappush(self._heap, (value, self._seq, entry.url))
+        self.tracks_hits = policy.mutable
 
     def add(self, entry: CacheEntry) -> None:
-        self._push(entry)
+        self._seq = entry.heap_seq = seq = self._seq + 1
+        heap = self._heap
+        heapq.heappush(heap, (self.policy.sort_value(entry), seq, entry))
+        if len(heap) > 2 * len(self._entries) + self.SLACK:
+            heap[:] = [record for record in heap if record[2].heap_seq == record[1]]
+            heapq.heapify(heap)
 
-    def discard(self, entry: CacheEntry) -> None:
-        # The heap record itself dies lazily when it reaches the top.
-        self._latest.pop(entry.url, None)
-
-    def on_touch(self, entry: CacheEntry) -> None:
-        if self.policy.mutable:
-            self._push(entry)
+    on_touch = add
 
     def pop_head(self) -> CacheEntry:
-        while self._heap:
-            value, _, url = heapq.heappop(self._heap)
-            if self._latest.get(url) != value:
-                continue  # stale record (touched, evicted, or replaced)
-            entry = self._entries.get(url)
-            if entry is not None:
+        heap = self._heap
+        while heap:
+            _, seq, entry = heapq.heappop(heap)
+            if entry.heap_seq == seq:
                 return entry
         raise LookupError("cannot evict from an empty cache")
+
+
+def _hook(policy: RemovalPolicy, name: str) -> Optional[Callable[[CacheEntry], None]]:
+    """The policy's lifecycle hook, or ``None`` when it is the base
+    class's no-op (every key policy), so the access path skips the call."""
+    if getattr(type(policy), name) is getattr(RemovalPolicy, name):
+        return None
+    return getattr(policy, name)
 
 
 class SimCache:
@@ -196,7 +205,7 @@ class SimCache:
         self.max_used_bytes = 0
         self.eviction_count = 0
         self.evicted_bytes = 0
-        self._rng = random.Random(seed)
+        self._random = random.Random(seed).random
         self._phases = None
         self._latency_estimator = latency_estimator
         self._ttl_assigner = ttl_assigner
@@ -211,6 +220,13 @@ class SimCache:
             raise TypeError(
                 f"unsupported policy type: {type(self.policy).__name__}"
             )
+        self._index_touch = (
+            self._index.on_touch
+            if self._index is not None and self._index.tracks_hits else None
+        )
+        self._on_admit = _hook(self.policy, "on_admit")
+        self._on_hit = _hook(self.policy, "on_hit")
+        self._on_remove = _hook(self.policy, "on_remove")
 
     # -- inspection ----------------------------------------------------------
 
@@ -256,178 +272,124 @@ class SimCache:
 
     def set_phase_timer(self, timer) -> None:
         """Attach (or with ``None`` detach) a per-access phase timer —
-        a :class:`repro.obs.profile.CachePhaseTimer` — switching
-        :meth:`access` onto an instrumented twin that times the lookup /
-        evict / admit phases.  The uninstrumented hot path is untouched,
-        and the twin performs the identical operations in the identical
-        order (RNG draws included), so timing can never perturb results
-        — the differential test runs both paths and diffs."""
+        a :class:`repro.obs.profile.CachePhaseTimer` — that the access
+        path reports its lookup / evict / admit phases into.  Timed and
+        untimed accesses run the same code, so timing can never perturb
+        results."""
         self._phases = timer
 
     # -- the Section 1.1 access path ------------------------------------------
 
     def access(self, request: Request, now: Optional[float] = None) -> AccessResult:
         """Process one valid trace request against the cache."""
-        if self._phases is not None:
-            return self._timed_access(request, now)
+        evicted: List[CacheEntry] = []
+        code = self.access_code(request, now, evicted)
+        return AccessResult(OUTCOMES[code], request, evicted)
+
+    def access_code(
+        self,
+        request: Request,
+        now: Optional[float] = None,
+        evicted: Optional[List[CacheEntry]] = None,
+    ) -> int:
+        """Process one valid trace request; returns its integer outcome
+        code (``OUTCOMES[code]`` is the :class:`AccessOutcome`) and
+        appends any entries evicted to make room to ``evicted``, when a
+        list is passed.  This is the one access path; :meth:`access`
+        wraps it."""
+        timer = self._phases
+        if timer is not None:
+            clock = timer.clock
+            start = clock()
         if now is None:
             now = request.timestamp
-        entry = self._entries.get(request.url)
-        if entry is not None:
-            if entry.size == request.size:
-                entry.touch(now)
-                if self._index is not None:
-                    self._index.on_touch(entry)
-                self.policy.on_hit(entry)
-                return AccessResult(AccessOutcome.HIT, request)
-            # Modified document: the cached copy is inconsistent.
-            self._remove_entry(entry, count_as_eviction=False)
-            result = self._admit(request, now)
-            result.outcome = AccessOutcome.MISS_MODIFIED
-            return result
-        return self._admit(request, now)
-
-    def _timed_access(
-        self, request: Request, now: Optional[float] = None,
-    ) -> AccessResult:
-        """The instrumented twin of :meth:`access`: same operations,
-        same order, plus phase timing through ``self._phases``."""
-        timer = self._phases
-        clock = timer.clock
-        if now is None:
-            now = request.timestamp
-        start = clock()
-        entry = self._entries.get(request.url)
-        if entry is not None:
-            if entry.size == request.size:
-                entry.touch(now)
-                if self._index is not None:
-                    self._index.on_touch(entry)
-                self.policy.on_hit(entry)
-                timer.observe("lookup", clock() - start)
-                return AccessResult(AccessOutcome.HIT, request)
-            self._remove_entry(entry, count_as_eviction=False)
-            timer.observe("lookup", clock() - start)
-            result = self._timed_admit(request, now)
-            result.outcome = AccessOutcome.MISS_MODIFIED
-            return result
-        timer.observe("lookup", clock() - start)
-        return self._timed_admit(request, now)
-
-    def _timed_admit(self, request: Request, now: float) -> AccessResult:
-        """The instrumented twin of :meth:`_admit`, splitting the miss
-        path into its ``evict`` (making room) and ``admit`` (entry
-        construction + index insertion) phases."""
-        timer = self._phases
-        clock = timer.clock
         size = request.size
-        if self.capacity is not None and size > self.capacity:
-            return AccessResult(AccessOutcome.MISS_TOO_LARGE, request)
-        start = clock()
-        evicted = self._make_room(size, now)
-        admit_start = clock()
-        timer.observe("evict", admit_start - start)
-        entry = CacheEntry(
-            url=request.url,
-            size=size,
-            etime=now,
-            atime=now,
-            nref=1,
-            doc_type=request.media_type,
-            random_stamp=self._rng.random(),
-            latency=(
-                self._latency_estimator(request)
-                if self._latency_estimator is not None else 0.0
-            ),
-            expires_at=(
-                self._ttl_assigner(request, now)
-                if self._ttl_assigner is not None else None
-            ),
+        entry = self._entries.get(request.url)
+        code = MISS
+        if entry is not None:
+            if entry.size == size:
+                entry.touch(now)
+                if self._index_touch is not None:
+                    self._index_touch(entry)
+                if self._on_hit is not None:
+                    self._on_hit(entry)
+                if timer is not None:
+                    timer.observe("lookup", clock() - start)
+                return HIT
+            # Modified document: the cached copy is inconsistent.  The
+            # access stays MISS_MODIFIED even if the new copy cannot fit.
+            self._remove_entry(entry)
+            code = MISS_MODIFIED
+        if timer is not None:
+            timer.observe("lookup", clock() - start)
+        capacity = self.capacity
+        if capacity is not None and size > capacity:
+            return MISS_TOO_LARGE if code == MISS else code
+        if timer is not None:
+            start = clock()
+        if capacity is not None:
+            # Section 1.2: "removes zero or more documents from the head
+            # of the sorted list until the amount of free cache space
+            # equals or exceeds the incoming document size".
+            while capacity - self.used_bytes < size:
+                victim = self.evict_next(size, now)
+                if evicted is not None:
+                    evicted.append(victim)
+                if self._on_evict is not None:
+                    self._on_evict(victim)
+        if timer is not None:
+            admit_start = clock()
+            timer.observe("evict", admit_start - start)
+        latency = self._latency_estimator
+        expires = self._ttl_assigner
+        entry = CacheEntry(  # positionally: keywords cost ~0.4 us a miss
+            request.url, size, now, now, 1, request.media_type,
+            self._random(),
+            latency(request) if latency is not None else 0.0,
+            expires(request, now) if expires is not None else None,
         )
         self._entries[entry.url] = entry
-        self.used_bytes += size
-        self.max_used_bytes = max(self.max_used_bytes, self.used_bytes)
+        self.used_bytes = used = self.used_bytes + size
+        if used > self.max_used_bytes:
+            self.max_used_bytes = used
         if self._index is not None:
             self._index.add(entry)
-        self.policy.on_admit(entry)
-        timer.observe("admit", clock() - admit_start)
-        return AccessResult(AccessOutcome.MISS, request, evicted)
+        if self._on_admit is not None:
+            self._on_admit(entry)
+        if timer is not None:
+            timer.observe("admit", clock() - admit_start)
+        return code
 
     def remove(self, url: str) -> Optional[CacheEntry]:
         """Explicitly drop a URL (consistency invalidation, tests)."""
         entry = self._entries.get(url)
         if entry is not None:
-            self._remove_entry(entry, count_as_eviction=False)
+            self._remove_entry(entry)
         return entry
+
+    def evict_next(self, incoming_size: int, now: float) -> CacheEntry:
+        """Remove, count as an eviction and return the entry the policy
+        ranks first for removal."""
+        if self._index is not None:
+            victim = self._index.pop_head()
+        elif isinstance(self.policy, DynamicPolicy):
+            if not self._entries:
+                raise LookupError("cannot evict from an empty cache")
+            victim = self.policy.choose_victim(
+                list(self._entries.values()), incoming_size, now
+            )
+        else:
+            raise TypeError("finite cache requires an eviction mechanism")
+        self._remove_entry(victim)
+        self.eviction_count += 1
+        self.evicted_bytes += victim.size
+        return victim
 
     # -- internals -------------------------------------------------------------
 
-    def _admit(self, request: Request, now: float) -> AccessResult:
-        size = request.size
-        if self.capacity is not None and size > self.capacity:
-            return AccessResult(AccessOutcome.MISS_TOO_LARGE, request)
-        evicted = self._make_room(size, now)
-        entry = CacheEntry(
-            url=request.url,
-            size=size,
-            etime=now,
-            atime=now,
-            nref=1,
-            doc_type=request.media_type,
-            random_stamp=self._rng.random(),
-            latency=(
-                self._latency_estimator(request)
-                if self._latency_estimator is not None else 0.0
-            ),
-            expires_at=(
-                self._ttl_assigner(request, now)
-                if self._ttl_assigner is not None else None
-            ),
-        )
-        self._entries[entry.url] = entry
-        self.used_bytes += size
-        self.max_used_bytes = max(self.max_used_bytes, self.used_bytes)
-        if self._index is not None:
-            self._index.add(entry)
-        self.policy.on_admit(entry)
-        return AccessResult(AccessOutcome.MISS, request, evicted)
-
-    def _make_room(self, size: int, now: float) -> List[CacheEntry]:
-        """Evict in policy order until ``size`` bytes fit (Section 1.2:
-        "removes zero or more documents from the head of the sorted list
-        until the amount of free cache space equals or exceeds the incoming
-        document size")."""
-        if self.capacity is None:
-            return []
-        evicted: List[CacheEntry] = []
-        while self.capacity - self.used_bytes < size:
-            victim = self._next_victim(size, now)
-            self._remove_entry(victim, count_as_eviction=True)
-            evicted.append(victim)
-            if self._on_evict is not None:
-                self._on_evict(victim)
-        return evicted
-
-    def _next_victim(self, incoming_size: int, now: float) -> CacheEntry:
-        if self._index is not None:
-            return self._index.pop_head()
-        if isinstance(self.policy, DynamicPolicy):
-            if not self._entries:
-                raise LookupError("cannot evict from an empty cache")
-            return self.policy.choose_victim(
-                list(self._entries.values()), incoming_size, now
-            )
-        raise TypeError("finite cache requires an eviction mechanism")
-
-    def _remove_entry(self, entry: CacheEntry, count_as_eviction: bool) -> None:
-        live = self._entries.pop(entry.url, None)
-        if live is None:
-            return
-        live.version += 1  # invalidate any heap records
-        self.used_bytes -= live.size
-        if self._index is not None:
-            self._index.discard(live)
-        self.policy.on_remove(live)
-        if count_as_eviction:
-            self.eviction_count += 1
-            self.evicted_bytes += live.size
+    def _remove_entry(self, entry: CacheEntry) -> None:
+        del self._entries[entry.url]
+        entry.heap_seq = 0  # its heap records are stale from here on
+        self.used_bytes -= entry.size
+        if self._on_remove is not None:
+            self._on_remove(entry)

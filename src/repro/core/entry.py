@@ -37,8 +37,9 @@ class CacheEntry:
         latency: estimated refetch latency in seconds (extension key).
         expires_at: expiry time for TTL-aware removal (extension key);
             ``None`` means no expiry is known.
-        version: bumped on every mutation; lets sorted indexes detect stale
-            heap records lazily.
+        heap_seq: sequence number of the entry's newest heap-index record
+            (a popped record is live iff it carries this number); 0, set
+            on removal, matches no record.
     """
 
     url: str
@@ -50,7 +51,7 @@ class CacheEntry:
     random_stamp: float = 0.0
     latency: float = 0.0
     expires_at: Optional[float] = None
-    version: int = 0
+    heap_seq: int = 0
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -60,7 +61,6 @@ class CacheEntry:
         """Record a hit: update recency and reference count."""
         self.atime = now
         self.nref += 1
-        self.version += 1
 
     @property
     def atime_day(self) -> int:

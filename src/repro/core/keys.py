@@ -57,7 +57,9 @@ class SortKey:
 
     Args:
         name: the paper's name for the key (e.g. ``"SIZE"``).
-        extract: function from entry to an orderable float.
+        extract: function from entry to an orderable float — the entry's
+            removal-order value (smaller = removed sooner); kept as
+            :attr:`value`.
         description: Table 1 definition, for reports.
         mutable: whether the value can change while the entry is cached
             (ATIME-family and NREF change on every hit; SIZE and ETIME are
@@ -73,13 +75,9 @@ class SortKey:
         mutable: bool,
     ) -> None:
         self.name = name
-        self._extract = extract
+        self.value = extract
         self.description = description
         self.mutable = mutable
-
-    def value(self, entry: CacheEntry) -> float:
-        """The entry's removal-order value (smaller = removed sooner)."""
-        return self._extract(entry)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SortKey({self.name})"

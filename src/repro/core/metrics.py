@@ -66,16 +66,33 @@ class MetricsCollector:
 
     def record(self, request: Request, is_hit: bool) -> None:
         """Account one valid request and whether the cache served it."""
-        day = self.days.setdefault(request.day, DayStats())
-        day.requests += 1
-        day.bytes_requested += request.size
-        self.total_requests += 1
-        self.total_bytes_requested += request.size
-        if is_hit:
-            day.hits += 1
-            day.bytes_hit += request.size
-            self.total_hits += 1
-            self.total_bytes_hit += request.size
+        size = request.size
+        self.advance_to(
+            request.day,
+            self.total_requests + 1,
+            self.total_hits + (1 if is_hit else 0),
+            self.total_bytes_requested + size,
+            self.total_bytes_hit + (size if is_hit else 0),
+        )
+
+    def advance_to(
+        self, day: int, requests: int, hits: int,
+        bytes_requested: int, bytes_hit: int,
+    ) -> None:
+        """Raise the cumulative totals to the given values, crediting
+        the increase to ``day`` — how a replay loop that counts in
+        locals accounts a whole day of requests in one call."""
+        stats = self.days.get(day)
+        if stats is None:  # get-then-insert: no DayStats built per call
+            stats = self.days[day] = DayStats()
+        stats.requests += requests - self.total_requests
+        stats.hits += hits - self.total_hits
+        stats.bytes_requested += bytes_requested - self.total_bytes_requested
+        stats.bytes_hit += bytes_hit - self.total_bytes_hit
+        self.total_requests = requests
+        self.total_hits = hits
+        self.total_bytes_requested = bytes_requested
+        self.total_bytes_hit = bytes_hit
 
     # -- cumulative measures ---------------------------------------------------
 

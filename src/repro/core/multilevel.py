@@ -21,6 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.cache import SimCache
 from repro.core.metrics import MetricsCollector
+from repro.core.simulator import DayTicks
 from repro.trace.record import Request
 
 __all__ = [
@@ -103,40 +104,20 @@ def simulate_two_level(
     ticked at every simulated-day boundary with one stream per level, so
     Figures 16-18 derive from the recorded series.
     """
-    from repro.obs.timeseries import SimStreamTicker, TimeSeriesRecorder
-
     if l2 is None:
         l2 = SimCache(capacity=None)
     hierarchy = TwoLevelCache(l1, l2, name=name)
-    if timeseries is False:
-        recorder = tickers = None
-    else:
-        recorder = (
-            timeseries if timeseries is not None else TimeSeriesRecorder()
-        )
-        tickers = (
-            (SimStreamTicker(recorder, "l1"), hierarchy.l1_metrics, l1),
-            (SimStreamTicker(recorder, "l2"), hierarchy.l2_metrics, l2),
-        )
-
-    def snapshot_day(day: int, force: bool = False) -> None:
-        for ticker, collector, cache in tickers:
-            ticker.update(collector, cache)
-        recorder.tick(day, force=force)
-
-    current_day = None
+    days = DayTicks(timeseries, [
+        ("l1", hierarchy.l1_metrics, l1), ("l2", hierarchy.l2_metrics, l2),
+    ])
+    day_start = day_end = 0.0
     for request in trace:
-        if tickers is not None:
-            day = request.day
-            if day != current_day:
-                if current_day is not None:
-                    snapshot_day(current_day)
-                current_day = day
+        if not day_start <= request.timestamp < day_end:
+            day_start, day_end = days.roll(request.timestamp)
         hierarchy.access(request)
-    if tickers is not None and current_day is not None:
-        snapshot_day(current_day, force=True)
+    days.close()
     result = hierarchy.result()
-    result.timeseries = recorder
+    result.timeseries = days.recorder
     return result
 
 

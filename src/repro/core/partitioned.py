@@ -19,6 +19,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from repro.core.cache import SimCache
 from repro.core.metrics import MetricsCollector, Series, moving_average
 from repro.core.policy import RemovalPolicy
+from repro.core.simulator import DayTicks
 from repro.trace.record import DocumentType, Request
 
 __all__ = [
@@ -147,43 +148,20 @@ def simulate_partitioned(
             capacity=capacity, policy=policy_factory(), seed=seed + index,
         )
     cache = PartitionedCache(partitions, classify)
-    from repro.obs.timeseries import SimStreamTicker, TimeSeriesRecorder
-
-    if timeseries is False:
-        recorder = tickers = None
-    else:
-        recorder = (
-            timeseries if timeseries is not None else TimeSeriesRecorder()
-        )
-        tickers = [
-            (SimStreamTicker(recorder, part_name),
-             cache.class_metrics[part_name], partitions[part_name])
-            for part_name in sorted(partitions)
-        ]
-        tickers.append(
-            (SimStreamTicker(recorder, "overall"), cache.overall, None)
-        )
-
-    def snapshot_day(day: int, force: bool = False) -> None:
-        for ticker, collector, part_cache in tickers:
-            ticker.update(collector, part_cache)
-        recorder.tick(day, force=force)
-
-    current_day = None
+    days = DayTicks(timeseries, [
+        (part_name, cache.class_metrics[part_name], partitions[part_name])
+        for part_name in sorted(partitions)
+    ] + [("overall", cache.overall, None)])
+    day_start = day_end = 0.0
     for request in trace:
-        if tickers is not None:
-            day = request.day
-            if day != current_day:
-                if current_day is not None:
-                    snapshot_day(current_day)
-                current_day = day
+        if not day_start <= request.timestamp < day_end:
+            day_start, day_end = days.roll(request.timestamp)
         cache.access(request)
-    if tickers is not None and current_day is not None:
-        snapshot_day(current_day, force=True)
+    days.close()
     return PartitionedResult(
         name=name,
         partitions=cache.partitions,
         class_metrics=cache.class_metrics,
         overall=cache.overall,
-        timeseries=recorder,
+        timeseries=days.recorder,
     )

@@ -96,9 +96,7 @@ class PeriodicRemovalCache:
         target = int(self.cache.capacity * self.comfort_level)
         removed: List[CacheEntry] = []
         while self.cache.used_bytes > target and len(self.cache):
-            victim = self.cache._next_victim(0, now)
-            self.cache._remove_entry(victim, count_as_eviction=True)
-            removed.append(victim)
+            removed.append(self.cache.evict_next(0, now))
         self.sweep_count += 1
         self.swept_entries += len(removed)
         return removed

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 import itertools
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.entry import CacheEntry
 from repro.core.keys import (
@@ -95,20 +95,17 @@ class KeyPolicy(RemovalPolicy):
             keys.append(RANDOM)
         self.keys: Tuple[SortKey, ...] = tuple(keys)
         self.name = name or "/".join(k.name for k in self.keys[:2])
+        #: True when any key's value can change while an entry is cached
+        #: (the sorted index must then tolerate stale records).
+        self.mutable = any(key.mutable for key in self.keys)
+        #: ``sort_value(entry)`` is the entry's full sort tuple; ascending
+        #: order = removal order.  Built once here, for the index calls it
+        #: on every admission and every hit of a mutable-key policy.
+        self.sort_value = _sort_tuple([key.value for key in self.keys])
 
     @property
     def primary(self) -> SortKey:
         return self.keys[0]
-
-    @property
-    def mutable(self) -> bool:
-        """True when any key's value can change while an entry is cached
-        (the sorted index must then tolerate stale records)."""
-        return any(key.mutable for key in self.keys)
-
-    def sort_value(self, entry: CacheEntry) -> Tuple[float, ...]:
-        """The entry's full sort tuple; ascending order = removal order."""
-        return tuple(key.value(entry) for key in self.keys)
 
     def order(self, entries: Iterable[CacheEntry]) -> List[CacheEntry]:
         """Entries sorted into removal order (head is removed first)."""
@@ -117,6 +114,19 @@ class KeyPolicy(RemovalPolicy):
     def describe(self) -> str:
         parts = " then ".join(k.name for k in self.keys)
         return f"sort by {parts}; remove from head until the document fits"
+
+
+def _sort_tuple(
+    extractors: Sequence[Callable[[CacheEntry], float]],
+) -> Callable[[CacheEntry], Tuple[float, ...]]:
+    """One function returning the tuple of every extractor's value."""
+    if len(extractors) == 2:
+        first, second = extractors
+        return lambda entry: (first(entry), second(entry))
+    if len(extractors) == 3:
+        first, second, third = extractors
+        return lambda entry: (first(entry), second(entry), third(entry))
+    return lambda entry: tuple(extract(entry) for extract in extractors)
 
 
 class DynamicPolicy(RemovalPolicy):

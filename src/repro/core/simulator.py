@@ -17,14 +17,14 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.cache import SimCache
+from repro.core.cache import HIT, OUTCOMES, SimCache
 from repro.core.metrics import MetricsCollector
 from repro.core.policy import KeyPolicy
 from repro.trace.record import Request
 
-__all__ = ["SimulationResult", "simulate"]
+__all__ = ["DayTicks", "SimulationResult", "simulate"]
 
 
 @dataclass
@@ -88,6 +88,57 @@ class SimulationResult:
         }
 
 
+class DayTicks:
+    """Day boundaries of the trace clock, for every replay driver.
+
+    A driver keeps the running day's ``[start, end)`` bounds in locals
+    and calls :meth:`roll` when a timestamp falls outside them, then
+    :meth:`close` after the last request.  Both take the end-of-day
+    snapshot — the day's last request has been processed, so collectors
+    hold its final state: each stream's ticker is updated from its
+    collector, then the recorder is ticked once.
+
+    Args:
+        timeseries: a :class:`~repro.obs.timeseries.TimeSeriesRecorder`,
+            ``None`` for a private one, or ``False`` to record nothing.
+        streams: ``(stream name, collector, cache or None)`` per stream.
+    """
+
+    def __init__(
+        self,
+        timeseries,
+        streams: Sequence[Tuple[str, MetricsCollector, Optional[SimCache]]],
+    ) -> None:
+        from repro.obs.timeseries import SimStreamTicker, TimeSeriesRecorder
+
+        self.day: Optional[int] = None
+        if timeseries is False:
+            self.recorder = None
+            return
+        self.recorder = (
+            timeseries if timeseries is not None else TimeSeriesRecorder()
+        )
+        self._tickers = [
+            (SimStreamTicker(self.recorder, stream), collector, cache)
+            for stream, collector, cache in streams
+        ]
+
+    def roll(self, timestamp: float) -> Tuple[float, float]:
+        """Snapshot the running day (if any) and open the day holding
+        ``timestamp``; returns the new day's bounds in seconds."""
+        self.close(force=False)
+        self.day = day = int(timestamp // 86400)
+        return day * 86400.0, (day + 1) * 86400.0
+
+    def close(self, force: bool = True) -> None:
+        """Snapshot the running day; forced at the end of a replay, so
+        a trace always ends with a sample."""
+        if self.day is not None and self.recorder is not None:
+            for ticker, collector, cache in self._tickers:
+                ticker.update(collector, cache)
+            self.recorder.tick(self.day, force=force)
+
+
 def simulate(
     trace: Iterable[Request],
     cache: SimCache,
@@ -122,31 +173,23 @@ def simulate(
             creates a private per-day recorder; pass ``False`` to
             disable recording entirely.
         profiler: optional :class:`~repro.obs.profile.Profiler`.  When
-            set (or when ``obs.profiler`` is), the replay runs with the
-            cache's instrumented access path, timing the lookup / evict
-            / admit phases into the profiler and — if ``obs`` is given —
-            the per-policy ``repro_sim_phase_seconds`` histogram.
+            set (or when ``obs.profiler`` is), the replay attaches a
+            phase timer to the cache, timing the lookup / evict / admit
+            phases into the profiler and — if ``obs`` is given — the
+            per-policy ``repro_sim_phase_seconds`` histogram.
     """
-    from repro.obs.timeseries import SimStreamTicker, TimeSeriesRecorder
-
     metrics = MetricsCollector()
-    outcomes: Counter = Counter()
     hit_positions = []
     track = (
         track_positions_every > 0
         and isinstance(cache.policy, KeyPolicy)
     )
     channel = obs.channel("sim") if obs is not None else None
-    log_evictions = (
-        channel is not None and channel.enabled_for("debug")
+    # Victims are collected only when someone reads them.
+    evicted = (
+        [] if channel is not None and channel.enabled_for("debug") else None
     )
-    if timeseries is False:
-        recorder = ticker = None
-    else:
-        recorder = (
-            timeseries if timeseries is not None else TimeSeriesRecorder()
-        )
-        ticker = SimStreamTicker(recorder, stream="main")
+    days = DayTicks(timeseries, [("main", metrics, cache)])
     if profiler is None and obs is not None:
         profiler = obs.profiler
     if profiler is not None:
@@ -169,38 +212,51 @@ def simulate(
     )
     if span_cm is not None:
         span_cm.__enter__()
-    hit_count = 0
-    current_day = None
+    # The flat loop: outcomes are counted per integer code and bytes in
+    # locals; ``metrics`` is brought up to date at each day boundary,
+    # before the day's snapshot reads it.
+    access = cache.access_code
+    counts = [0] * len(OUTCOMES)
+    bytes_requested = bytes_hit = hit_count = 0
+    day_start = day_end = 0.0  # empty, so the first request opens a day
     for request in trace:
-        if ticker is not None:
-            day = request.day
-            if day != current_day:
-                # End-of-day snapshot: the previous day's last request
-                # has been processed, so counters hold its final state.
-                if current_day is not None:
-                    ticker.update(metrics, cache)
-                    recorder.tick(current_day)
-                current_day = day
-        result = cache.access(request)
-        outcomes[result.outcome] += 1
-        metrics.record(request, result.is_hit)
-        if log_evictions and result.evicted:
-            for entry in result.evicted:
+        timestamp = request.timestamp
+        if not day_start <= timestamp < day_end:
+            if days.day is not None:
+                metrics.advance_to(
+                    days.day, sum(counts), counts[HIT],
+                    bytes_requested, bytes_hit,
+                )
+            day_start, day_end = days.roll(timestamp)
+        code = access(request, None, evicted)
+        counts[code] += 1
+        size = request.size
+        bytes_requested += size
+        if code == HIT:
+            bytes_hit += size
+            if track:
+                hit_count += 1
+                if hit_count % track_positions_every == 0:
+                    order = cache.removal_order()
+                    for position, entry in enumerate(order):
+                        if entry.url == request.url:
+                            hit_positions.append((position, len(order)))
+                            break
+        elif evicted:
+            for entry in evicted:
                 channel.debug(
                     "evict", url=entry.url, size=entry.size,
                     nref=entry.nref, for_url=request.url,
                 )
-        if result.is_hit and track:
-            hit_count += 1
-            if hit_count % track_positions_every == 0:
-                order = cache.removal_order()
-                for position, entry in enumerate(order):
-                    if entry.url == request.url:
-                        hit_positions.append((position, len(order)))
-                        break
-    if ticker is not None and current_day is not None:
-        ticker.update(metrics, cache)
-        recorder.tick(current_day, force=True)
+            evicted.clear()
+    if days.day is not None:
+        metrics.advance_to(
+            days.day, sum(counts), counts[HIT], bytes_requested, bytes_hit,
+        )
+        days.close()
+    outcomes = Counter({
+        OUTCOMES[code]: count for code, count in enumerate(counts) if count
+    })
     if span_cm is not None:
         span_cm.__exit__(None, None, None)
     if profiler is not None:
@@ -224,7 +280,7 @@ def simulate(
         cache=cache,
         outcomes=outcomes,
         hit_positions=hit_positions,
-        timeseries=recorder,
+        timeseries=days.recorder,
     )
 
 

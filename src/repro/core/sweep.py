@@ -130,17 +130,16 @@ class SimOptions:
     Every result-shaping field is part of the result-cache key: changing
     one **must** bust the cache rather than return a stale result.
     ``profile_phases`` is the one exception — phase timing cannot
-    perturb HR/WHR (the instrumented access path performs identical
-    operations in identical order), so it is excluded from the key; a
-    cache-served job simply reports no phase timings, which is why
-    ``repro bench`` runs without a result cache.
+    perturb HR/WHR (timed and untimed accesses run the same code), so it
+    is excluded from the key; a cache-served job simply reports no phase
+    timings, which is why ``repro bench`` runs without a result cache.
     """
 
     seed: int = 0
     use_heap_index: bool = True
     track_positions_every: int = 0
-    #: Run jobs on the instrumented cache access path, collecting
-    #: per-policy lookup/evict/admit timings (histograms + profiler).
+    #: Attach a phase timer to each job's cache, collecting per-policy
+    #: lookup/evict/admit timings (histograms + profiler).
     profile_phases: bool = False
 
     def cache_fields(self) -> Dict[str, object]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
-from repro.core.cache import SimCache
+from repro.core.cache import HIT, SimCache
 from repro.des.engine import EventLoop
 from repro.trace.record import Request
 
@@ -129,7 +129,7 @@ def estimate_latency(
     for request in trace:
         arrival = request.timestamp / parameters.time_compression
         if cache is not None:
-            hit = cache.access(request).is_hit
+            hit = cache.access_code(request) == HIT
         else:
             hit = False
         service = parameters.service_time(request.size, hit)

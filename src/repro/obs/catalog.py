@@ -83,11 +83,11 @@ def sim_metrics(registry: Registry) -> SimpleNamespace:
 def phase_metrics(registry: Registry) -> SimpleNamespace:
     """Per-access phase timing (``repro_sim_phase_seconds``).
 
-    Recorded by the instrumented cache access path (profiled replays,
-    the live proxy store): one histogram per (policy, phase) where the
-    phases are ``lookup`` (entry probe + hit bookkeeping), ``evict``
-    (making room in removal order) and ``admit`` (entry construction and
-    index insertion).
+    Recorded by the cache access path when a phase timer is attached
+    (profiled replays, the live proxy store): one histogram per
+    (policy, phase) where the phases are ``lookup`` (entry probe + hit
+    bookkeeping), ``evict`` (making room in removal order) and ``admit``
+    (entry construction and index insertion).
     """
     return SimpleNamespace(
         sim_phase_seconds=registry.histogram(

@@ -219,7 +219,7 @@ class _PhaseHandle:
 
 class CachePhaseTimer:
     """Per-access phase sink a :class:`~repro.core.cache.SimCache`
-    reports into when instrumented (``cache.set_phase_timer``).
+    reports into once attached (``cache.set_phase_timer``).
 
     Feeds two destinations per observed phase — the per-policy
     ``repro_sim_phase_seconds`` histogram (when a registry was given)
@@ -294,6 +294,7 @@ class SignalSampler:
         self.samples = 0
         self._previous_handler = None
         self._armed = False
+        self._sampling = False
 
     @staticmethod
     def available() -> bool:
@@ -313,15 +314,24 @@ class SignalSampler:
         return True
 
     def _handle(self, signum: int, frame) -> None:
-        stack: List[str] = []
-        while frame is not None:
-            code = frame.f_code
-            module = frame.f_globals.get("__name__", "?")
-            stack.append(f"{module}.{code.co_name}")
-            frame = frame.f_back
-        stack.reverse()
-        self.samples += 1
-        self.profiler.record(tuple(stack), self.interval)
+        if self._sampling:
+            # A tick that lands inside the handler (a stalled process
+            # gets them back to back) would re-enter it, and the
+            # profiler's non-reentrant lock; that sample is dropped.
+            return
+        self._sampling = True
+        try:
+            stack: List[str] = []
+            while frame is not None:
+                code = frame.f_code
+                module = frame.f_globals.get("__name__", "?")
+                stack.append(f"{module}.{code.co_name}")
+                frame = frame.f_back
+            stack.reverse()
+            self.samples += 1
+            self.profiler.record(tuple(stack), self.interval)
+        finally:
+            self._sampling = False
 
     def start(self) -> None:
         if not self.available():

@@ -262,7 +262,7 @@ class ProxyStore:
             now = self._clock() if now is None else now
             # Drive the metadata cache through its hit path so ATIME/NREF
             # (and any mutable-key index) stay correct.
-            self._cache.access(
+            self._cache.access_code(
                 Request(timestamp=max(0.0, now), url=url, size=document.size)
             )
             # Touches are not journaled (see module docstring); the
@@ -286,7 +286,7 @@ class ProxyStore:
             if existing is not None:
                 self._cache.remove(document.url)
                 self._bodies.pop(document.url, None)
-            result = self._cache.access(
+            self._cache.access_code(
                 Request(
                     timestamp=max(0.0, now),
                     url=document.url,

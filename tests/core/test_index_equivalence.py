@@ -7,12 +7,17 @@ divergence in hit sequence, eviction order, or final contents between
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import RANDOM, TAXONOMY_KEYS, KeyPolicy, SimCache, taxonomy_policies
+from repro.core import (
+    NREF, RANDOM, TAXONOMY_KEYS, HeapIndex, KeyPolicy, SimCache,
+    taxonomy_policies,
+)
+from repro.core.cache import HIT
 from repro.trace import Request
 
 POLICIES = taxonomy_policies()
@@ -123,3 +128,96 @@ def test_cache_invariants(trace, capacity):
         # No duplicate URLs.
         urls = [e.url for e in cache.entries()]
         assert len(urls) == len(set(urls))
+
+
+# -- past the compaction threshold --------------------------------------------
+
+@given(
+    policy_index=st.integers(min_value=0, max_value=len(POLICIES) - 1),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    capacity=st.integers(min_value=700, max_value=1600),
+    length=st.integers(min_value=2000, max_value=2600),
+)
+@settings(max_examples=30, deadline=None)
+def test_long_hit_heavy_runs_heap_equals_naive(
+    policy_index, seed, capacity, length,
+):
+    """Thousands of hit-heavy steps with removals and mid-trace size
+    changes push the heap through many compactions; the victim of every
+    step must equal the naive index's, and occupancy must stay exact.
+
+    The steps are drawn from ``random.Random(seed)`` (hypothesis cannot
+    usefully shrink a 2,000-element list): 12 hot urls that about fit
+    the cache take 95% of the steps, 48 cold ones force evictions; 3% of
+    steps are an explicit ``cache.remove`` and 3% request the url's
+    other size."""
+    rng = random.Random(seed)
+    steps = []
+    for _ in range(length):
+        roll = rng.random()
+        uid = rng.randrange(12, 60) if roll < 0.05 else rng.randrange(12)
+        steps.append(
+            (uid, None if 0.05 <= roll < 0.08 else int(0.08 <= roll < 0.11))
+        )
+    keys = POLICIES[policy_index].keys
+    heap_cache = SimCache(capacity, KeyPolicy(keys), seed=seed)
+    naive_cache = SimCache(
+        capacity, KeyPolicy(keys), seed=seed, use_heap_index=False,
+    )
+    for clock, (uid, variant) in enumerate(steps):
+        url = f"u{uid}"
+        if variant is None:
+            removed = heap_cache.remove(url), naive_cache.remove(url)
+            assert (removed[0] is None) == (removed[1] is None)
+        else:
+            request = Request(
+                timestamp=clock * 700.0, url=url,
+                size=30 + 7 * (uid % 12) + 25 * variant,
+            )
+            heap_result = heap_cache.access(request)
+            naive_result = naive_cache.access(request)
+            assert heap_result.outcome == naive_result.outcome
+            assert (
+                [e.url for e in heap_result.evicted]
+                == [e.url for e in naive_result.evicted]
+            )
+        for cache in (heap_cache, naive_cache):
+            assert cache.used_bytes == sum(e.size for e in cache.entries())
+            assert cache.used_bytes <= capacity
+
+
+def test_heap_stays_bounded_over_a_million_hits():
+    """ROADMAP 4b: the heap grows with documents, not hits.  One million
+    hits over 100 resident documents under NREF/RANDOM — every hit pushes
+    a record — must leave the heap within the compaction bound, and the
+    evictions that follow must come in the naive index's order."""
+    documents, hits = 100, 1_000_000
+    requests = [
+        Request(timestamp=0.0, url=f"doc{i}", size=10) for i in range(documents)
+    ]
+    caches = [
+        SimCache(
+            10 * documents, KeyPolicy([NREF, RANDOM]), seed=3,
+            use_heap_index=use_heap,
+        )
+        for use_heap in (True, False)
+    ]
+    rng = random.Random(8)
+    picks = [min(rng.randrange(documents), rng.randrange(documents))
+             for _ in range(10_000)]
+    for cache in caches:
+        for request in requests:
+            cache.access_code(request)
+        access = cache.access_code
+        for step in range(hits):
+            assert access(requests[picks[step % len(picks)]], float(step)) == HIT
+    assert len(caches[0]._index._heap) <= 2 * documents + HeapIndex.SLACK
+    # One document as large as the cache evicts everything, in order.
+    flush = Request(timestamp=float(hits), url="flush", size=10 * documents)
+    evictions = []
+    for cache in caches:
+        evicted = []
+        cache.access_code(flush, None, evicted)
+        evictions.append([entry.url for entry in evicted])
+    assert evictions[0] == evictions[1]
+    assert len(evictions[0]) == documents

@@ -123,7 +123,6 @@ class TestEntry:
         e.touch(99.0)
         assert e.atime == 99.0
         assert e.nref == 2
-        assert e.version == 1
 
     def test_nonpositive_size_rejected(self):
         with pytest.raises(ValueError):

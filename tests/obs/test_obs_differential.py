@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from repro.core.cache import SimCache
+from repro.core.cache import AccessOutcome, SimCache
 from repro.core.experiments import max_needed_for
 from repro.core.policy import taxonomy_policies
 from repro.core.simulator import simulate
@@ -27,7 +27,7 @@ from repro.core.sweep import (
     SweepJob,
     run_sweep,
 )
-from repro.obs import EventLog, Obs
+from repro.obs import EventLog, Obs, Profiler
 from repro.workloads import generate_valid
 
 SEED = 31415
@@ -89,6 +89,33 @@ class TestSimulateDifferential:
         # Debug level streams eviction decisions too.
         evictions = obs.events.events(channel="sim", event="evict")
         assert len(evictions) == instrumented.cache.eviction_count
+
+    def test_profiled_matches_plain_through_the_one_path(self, trace, capacity):
+        """Phase profiling has no twin access path to drift: the same
+        ``access_code`` runs with a timer attached, results are equal,
+        and the phase counts are hits + misses lookups and one
+        evict + admit per stored document."""
+        assert not hasattr(SimCache, "_timed_access")
+        assert not hasattr(SimCache, "_timed_admit")
+        plain = simulate(trace, self._fresh_cache(capacity), name="x")
+        obs = Obs(profiler=Profiler())
+        profiled = simulate(
+            trace, self._fresh_cache(capacity), name="x", obs=obs,
+        )
+        assert_results_identical(plain, profiled)
+        counts = {
+            stack[-1]: count
+            for stack, (_, count) in obs.profiler.collapsed().items()
+            if stack[:2] == ("sim.replay", "cache.access")
+        }
+        assert counts["lookup"] == profiled.metrics.total_requests
+        # Stored documents are still cached, were evicted, or were
+        # replaced by a modified copy.
+        stored = (
+            len(profiled.cache) + profiled.cache.eviction_count
+            + profiled.outcomes[AccessOutcome.MISS_MODIFIED]
+        )
+        assert counts["evict"] == counts["admit"] == stored
 
     def test_replay_done_carries_the_headline_numbers(self, trace, capacity):
         obs = Obs.create()

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.core import SimCache, simulate
+from repro.core.cache import MISS, MISS_MODIFIED
 from repro.obs.metrics import Registry
 from repro.obs.profile import CachePhaseTimer, Profiler, SignalSampler
 from repro.workloads import generate_valid
@@ -164,6 +165,34 @@ class TestInstrumentedDifferential:
         assert lookups[1] == plain.metrics.total_requests
         assert profiler.total_seconds("sim.replay") > 0.0
 
+    def test_profiled_run_goes_through_the_one_access_path(self):
+        """There is no instrumented twin: a cache with a phase timer
+        attached runs the same ``access_code`` function, and the timer
+        sees one lookup per request and one evict + admit per admitted
+        document."""
+        assert not [
+            name for name in vars(SimCache) if name.startswith("_timed")
+        ]
+        trace = generate_valid("BL", seed=42, scale=0.01)
+        plain = SimCache(capacity=64 * 1024, seed=0)
+        timed = SimCache(capacity=64 * 1024, seed=0)
+        timer = CachePhaseTimer(policy=timed.policy.name)
+        timed.set_phase_timer(timer)
+        assert timed.access_code.__func__ is plain.access_code.__func__
+        assert "access_code" not in vars(timed)
+        codes = [timed.access_code(request) for request in trace]
+        assert codes == [plain.access_code(request) for request in trace]
+        # Every MISS stores the document; a MISS_MODIFIED does unless the
+        # new copy is larger than the whole cache.
+        admits = sum(
+            1 for request, code in zip(trace, codes)
+            if code == MISS
+            or (code == MISS_MODIFIED and request.size <= timed.capacity)
+        )
+        assert timer.counts["lookup"] == len(trace)
+        assert timer.counts["evict"] == timer.counts["admit"]
+        assert timer.counts["admit"] == admits > 0
+
 
 class TestSignalSampler:
     def test_invalid_interval(self):
@@ -196,6 +225,24 @@ class TestSignalSampler:
 
         monkeypatch.setattr(sweep, "_WORKER_TRACE", object())
         assert not SignalSampler.available()
+
+    def test_tick_inside_the_handler_is_dropped(self):
+        """A timer tick delivered while the handler runs must not
+        re-enter it (unbounded recursion on a stalled machine)."""
+        import sys
+
+        profiler = Profiler()
+        sampler = SignalSampler(profiler, interval=0.01)
+        record = profiler.record
+
+        def record_with_a_tick_landing(stack, seconds):
+            sampler._handle(0, sys._getframe())
+            record(stack, seconds)
+
+        profiler.record = record_with_a_tick_landing
+        sampler._handle(0, sys._getframe())
+        assert sampler.samples == 1
+        assert profiler.total_seconds() == pytest.approx(0.01)
 
     def test_samples_the_running_stack(self):
         profiler = Profiler()
