@@ -13,11 +13,10 @@ that a repeated sweep is >= 90% cache hits, and emits the machine-readable
 ``benchmarks/results/BENCH_sweep_engine.json`` (requests/sec, per-policy
 wall time, result-cache hit/miss counts) so the perf trajectory is
 tracked from this PR onward.  The payload uses the schema-versioned
-``repro.obs.bench`` envelope (``schema: 2`` with run metadata), so
-``repro bench --compare`` can gate against it; the first PR's
-pre-envelope file stays readable through the schema-1 path of
-:func:`repro.obs.bench.load_bench`.  ``BENCH_sweep.json`` itself is the
-committed ``repro bench`` baseline and is not touched here.
+``repro.obs.bench`` envelope (the current ``BENCH_SCHEMA_VERSION``, with
+run metadata), so ``repro bench --compare`` can gate against it.
+``BENCH_sweep.json`` itself is the committed ``repro bench`` baseline
+and is not touched here.
 
 The >= 2x speedup criterion is only asserted when the host actually has
 multiple CPUs; on a single-core host the numbers are still recorded,

@@ -46,8 +46,6 @@ both conditions are visible.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,6 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.core.cache import HIT, SimCache
 from repro.core.keys import TAXONOMY_KEYS, SortKey, key_by_name
 from repro.core.policy import KeyPolicy
+from repro.durability import read_checksummed_jsonl, write_checksummed_jsonl
 from repro.trace.record import Request
 from repro.trace.sampling import url_sample_rate_hash
 
@@ -458,27 +457,13 @@ class MRCCurvesError(ValueError):
     """A curves export is missing, truncated, or corrupt."""
 
 
-def _canonical_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def write_curves(result: MRCResult, path: Union[str, Path]) -> int:
     """Write a result's points as JSONL with a trailing checksum record
     (the same envelope the time-series export uses); returns the point
     count (excluding the trailer line)."""
-    records = result.records()
-    digest = hashlib.sha256()
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for record in records:
-            line = _canonical_line(record)
-            digest.update(line.encode("utf-8"))
-            handle.write(line)
-        handle.write(_canonical_line({
-            "kind": CURVES_CHECKSUM_KIND,
-            "samples": len(records),
-            "sha256": digest.hexdigest(),
-        }))
-    return len(records)
+    return write_checksummed_jsonl(
+        result.records(), path, CURVES_CHECKSUM_KIND,
+    )
 
 
 def read_curves(path: Union[str, Path]) -> List[dict]:
@@ -487,43 +472,4 @@ def read_curves(path: Union[str, Path]) -> List[dict]:
     Raises :class:`MRCCurvesError` when the file is missing, empty,
     truncated, or fails its checksum.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as error:
-        raise MRCCurvesError(f"cannot read {path}: {error}") from error
-    if not text.strip():
-        raise MRCCurvesError(f"{path} is empty")
-    records: List[dict] = []
-    digest = hashlib.sha256()
-    trailer: Optional[dict] = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if trailer is not None:
-            raise MRCCurvesError(
-                f"{path}:{lineno}: data after the checksum trailer"
-            )
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            raise MRCCurvesError(
-                f"{path}:{lineno}: truncated or corrupt JSON line"
-            ) from None
-        if isinstance(record, dict) and record.get("kind") == CURVES_CHECKSUM_KIND:
-            trailer = record
-            continue
-        records.append(record)
-        digest.update(_canonical_line(record).encode("utf-8"))
-    if trailer is None:
-        raise MRCCurvesError(
-            f"{path}: missing checksum trailer (file truncated?)"
-        )
-    if trailer.get("samples") != len(records):
-        raise MRCCurvesError(
-            f"{path}: trailer declares {trailer.get('samples')} samples, "
-            f"found {len(records)}"
-        )
-    if trailer.get("sha256") != digest.hexdigest():
-        raise MRCCurvesError(f"{path}: checksum mismatch")
-    return records
+    return read_checksummed_jsonl(path, CURVES_CHECKSUM_KIND, MRCCurvesError)

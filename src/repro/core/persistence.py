@@ -14,8 +14,8 @@ are portable across index implementations.
 On-disk envelope (format 2): snapshots are written atomically via
 :mod:`repro.durability` and wrapped with a checksum, so a crash mid-save
 never leaves a half-written file and silent corruption is detected at
-load time.  Loading still accepts the bare format-1 dict older files
-hold.
+load time.  :func:`load_cache` reads nothing else: a file without the
+envelope has no checksum to verify and is rejected.
 """
 
 from __future__ import annotations
@@ -144,22 +144,20 @@ def load_cache(
 ) -> SimCache:
     """Read a snapshot file and rebuild the cache.
 
-    Accepts both the checksummed format-2 envelope (verified before
-    restoring) and a bare legacy format-1 snapshot dict.
+    The checksummed format-2 envelope is verified before restoring.
 
     Raises:
-        ValueError: unknown format, or a format-2 checksum mismatch
+        ValueError: not a format-2 envelope, or a checksum mismatch
             (the file was torn or tampered with).
     """
     path = Path(path)
     document = json.loads(path.read_text(encoding="utf-8"))
     if (
-        isinstance(document, dict)
-        and document.get("format") == _FILE_FORMAT_VERSION
+        not isinstance(document, dict)
+        or document.get("format") != _FILE_FORMAT_VERSION
     ):
-        snapshot = document.get("snapshot")
-        if document.get("checksum") != checksum(snapshot):
-            raise ValueError(f"{path}: snapshot checksum mismatch")
-    else:
-        snapshot = document  # legacy bare format-1 file
+        raise ValueError(f"{path}: not a checksummed snapshot envelope")
+    snapshot = document.get("snapshot")
+    if document.get("checksum") != checksum(snapshot):
+        raise ValueError(f"{path}: snapshot checksum mismatch")
     return restore_cache(snapshot, policy=policy, seed=seed)

@@ -381,16 +381,7 @@ class ResultCache:
     @staticmethod
     def key_for(job: SweepJob, trace_hash: str) -> str:
         """Deterministic key for one job against one trace."""
-        canonical = json.dumps(
-            job.cache_fields(trace_hash), sort_keys=True, separators=(",", ":"),
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    @staticmethod
-    def checksum(record: dict) -> str:
-        """Content hash of a result record (canonical JSON)."""
-        canonical = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return _checksum(job.cache_fields(trace_hash))
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
@@ -426,7 +417,7 @@ class ResultCache:
             if envelope.get("schema") != RESULT_SCHEMA_VERSION:
                 raise ValueError("stale schema version")
             record = envelope["record"]
-            if envelope.get("checksum") != self.checksum(record):
+            if envelope.get("checksum") != _checksum(record):
                 raise ValueError("checksum mismatch")
         except (ValueError, TypeError):
             self._quarantine(path)
@@ -440,7 +431,7 @@ class ResultCache:
         path = self._path(self.key_for(job, trace_hash))
         envelope = {
             "schema": RESULT_SCHEMA_VERSION,
-            "checksum": self.checksum(record),
+            "checksum": _checksum(record),
             "record": record,
         }
         atomic_write_text(path, json.dumps(envelope))

@@ -1,6 +1,6 @@
 """repro.durability — crash-safe persistence primitives.
 
-Three building blocks, shared by every layer that must survive process
+Four building blocks, shared by every layer that must survive process
 death (the sweep coordinator's checkpoints, the proxy store's journaled
 state, the result and snapshot caches):
 
@@ -20,6 +20,10 @@ state, the result and snapshot caches):
   manifest: one atomic, checksummed JSON document describing a state
   directory (format version, fingerprints, completion status).  A
   directory without a verifiable manifest is not a checkpoint.
+* :func:`write_checksummed_jsonl` / :func:`read_checksummed_jsonl` —
+  the export envelope: canonical JSONL followed by one trailer record
+  pinning the record count and a SHA-256 of the body, so a truncated or
+  edited export (time series, MRC curves) is diagnosed in one line.
 
 Fault injection: every write path accepts an optional ``faults``
 injector (a :class:`repro.faults.FaultInjector` over the disk-fault
@@ -45,7 +49,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, List, Optional, Union
+from typing import IO, Iterable, List, Optional, Type, Union
 
 __all__ = [
     "JOURNAL_FORMAT",
@@ -59,8 +63,11 @@ __all__ = [
     "atomic_write_json",
     "canonical_json",
     "checksum",
+    "jsonl_checksum",
+    "read_checksummed_jsonl",
     "read_journal",
     "read_manifest",
+    "write_checksummed_jsonl",
     "write_manifest",
 ]
 
@@ -123,10 +130,9 @@ def _next_disk_fault(faults, path: Path):
     return faults.next_fault(url=str(path))
 
 
-def _apply_write_faults(
-    rule, handle: IO[bytes], data: bytes, path: Path,
-) -> None:
-    """Perform the (possibly faulted) write of ``data`` to ``handle``."""
+def _apply_write_faults(rule, handle: IO, data, path: Path) -> None:
+    """Perform the (possibly faulted) write of ``data`` to ``handle``
+    (bytes to a binary handle, or text to a text one)."""
     if rule is not None and rule.kind == _TORN_WRITE:
         handle.write(data[: max(0, rule.truncate_to)])
         handle.flush()
@@ -136,7 +142,7 @@ def _apply_write_faults(
     handle.write(data)
 
 
-def _apply_fsync(rule, handle: IO[bytes], path: Path, fsync: bool) -> None:
+def _apply_fsync(rule, handle: IO, path: Path, fsync: bool) -> None:
     handle.flush()
     if rule is not None and rule.kind == _FSYNC_FAIL:
         raise OSError(errno.EIO, f"injected fsync failure ({path})")
@@ -262,9 +268,7 @@ class Journal:
                 "kind": kind,
             }
             self._handle.write(_journal_line(header) + "\n")
-            self._handle.flush()
-            if fsync:
-                os.fsync(self._handle.fileno())
+            _apply_fsync(None, self._handle, self.path, fsync)
 
     def append(self, payload: dict) -> None:
         """Durably append one record (fsynced before returning)."""
@@ -274,24 +278,11 @@ class Journal:
             )
         line = _journal_line(payload) + "\n"
         rule = _next_disk_fault(self.faults, self.path)
-        if rule is not None and rule.kind == _ENOSPC:
-            self._broken = True
-            raise OSError(errno.ENOSPC, f"injected ENOSPC ({self.path})")
         try:
-            if rule is not None and rule.kind == _TORN_WRITE:
-                self._handle.write(line[: max(0, rule.truncate_to)])
-                self._handle.flush()
-                raise OSError(
-                    errno.EIO, f"injected torn write ({self.path})",
-                )
-            self._handle.write(line)
-            self._handle.flush()
-            if rule is not None and rule.kind == _FSYNC_FAIL:
-                raise OSError(
-                    errno.EIO, f"injected fsync failure ({self.path})",
-                )
-            if self.fsync:
-                os.fsync(self._handle.fileno())
+            if rule is not None and rule.kind == _ENOSPC:
+                raise OSError(errno.ENOSPC, f"injected ENOSPC ({self.path})")
+            _apply_write_faults(rule, self._handle, line, self.path)
+            _apply_fsync(rule, self._handle, self.path, self.fsync)
         except OSError:
             self._broken = True
             raise
@@ -461,3 +452,79 @@ def read_manifest(
     if envelope.get("sha") != checksum(payload):
         raise ManifestError(f"{path}: manifest checksum mismatch")
     return payload
+
+
+# -- the checksummed JSONL export envelope ------------------------------------
+
+
+def _jsonl_body(records: Iterable[dict]) -> bytes:
+    return "".join(
+        canonical_json(record) + "\n" for record in records
+    ).encode("utf-8")
+
+
+def jsonl_checksum(records: Iterable[dict]) -> str:
+    """SHA-256 over the canonical JSONL body (what the trailer pins)."""
+    return hashlib.sha256(_jsonl_body(records)).hexdigest()
+
+
+def write_checksummed_jsonl(
+    records: List[dict], path: Union[str, Path], kind: str,
+) -> int:
+    """Write ``records`` as canonical JSONL plus a trailing
+    ``{"kind": kind, "samples": n, "sha256": ...}`` record; returns the
+    record count (excluding the trailer line)."""
+    body = _jsonl_body(records)
+    trailer = _jsonl_body([{
+        "kind": kind,
+        "samples": len(records),
+        "sha256": hashlib.sha256(body).hexdigest(),
+    }])
+    Path(path).write_bytes(body + trailer)
+    return len(records)
+
+
+def read_checksummed_jsonl(
+    path: Union[str, Path], kind: str, error: Type[Exception],
+) -> List[dict]:
+    """Parse and verify an export written by
+    :func:`write_checksummed_jsonl` with the same ``kind``.
+
+    Raises ``error`` (with a one-line reason) when the file is missing,
+    empty, truncated, or fails its checksum — the failure modes a CLI
+    must diagnose, not traceback.
+    """
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as failure:
+        raise error(f"cannot read {path}: {failure}") from failure
+    if not text.strip():
+        raise error(f"{path} is empty")
+    records: List[dict] = []
+    trailer: Optional[dict] = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        if trailer is not None:
+            raise error(f"{path}:{lineno}: data after the checksum trailer")
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            raise error(
+                f"{path}:{lineno}: truncated or corrupt JSON line"
+            ) from None
+        if isinstance(record, dict) and record.get("kind") == kind:
+            trailer = record
+        else:
+            records.append(record)
+    if trailer is None:
+        raise error(f"{path}: missing checksum trailer (file truncated?)")
+    if trailer.get("samples") != len(records):
+        raise error(
+            f"{path}: trailer declares {trailer.get('samples')} samples, "
+            f"found {len(records)}"
+        )
+    if trailer.get("sha256") != jsonl_checksum(records):
+        raise error(f"{path}: checksum mismatch")
+    return records

@@ -51,8 +51,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
-from repro.httpnet.message import HttpMessageError, HttpRequest, HttpResponse
-from repro.proxy.origin import OriginServer, SyntheticSite, _read_request
+from repro.httpnet.message import HttpRequest, HttpResponse
+from repro.proxy.origin import OriginServer, SyntheticSite
 
 __all__ = [
     "DISK_FAULT_KINDS",
@@ -422,45 +422,29 @@ class FaultyOriginServer(OriginServer):
         self.injector = injector
         self._sleep = sleep
 
-    def _handle(self, connection: socket.socket) -> None:
-        with connection:
-            try:
-                data = _read_request(connection, timeout=self.timeout)
-                request = HttpRequest.parse(data)
-            except (HttpMessageError, OSError):
-                return
-            self.request_count += 1
-            fault = self.injector.next_fault(
-                url=request.url,
-                conditional=request.if_modified_since is not None,
-            )
-            try:
-                self._respond_with_fault(connection, request, fault)
-            except OSError:  # pragma: no cover - client went away
-                pass
-
-    def _respond_with_fault(
-        self,
-        connection: socket.socket,
-        request: HttpRequest,
-        fault: Optional[FaultRule],
+    def reply(
+        self, connection: socket.socket, request: HttpRequest, peer: str,
     ) -> None:
-        if fault is None:
-            connection.sendall(self.respond(request).serialize())
-            return
-        if fault.kind is FaultKind.DROP:
+        """DROP and TRUNCATE act on the socket itself, so the fault is
+        applied where the response is written, not where it is built."""
+        fault = self.injector.next_fault(
+            url=request.url,
+            conditional=request.if_modified_since is not None,
+        )
+        kind = fault.kind if fault is not None else None
+        if kind is FaultKind.DROP:
             return  # close without a byte: the client sees EOF
-        if fault.kind is FaultKind.ERROR:
+        if kind is FaultKind.ERROR:
             connection.sendall(HttpResponse(
                 status=fault.status, headers={"X-Fault": "error"},
             ).serialize())
             return
-        if fault.kind is FaultKind.DELAY:
+        if kind is FaultKind.DELAY:
             self._sleep(fault.delay_seconds)
-            connection.sendall(self.respond(request).serialize())
-            return
-        # TRUNCATE: full headers (so Content-Length promises the whole
-        # body) but only a prefix of the body itself.
         raw = self.respond(request).serialize()
-        head, sep, body = raw.partition(b"\r\n\r\n")
-        connection.sendall(head + sep + body[:max(0, fault.truncate_to)])
+        if kind is FaultKind.TRUNCATE:
+            # Full headers (so Content-Length promises the whole body)
+            # but only a prefix of the body itself.
+            head, sep, body = raw.partition(b"\r\n\r\n")
+            raw = head + sep + body[:max(0, fault.truncate_to)]
+        connection.sendall(raw)

@@ -11,6 +11,9 @@ This subpackage rebuilds that pipeline:
 * :mod:`repro.httpnet.message` -- byte-level HTTP/1.0 request/response
   parsing and serialisation (also used by the live proxy in
   :mod:`repro.proxy`).
+* :mod:`repro.httpnet.server` -- the one threaded socket server (accept
+  loop, bounded pool or thread-per-connection, deadline-bounded head
+  reader) the live proxy, router and origin are built on.
 * :mod:`repro.httpnet.packets` -- a TCP segment/flow model and a
   packetiser that turns transactions into segment streams.
 * :mod:`repro.httpnet.sniffer` -- flow reassembly of port-80 segments into

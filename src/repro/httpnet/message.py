@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 __all__ = [
+    "get_header",
     "HttpMessageError",
     "HttpRequest",
     "HttpResponse",
@@ -72,7 +73,7 @@ def parse_http_date(text: str) -> float:
 
 
 
-def _get_header(headers: Dict[str, str], name: str) -> Optional[str]:
+def get_header(headers: Dict[str, str], name: str) -> Optional[str]:
     """Case-insensitive header lookup (parsed messages store lowercase
     names; hand-constructed messages typically use canonical case)."""
     value = headers.get(name)
@@ -154,7 +155,7 @@ class HttpRequest:
     @property
     def if_modified_since(self) -> Optional[float]:
         """The conditional-GET timestamp, when present."""
-        value = _get_header(self.headers, "if-modified-since")
+        value = get_header(self.headers, "if-modified-since")
         if value is None:
             return None
         return parse_http_date(value)
@@ -202,7 +203,7 @@ class HttpResponse:
     @property
     def content_length(self) -> Optional[int]:
         """Declared body length, when present and well-formed."""
-        value = _get_header(self.headers, "content-length")
+        value = get_header(self.headers, "content-length")
         if value is None or not value.isdigit():
             return None
         return int(value)
@@ -210,7 +211,7 @@ class HttpResponse:
     @property
     def last_modified(self) -> Optional[float]:
         """Parsed ``Last-Modified`` header, when present."""
-        value = _get_header(self.headers, "last-modified")
+        value = get_header(self.headers, "last-modified")
         if value is None:
             return None
         try:
@@ -220,5 +221,5 @@ class HttpResponse:
 
     @property
     def content_type(self) -> str:
-        value = _get_header(self.headers, "content-type")
+        value = get_header(self.headers, "content-type")
         return value if value is not None else "application/octet-stream"

@@ -9,9 +9,8 @@ carrying run metadata (git SHA, python version, worker count), aggregate
 throughput, and per-policy wall time plus lookup/evict/admit phase
 distributions (p50/p95 from the ``repro_sim_phase_seconds`` histograms).
 
-``repro bench --compare baseline.json`` loads a previous payload —
-including the schema-1 file the sweep-engine benchmark wrote before this
-format existed — and fails (exit 1) when:
+``repro bench --compare baseline.json`` loads a previous payload of the
+same schema version and fails (exit 1) when:
 
 * aggregate throughput dropped by more than ``--threshold`` percent, or
 * one policy's wall time grew by more than the threshold **both** in
@@ -32,7 +31,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
-    "BENCH_READABLE_SCHEMAS",
     "BenchError",
     "DEFAULT_THRESHOLD_PCT",
     "bench_meta",
@@ -47,15 +45,12 @@ __all__ = [
     "run_bench",
 ]
 
-#: Format version of the ``repro bench`` payload.  Version 1 is the
-#: ad-hoc dict the sweep-engine benchmark wrote (no ``schema`` key);
-#: version 2 added the envelope: ``meta`` (git SHA, python, workers),
-#: ``throughput``, and per-policy ``phases`` quantiles; version 3 added
-#: the ``mrc`` section (single-pass vs exact-grid curve-set timings).
+#: Format version of the ``repro bench`` payload, and the only one
+#: :func:`load_bench` reads: an envelope of ``meta`` (git SHA, python,
+#: workers), ``throughput``, per-policy ``phases`` quantiles, and the
+#: ``mrc`` section (single-pass vs exact-grid curve-set timings).  A
+#: baseline in an older shape is regenerated, not translated.
 BENCH_SCHEMA_VERSION = 3
-
-#: Payload versions :func:`load_bench` understands.
-BENCH_READABLE_SCHEMAS = (1, 2, 3)
 
 #: Default regression gate: fail when throughput drops, or a policy's
 #: time grows, by more than this percentage.
@@ -307,44 +302,8 @@ def run_bench(
 # -- reading and comparing payloads -------------------------------------------
 
 
-def _normalize_legacy(raw: dict) -> dict:
-    """Lift a schema-1 sweep-benchmark file into the comparable shape.
-
-    The PR-1 file carried ``engine_cold`` (requests/sec and per-policy
-    wall seconds) with no schema marker; only those fields map onto the
-    v2 payload, so phase quantiles come back empty.
-    """
-    engine = raw.get("engine_cold", {})
-    per_job = engine.get("per_job_seconds", {})
-    return {
-        "schema": 1,
-        "kind": "repro-bench",
-        "meta": {
-            "git_sha": "unknown",
-            "python": "unknown",
-            "cpu_count": raw.get("cpu_count", 0),
-            "workers": raw.get("workers", engine.get("workers", 0)),
-        },
-        "grid": {
-            "workload": raw.get("workload"),
-            "scale": raw.get("scale"),
-            "trace_requests": raw.get("trace_requests"),
-            "policies": sorted(per_job),
-        },
-        "throughput": {
-            "wall_seconds": engine.get("wall_seconds", 0.0),
-            "simulated_requests": engine.get("simulated_requests", 0),
-            "requests_per_second": engine.get("requests_per_second", 0.0),
-        },
-        "policies": {
-            name: {"seconds": seconds, "phases": {}}
-            for name, seconds in per_job.items()
-        },
-    }
-
-
 def load_bench(path: Union[str, Path]) -> dict:
-    """Read a benchmark payload, accepting both schema versions.
+    """Read a benchmark payload.
 
     Raises:
         BenchError: missing, empty, truncated, or unrecognisable file —
@@ -366,14 +325,12 @@ def load_bench(path: Union[str, Path]) -> dict:
     if not isinstance(raw, dict):
         raise BenchError(f"benchmark file {path} is not a JSON object")
     schema = raw.get("schema")
-    if schema in BENCH_READABLE_SCHEMAS:
-        return raw
-    if schema is None and "engine_cold" in raw:
-        return _normalize_legacy(raw)
-    raise BenchError(
-        f"benchmark file {path} has unsupported schema {schema!r} "
-        f"(this reader understands {BENCH_READABLE_SCHEMAS})"
-    )
+    if schema != BENCH_SCHEMA_VERSION:
+        raise BenchError(
+            f"benchmark file {path} has unsupported schema {schema!r} "
+            f"(this reader understands {BENCH_SCHEMA_VERSION})"
+        )
+    return raw
 
 
 def compare_bench(

@@ -44,6 +44,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.httpnet.message import get_header
 from repro.obs import Obs
 from repro.obs.bench import histogram_quantile
 from repro.obs.catalog import fleet_metrics, telemetry_metrics
@@ -55,6 +56,7 @@ __all__ = [
     "TRACE_CONTEXT_HEADER",
     "TRACE_ID_HEADER",
     "TraceContext",
+    "continue_trace",
     "extract_trace_context",
     "set_trace_header",
     "assemble_span_tree",
@@ -139,12 +141,26 @@ class TraceContext:
 
 def extract_trace_context(headers: Dict[str, str]) -> Optional[TraceContext]:
     """The inbound :class:`TraceContext`, or ``None`` when the header is
-    absent or malformed (case-insensitive header scan)."""
-    wanted = TRACE_CONTEXT_HEADER.lower()
-    for name, value in headers.items():
-        if name.lower() == wanted:
-            return TraceContext.parse(value)
-    return None
+    absent or malformed (case-insensitive header lookup)."""
+    return TraceContext.parse(get_header(headers, TRACE_CONTEXT_HEADER))
+
+
+def continue_trace(obs: Obs, name: str, request) -> Tuple[TraceContext, object]:
+    """This hop's context and its (not yet entered) ``name`` span.
+
+    The hop continues the request's trace when it carries a well-formed
+    ``X-Trace-Context`` and is a fresh root otherwise — a malformed
+    header parses to ``None``, never to an error response.
+    """
+    inbound = extract_trace_context(request.headers)
+    ctx = inbound.child() if inbound is not None else TraceContext.root()
+    return ctx, obs.span(
+        name,
+        url=request.url,
+        trace_id=ctx.trace_id,
+        ctx=ctx.span_id,
+        parent_ctx=inbound.span_id if inbound is not None else None,
+    )
 
 
 def set_trace_header(headers: Dict[str, str], ctx: TraceContext) -> None:

@@ -24,12 +24,15 @@ layer always used.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.metrics import Series, moving_average
+from repro.durability import (
+    jsonl_checksum,
+    read_checksummed_jsonl,
+    write_checksummed_jsonl,
+)
 from repro.obs.metrics import Registry
 
 __all__ = [
@@ -189,10 +192,7 @@ class TimeSeriesRecorder:
 
     def checksum(self) -> str:
         """SHA-256 over the canonical JSONL body (what the trailer pins)."""
-        digest = hashlib.sha256()
-        for record in self.samples():
-            digest.update(_canonical_line(record).encode("utf-8"))
-        return digest.hexdigest()
+        return jsonl_checksum(self.samples())
 
     def write_jsonl(self, path: Union[str, Path]) -> int:
         """Write the stream as checksummed JSONL; returns the sample
@@ -200,24 +200,9 @@ class TimeSeriesRecorder:
         return write_timeseries(self.samples(), path)
 
 
-def _canonical_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def write_timeseries(samples: List[dict], path: Union[str, Path]) -> int:
     """Write samples as JSONL with a trailing checksum record."""
-    digest = hashlib.sha256()
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for record in samples:
-            line = _canonical_line(record)
-            digest.update(line.encode("utf-8"))
-            handle.write(line)
-        handle.write(_canonical_line({
-            "kind": CHECKSUM_KIND,
-            "samples": len(samples),
-            "sha256": digest.hexdigest(),
-        }))
-    return len(samples)
+    return write_checksummed_jsonl(samples, path, CHECKSUM_KIND)
 
 
 def read_timeseries(path: Union[str, Path]) -> List[dict]:
@@ -227,46 +212,7 @@ def read_timeseries(path: Union[str, Path]) -> List[dict]:
     file is missing, empty, truncated, or fails its checksum — the
     failure modes ``repro obs summarize`` must diagnose, not traceback.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as error:
-        raise TimeSeriesError(f"cannot read {path}: {error}") from error
-    if not text.strip():
-        raise TimeSeriesError(f"{path} is empty")
-    samples: List[dict] = []
-    digest = hashlib.sha256()
-    trailer: Optional[dict] = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if trailer is not None:
-            raise TimeSeriesError(
-                f"{path}:{lineno}: data after the checksum trailer"
-            )
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            raise TimeSeriesError(
-                f"{path}:{lineno}: truncated or corrupt JSON line"
-            ) from None
-        if isinstance(record, dict) and record.get("kind") == CHECKSUM_KIND:
-            trailer = record
-            continue
-        samples.append(record)
-        digest.update(_canonical_line(record).encode("utf-8"))
-    if trailer is None:
-        raise TimeSeriesError(
-            f"{path}: missing checksum trailer (file truncated?)"
-        )
-    if trailer.get("samples") != len(samples):
-        raise TimeSeriesError(
-            f"{path}: trailer declares {trailer.get('samples')} samples, "
-            f"found {len(samples)}"
-        )
-    if trailer.get("sha256") != digest.hexdigest():
-        raise TimeSeriesError(f"{path}: checksum mismatch")
-    return samples
+    return read_checksummed_jsonl(path, CHECKSUM_KIND, TimeSeriesError)
 
 
 def merge_samples(named: List[Tuple[str, "TimeSeriesRecorder"]]) -> List[dict]:

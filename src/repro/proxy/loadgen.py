@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.httpnet.client import request as _client_request
-from repro.httpnet.message import HttpMessageError, HttpRequest
+from repro.httpnet.message import HttpMessageError, HttpRequest, get_header
 from repro.retry import DEADLINE_HEADER
 from repro.workloads.generator import generate_valid
 
@@ -237,10 +237,7 @@ class LoadGenerator:
         if 200 <= status < 300 or status == 304:
             return LoadOutcome(index, url, "ok", status, latency)
         if status == 503:
-            retry_after = any(
-                name.lower() == "retry-after"
-                for name in response.headers
-            )
+            retry_after = get_header(response.headers, "Retry-After") is not None
             # A 503 *without* Retry-After is a malformed shed: the
             # contract requires an honest backoff hint.
             outcome = "shed" if retry_after else "malformed"

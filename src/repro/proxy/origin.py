@@ -9,20 +9,14 @@ which the proxy's consistency estimator exercises.
 
 from __future__ import annotations
 
-import socket
-import threading
 import zlib
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.httpnet.message import (
-    HttpMessageError,
-    HttpRequest,
-    HttpResponse,
-    format_http_date,
-)
+from repro.httpnet.message import HttpRequest, HttpResponse, format_http_date
+from repro.httpnet.server import HttpServer
 from repro.obs import Obs
-from repro.obs.telemetry import TraceContext, extract_trace_context
+from repro.obs.telemetry import continue_trace
 
 __all__ = ["SyntheticSite", "OriginServer"]
 
@@ -75,8 +69,12 @@ class SyntheticSite:
         return body, _CONTENT_TYPES.get(extension, "application/octet-stream")
 
 
-class OriginServer:
+class OriginServer(HttpServer):
     """A threaded HTTP/1.0 server over a :class:`SyntheticSite`.
+
+    Runs thread-per-connection (no admission object): an injected DELAY
+    sleeps in the handler, and a bounded pool would make the requests
+    queued behind it wait and so reorder a chaos schedule.
 
     Use as a context manager::
 
@@ -92,67 +90,12 @@ class OriginServer:
         timeout: float = 5.0,
         obs: Optional[Obs] = None,
     ) -> None:
+        super().__init__(host, port, timeout)
         self.site = site if site is not None else SyntheticSite()
-        self.timeout = timeout
         self.obs = obs if obs is not None else Obs()
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(32)
-        self.address: Tuple[str, int] = self._listener.getsockname()
-        self._running = False
-        self._thread: Optional[threading.Thread] = None
-        self.request_count = 0
 
-    # -- lifecycle ---------------------------------------------------------------
-
-    def start(self) -> "OriginServer":
-        self._running = True
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._running = False
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - close is best-effort
-            pass
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-
-    def __enter__(self) -> "OriginServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    # -- serving ------------------------------------------------------------------
-
-    def _serve(self) -> None:
-        while self._running:
-            try:
-                connection, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            worker = threading.Thread(
-                target=self._handle, args=(connection,), daemon=True,
-            )
-            worker.start()
-
-    def _handle(self, connection: socket.socket) -> None:
-        with connection:
-            try:
-                data = _read_request(connection, timeout=self.timeout)
-                request = HttpRequest.parse(data)
-            except (HttpMessageError, OSError):
-                return
-            self.request_count += 1
-            response = self.respond(request)
-            try:
-                connection.sendall(response.serialize())
-            except OSError:  # pragma: no cover - client went away
-                pass
+    def answer(self, request: HttpRequest, peer: str) -> HttpResponse:
+        return self.respond(request)
 
     def respond(self, request: HttpRequest) -> HttpResponse:
         """Build the response for a parsed request (also used directly by
@@ -165,15 +108,8 @@ class OriginServer:
         obs = getattr(self, "obs", None)
         if obs is None:  # partially-constructed instances (tests)
             return self._respond(request)
-        inbound = extract_trace_context(request.headers)
-        ctx = inbound.child() if inbound is not None else TraceContext.root()
-        with obs.span(
-            "origin.respond",
-            url=request.url,
-            trace_id=ctx.trace_id,
-            ctx=ctx.span_id,
-            parent_ctx=inbound.span_id if inbound is not None else None,
-        ):
+        _, traced = continue_trace(obs, "origin.respond", request)
+        with traced:
             return self._respond(request)
 
     def _respond(self, request: HttpRequest) -> HttpResponse:
@@ -201,21 +137,3 @@ class OriginServer:
             },
             body=body,
         )
-
-
-def _read_request(
-    connection: socket.socket,
-    limit: int = 1 << 20,
-    timeout: float = 5.0,
-) -> bytes:
-    """Read until the end of a GET/HEAD request head."""
-    connection.settimeout(timeout)
-    chunks = bytearray()
-    while b"\r\n\r\n" not in chunks and b"\n\n" not in chunks:
-        chunk = connection.recv(4096)
-        if not chunk:
-            break
-        chunks.extend(chunk)
-        if len(chunks) > limit:
-            raise HttpMessageError("request head too large")
-    return bytes(chunks)

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import queue
-import socket
 import threading
 import time as _time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -37,13 +35,15 @@ from repro.httpnet.message import (
     HttpMessageError,
     HttpRequest,
     HttpResponse,
+    get_header,
 )
+from repro.httpnet.server import HttpServer, error_response
 from repro.obs import Obs
 from repro.obs.catalog import fleet_metrics
 from repro.obs.telemetry import (
     TRACE_ID_HEADER,
     TraceContext,
-    extract_trace_context,
+    continue_trace,
     set_trace_header,
 )
 from repro.proxy.overload import AdmissionController, OverloadPolicy
@@ -126,7 +126,7 @@ class StaticDirectory:
             self._down.discard(shard_id)
 
 
-class FleetRouter:
+class FleetRouter(HttpServer):
     """The fleet's client-facing server: admit, rank, forward, fail over.
 
     Args:
@@ -134,7 +134,9 @@ class FleetRouter:
             ``address_of(shard_id)`` and ``report_failure(shard_id)``
             (the supervisor, or a :class:`StaticDirectory`).
         host, port: listen address (port 0 picks a free port).
-        shard_timeout: per-forward socket timeout toward one shard.
+        shard_timeout: per-forward socket timeout toward one shard; also
+            both the idle and the total deadline for a client's request
+            head (a slower client is answered ``408``).
         default_budget: deadline budget (seconds) granted to requests
             that arrive without an ``X-Deadline-Ms`` header.
         overload: front-tier admission configuration.
@@ -172,106 +174,24 @@ class FleetRouter:
         self.status = status
         self.telemetry = telemetry
         self.dashboard = dashboard
-        self.max_clients = max(1, max_clients)
-        self.admission = AdmissionController(overload)
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(128)
-        self.address: Tuple[str, int] = self._listener.getsockname()
-        self._running = False
-        self._thread: Optional[threading.Thread] = None
-        self._workers: List[threading.Thread] = []
-        self._pending: "queue.Queue[Optional[socket.socket]]" = queue.Queue()
+        super().__init__(
+            host, port, shard_timeout,
+            admission=AdmissionController(overload),
+            max_clients=max_clients,
+        )
 
-    # -- lifecycle ---------------------------------------------------------------
+    # -- socket-server hooks -----------------------------------------------------
 
-    def start(self) -> "FleetRouter":
-        self._running = True
-        self._workers = [
-            threading.Thread(target=self._work, daemon=True)
-            for _ in range(self.max_clients)
-        ]
-        for worker in self._workers:
-            worker.start()
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-        return self
+    def answer(self, request: HttpRequest, peer: str) -> HttpResponse:
+        return self.route(request)
 
-    def stop(self) -> None:
-        self._running = False
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover
-            pass
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-        for _ in self._workers:
-            self._pending.put(None)
-        for worker in self._workers:
-            worker.join(timeout=2.0)
-        self._workers = []
-
-    def __enter__(self) -> "FleetRouter":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    # -- serving -----------------------------------------------------------------
-
-    def _serve(self) -> None:
-        while self._running:
-            try:
-                connection, _ = self._listener.accept()
-            except OSError:
-                return
-            if self.admission.try_admit():
-                self._pending.put(connection)
-            else:
-                self._shed_connection(connection)
-
-    def _shed_connection(self, connection: socket.socket) -> None:
+    def shed_response(self) -> HttpResponse:
         self.m.shed.labels(tier="router").inc()
         self.m.requests.labels(outcome="shed").inc()
-        response = _error_response(
+        return error_response(
             503, "router_saturated",
             retry_after=self.admission.retry_after_seconds(),
         )
-        try:
-            connection.settimeout(0.5)
-            connection.sendall(response.serialize())
-        except OSError:  # pragma: no cover - client already gone
-            pass
-        finally:
-            try:
-                connection.close()
-            except OSError:  # pragma: no cover
-                pass
-
-    def _work(self) -> None:
-        while True:
-            connection = self._pending.get()
-            if connection is None:
-                return
-            started = _time.monotonic()
-            try:
-                self._handle_connection(connection)
-            finally:
-                self.admission.release(_time.monotonic() - started)
-
-    def _handle_connection(self, connection: socket.socket) -> None:
-        with connection:
-            try:
-                connection.settimeout(self.shard_timeout)
-                request = HttpRequest.parse(_read_head(connection))
-            except (HttpMessageError, OSError):
-                return
-            response = self.route(request)
-            try:
-                connection.sendall(response.serialize())
-            except OSError:  # pragma: no cover
-                pass
 
     # -- routing -----------------------------------------------------------------
 
@@ -285,19 +205,9 @@ class FleetRouter:
             return self._telemetry_response()
         if request.method == "GET" and request.url == DASHBOARD_PATH:
             return self._dashboard_response()
-        # Trace propagation: continue the client's trace if it sent a
-        # well-formed X-Trace-Context, otherwise this hop is the root.
-        # A malformed header parses to None — never an error response.
-        inbound = extract_trace_context(request.headers)
-        ctx = inbound.child() if inbound is not None else TraceContext.root()
+        ctx, traced = continue_trace(self.obs, "fleet.route", request)
         started = _time.perf_counter()
-        with self.obs.span(
-            "fleet.route",
-            url=request.url,
-            trace_id=ctx.trace_id,
-            ctx=ctx.span_id,
-            parent_ctx=inbound.span_id if inbound is not None else None,
-        ) as span:
+        with traced as span:
             response = self._route_with_failover(request, ctx, span)
         self.m.request_seconds.observe(
             _time.perf_counter() - started, exemplar=ctx.trace_id,
@@ -322,7 +232,7 @@ class FleetRouter:
                 self.m.requests.labels(outcome="failed").inc()
                 if span is not None:
                     span.event("deadline_exhausted", shard=shard_id)
-                return _error_response(503, "deadline_exhausted")
+                return error_response(503, "deadline_exhausted")
             forwarded = HttpRequest(
                 method=request.method,
                 url=request.url,
@@ -364,17 +274,16 @@ class FleetRouter:
         self.m.requests.labels(outcome="failed").inc()
         if span is not None:
             span.event("no_live_shard")
-        return _error_response(
+        return error_response(
             503, "no_live_shard", retry_after=1.0,
         )
 
     def _deadline_for(self, request: HttpRequest) -> Deadline:
-        wanted = DEADLINE_HEADER.lower()
-        for name, value in request.headers.items():
-            if name.lower() == wanted:
-                parsed = Deadline.from_header(value)
-                if parsed is not None:
-                    return parsed
+        stamped = Deadline.from_header(
+            get_header(request.headers, DEADLINE_HEADER)
+        )
+        if stamped is not None:
+            return stamped
         return Deadline.after(self.default_budget)
 
     # -- local endpoints ---------------------------------------------------------
@@ -401,7 +310,7 @@ class FleetRouter:
 
     def _telemetry_response(self) -> HttpResponse:
         if self.telemetry is None:
-            return _error_response(404, "telemetry_not_configured")
+            return error_response(404, "telemetry_not_configured")
         return HttpResponse(
             status=200,
             headers={"Content-Type": "application/json"},
@@ -412,33 +321,9 @@ class FleetRouter:
 
     def _dashboard_response(self) -> HttpResponse:
         if self.dashboard is None:
-            return _error_response(404, "dashboard_not_configured")
+            return error_response(404, "dashboard_not_configured")
         return HttpResponse(
             status=200,
             headers={"Content-Type": "text/html; charset=utf-8"},
             body=self.dashboard().encode("utf-8"),
         )
-
-
-def _error_response(
-    status: int, reason: str, retry_after: Optional[float] = None, **details,
-) -> HttpResponse:
-    """A well-formed JSON error, shaped like the shard proxy's."""
-    from repro.proxy.server import CachingProxy
-
-    return CachingProxy._error_response(
-        status, reason, retry_after=retry_after, **details,
-    )
-
-
-def _read_head(connection: socket.socket, limit: int = 1 << 20) -> bytes:
-    """Read until the end of a request head (timeout already set)."""
-    chunks = bytearray()
-    while b"\r\n\r\n" not in chunks and b"\n\n" not in chunks:
-        chunk = connection.recv(4096)
-        if not chunk:
-            break
-        chunks.extend(chunk)
-        if len(chunks) > limit:
-            raise HttpMessageError("request head too large")
-    return bytes(chunks)

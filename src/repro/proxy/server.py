@@ -15,15 +15,14 @@ and tests can observe the path taken.
 
 The server is overload-resilient (fleet PR):
 
-* connections are handled by a **bounded worker pool** behind an
-  :class:`~repro.proxy.overload.AdmissionController`; arrivals beyond
-  the in-flight bound are answered inline with a well-formed
-  ``503 + Retry-After`` instead of queueing without bound;
+* the socket side is :class:`repro.httpnet.server.HttpServer`: a
+  **bounded worker pool** behind an
+  :class:`~repro.proxy.overload.AdmissionController` (arrivals beyond
+  the in-flight bound get an inline ``503 + Retry-After``), and request
+  heads read under a **total deadline** so a slowloris client cannot pin
+  a worker (``408``, counted as ``repro_proxy_client_timeouts_total``);
 * under pressure the proxy degrades to **hit-only** service (fresh hits
   and stale copies still served; misses shed) before shedding outright;
-* request heads are read under a **total deadline** as well as the
-  per-recv idle timeout, so a slowloris client trickling bytes cannot
-  pin a worker (counted as ``repro_proxy_client_timeouts_total``);
 * an ``X-Deadline-Ms`` budget on the request clamps every origin
   attempt and backoff wait (see :class:`repro.retry.Deadline`);
 * every locally-generated 502/503 carries a machine-readable JSON body
@@ -33,9 +32,7 @@ The server is overload-resilient (fleet PR):
 
 from __future__ import annotations
 
-import json
-import math
-import queue
+import dataclasses
 import random
 import socket
 import threading
@@ -48,13 +45,16 @@ from repro.httpnet.message import (
     HttpRequest,
     HttpResponse,
     format_http_date,
+    get_header,
+    parse_http_date,
 )
+from repro.httpnet.server import HttpServer, error_response
 from repro.obs import Obs
 from repro.obs.catalog import proxy_metrics
 from repro.obs.telemetry import (
     TRACE_ID_HEADER,
     TraceContext,
-    extract_trace_context,
+    continue_trace,
     set_trace_header,
 )
 from repro.proxy.consistency import ConsistencyEstimator, Freshness
@@ -166,7 +166,7 @@ class ProxyStats:
         return 100.0 * served_from_cache / self.requests
 
 
-class CachingProxy:
+class CachingProxy(HttpServer):
     """A runnable HTTP/1.0 caching proxy.
 
     Args:
@@ -235,11 +235,13 @@ class CachingProxy:
                 tail_discarded=recovery.tail_discarded,
                 snapshot_ok=recovery.snapshot_ok,
             )
-        self.timeout = timeout
-        self.read_deadline = read_deadline if read_deadline is not None else timeout
-        self.max_clients = max(1, max_clients)
-        self.admission = AdmissionController(
-            overload, on_transition=self._on_mode_transition,
+        super().__init__(
+            host, port, timeout,
+            read_deadline=read_deadline,
+            admission=AdmissionController(
+                overload, on_transition=self._on_mode_transition,
+            ),
+            max_clients=max_clients,
         )
         self.retry_policy = (
             retry_policy if retry_policy is not None
@@ -258,152 +260,28 @@ class CachingProxy:
         #: Per-worker-thread trace context of the request in flight, so
         #: origin fetches deep in the call stack can continue the trace.
         self._trace_local = threading.local()
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(64)
-        self.address: Tuple[str, int] = self._listener.getsockname()
-        self._running = False
-        self._thread: Optional[threading.Thread] = None
-        self._workers: list = []
-        self._pending: "queue.Queue[Optional[socket.socket]]" = queue.Queue()
 
     @staticmethod
     def _default_resolver(host: str) -> Tuple[str, int]:
         name, _, port = host.partition(":")
         return name, int(port) if port else 80
 
-    # -- lifecycle -----------------------------------------------------------------
+    # -- socket-server hooks ----------------------------------------------------------
 
-    def start(self) -> "CachingProxy":
-        self._running = True
-        self._workers = [
-            threading.Thread(target=self._work, daemon=True)
-            for _ in range(self.max_clients)
-        ]
-        for worker in self._workers:
-            worker.start()
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-        return self
+    def answer(self, request: HttpRequest, peer: str) -> HttpResponse:
+        return self.handle(request, client=peer)
 
-    def stop(self) -> None:
-        self._running = False
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover
-            pass
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-        for _ in self._workers:
-            self._pending.put(None)
-        for worker in self._workers:
-            worker.join(timeout=2.0)
-        self._workers = []
-
-    def __enter__(self) -> "CachingProxy":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def _serve(self) -> None:
-        """Acceptor: admit connections into the bounded pool, or shed.
-
-        Admission is decided *at the door*.  A refused connection gets a
-        prebuilt ``503 + Retry-After`` written inline and is closed —
-        overload is answered in microseconds, never queued into a stall.
-        """
-        while self._running:
-            try:
-                connection, _ = self._listener.accept()
-            except OSError:
-                return
-            if self.admission.try_admit():
-                self._pending.put(connection)
-            else:
-                self._shed_connection(connection)
-
-    def _shed_connection(self, connection: socket.socket) -> None:
+    def shed_response(self) -> HttpResponse:
         self.stats.m.shed.labels(reason="saturated").inc()
-        response = self._error_response(
-            503, "saturated",
-            retry_after=self.admission.retry_after_seconds(),
-        )
-        try:
-            connection.settimeout(0.5)
-            connection.sendall(response.serialize())
-        except OSError:  # pragma: no cover - client already gone
-            pass
-        finally:
-            try:
-                connection.close()
-            except OSError:  # pragma: no cover
-                pass
+        return super().shed_response()
 
-    def _work(self) -> None:
-        while True:
-            connection = self._pending.get()
-            if connection is None:
-                return
-            started = _time.monotonic()
-            try:
-                self._handle_connection(connection)
-            finally:
-                self.admission.release(_time.monotonic() - started)
+    def client_timed_out(self, peer: str) -> HttpResponse:
+        self.stats.inc("client_timeouts")
+        self._channel.warning("client.timeout", peer=peer)
+        return super().client_timed_out(peer)
 
-    def _read_head(self, connection: socket.socket) -> bytes:
-        """Read a request head under both an idle and a total deadline.
-
-        The per-recv timeout bounds a *silent* client; the total
-        deadline bounds a slowloris client that trickles one byte per
-        recv and would otherwise pin this worker indefinitely.
-        """
-        deadline = _time.monotonic() + self.read_deadline
-        chunks = bytearray()
-        limit = 1 << 20
-        while b"\r\n\r\n" not in chunks and b"\n\n" not in chunks:
-            remaining = deadline - _time.monotonic()
-            if remaining <= 0:
-                raise socket.timeout("request head read deadline exceeded")
-            connection.settimeout(min(self.timeout, remaining))
-            chunk = connection.recv(4096)
-            if not chunk:
-                break
-            chunks.extend(chunk)
-            if len(chunks) > limit:
-                raise HttpMessageError("request head too large")
-        return bytes(chunks)
-
-    def _handle_connection(self, connection: socket.socket) -> None:
-        with connection:
-            try:
-                peer = connection.getpeername()[0]
-            except OSError:  # pragma: no cover - racing disconnect
-                peer = "-"
-            try:
-                request = HttpRequest.parse(self._read_head(connection))
-            except socket.timeout:
-                # Slowloris guard tripped: not a server error, the
-                # client just never finished its request head.
-                self.stats.inc("client_timeouts")
-                self._channel.warning("client.timeout", peer=peer)
-                try:
-                    connection.sendall(
-                        self._error_response(408, "client_read_timeout")
-                        .serialize()
-                    )
-                except OSError:  # pragma: no cover
-                    pass
-                return
-            except (HttpMessageError, OSError):
-                self.stats.inc("errors")
-                return
-            response = self.handle(request, client=peer)
-            try:
-                connection.sendall(response.serialize())
-            except OSError:  # pragma: no cover
-                pass
+    def bad_request(self, peer: str) -> None:
+        self.stats.inc("errors")
 
     # -- the proxy decision procedure -------------------------------------------------
 
@@ -421,19 +299,9 @@ class CachingProxy:
         if request.method == "GET" and request.url == METRICS_PATH:
             return self._metrics_response()
         self.stats.inc("requests")
-        # Trace propagation: continue the router's trace when the
-        # request carries a well-formed X-Trace-Context; anything
-        # malformed or absent starts a fresh root — never an error.
-        inbound = extract_trace_context(request.headers)
-        ctx = inbound.child() if inbound is not None else TraceContext.root()
+        ctx, traced = continue_trace(self.obs, "proxy.request", request)
         try:
-            with self.obs.span(
-                "proxy.request",
-                url=request.url,
-                trace_id=ctx.trace_id,
-                ctx=ctx.span_id,
-                parent_ctx=inbound.span_id if inbound is not None else None,
-            ) as span:
+            with traced as span:
                 self._trace_local.ctx = ctx
                 self._trace_local.span = span
                 try:
@@ -443,25 +311,19 @@ class CachingProxy:
                     self._trace_local.span = None
         except Exception:
             self.stats.inc("errors")
-            response = self._error_response(502, "internal_error")
+            response = error_response(502, "internal_error")
         response.headers.setdefault(TRACE_ID_HEADER, ctx.trace_id)
         self._log_access(request, response, client)
         return response
-
-    @staticmethod
-    def _request_deadline(request: HttpRequest) -> Optional[Deadline]:
-        """The propagated budget, when the request carries one."""
-        wanted = DEADLINE_HEADER.lower()
-        for name, value in request.headers.items():
-            if name.lower() == wanted:
-                return Deadline.from_header(value)
-        return None
 
     def _dispatch(self, request: HttpRequest) -> HttpResponse:
         if not request.url.startswith("http://"):
             self.stats.inc("errors")
             return HttpResponse(status=400)
-        deadline = self._request_deadline(request)
+        # The propagated budget, when the request carries a usable one.
+        deadline = Deadline.from_header(
+            get_header(request.headers, DEADLINE_HEADER)
+        )
         hit_only = self.admission.mode != "full"
         if request.method in ("HEAD", "POST"):
             # Pass through uncached: HEAD carries no cacheable body and
@@ -504,7 +366,7 @@ class CachingProxy:
         span = getattr(self._trace_local, "span", None)
         if span is not None:
             span.event("shed", reason="degraded", mode=self.admission.mode)
-        return self._error_response(
+        return error_response(
             503, "degraded",
             retry_after=self.admission.retry_after_seconds(),
         )
@@ -561,15 +423,7 @@ class CachingProxy:
             # Copy confirmed consistent: refresh and serve it (a hit).
             self.stats.inc("revalidation_hits")
             self.stats.inc("bytes_from_cache", cached.size)
-            refreshed = CachedDocument(
-                url=cached.url,
-                body=cached.body,
-                status=cached.status,
-                content_type=cached.content_type,
-                fetched_at=now,
-                last_modified=cached.last_modified,
-                expires=cached.expires,
-            )
+            refreshed = dataclasses.replace(cached, fetched_at=now)
             self.store.put(refreshed, now=now)
             return self._respond_from(refreshed, "REVALIDATED")
         # Document changed (or revalidation unsupported): treat as miss.
@@ -609,10 +463,9 @@ class CachingProxy:
             return  # dynamically created documents cannot be cached (§1)
         self.stats.inc("bytes_from_origin", len(response.body))
         expires = None
-        expires_header = response.headers.get("expires") or response.headers.get("Expires")
+        expires_header = get_header(response.headers, "Expires")
         if expires_header:
             try:
-                from repro.httpnet.message import parse_http_date
                 expires = parse_http_date(expires_header)
             except HttpMessageError:
                 expires = None
@@ -628,27 +481,9 @@ class CachingProxy:
 
     # -- plumbing -----------------------------------------------------------------------
 
-    @staticmethod
-    def _error_response(
-        status: int,
-        reason: str,
-        retry_after: Optional[float] = None,
-        **details,
-    ) -> HttpResponse:
-        """A well-formed local error: JSON ``{"error": reason, ...}``
-        body, plus ``Retry-After`` (whole seconds, >= 1) when a retry
-        can plausibly succeed."""
-        body = json.dumps(
-            {"error": reason, **details}, sort_keys=True,
-        ).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        if retry_after is not None:
-            headers["Retry-After"] = str(max(1, math.ceil(retry_after)))
-        return HttpResponse(status=status, headers=headers, body=body)
-
     def _origin_error_response(self, error: OSError) -> HttpResponse:
         """Map a terminal origin failure to its client-facing 502."""
-        return self._error_response(
+        return error_response(
             502,
             getattr(error, "reason", "origin_unreachable"),
             retry_after=getattr(error, "retry_after", None),
@@ -804,11 +639,10 @@ class CachingProxy:
         self,
         request: HttpRequest,
         host: str,
-        timeout: Optional[float] = None,
+        timeout: float,
     ) -> HttpResponse:
         """One origin attempt: connect, send, read to EOF, validate."""
         address = self.resolver(host)
-        timeout = self.timeout if timeout is None else timeout
         with socket.create_connection(address, timeout=timeout) as upstream:
             upstream.sendall(request.serialize())
             data = bytearray()

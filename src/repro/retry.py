@@ -74,10 +74,12 @@ class Deadline:
 
     @classmethod
     def from_header(
-        cls, value: str, clock: Callable[[], float] = _time.monotonic,
+        cls, value: Optional[str], clock: Callable[[], float] = _time.monotonic,
     ) -> Optional["Deadline"]:
         """Parse an ``X-Deadline-Ms`` header value; ``None`` when it is
         absent or unusable (a malformed budget must never 500 a request)."""
+        if value is None:
+            return None
         try:
             millis = int(str(value).strip())
         except (TypeError, ValueError):

@@ -116,14 +116,28 @@ class TestFileEnvelope:
         with pytest.raises(ValueError, match="checksum"):
             load_cache(path, policy=KeyPolicy([SIZE]))
 
-    def test_legacy_bare_snapshot_still_loads(self, tmp_path):
+    def test_bare_snapshot_is_rejected(self, tmp_path):
+        """A file without the envelope carries no checksum; loading it
+        would restore unverified bytes."""
         import json
 
-        snapshot = snapshot_cache(warmed_cache())
-        path = tmp_path / "legacy.json"
-        path.write_text(json.dumps(snapshot), encoding="utf-8")
-        restored = load_cache(path, policy=KeyPolicy([SIZE]))
-        assert len(restored) == len(warmed_cache())
+        path = tmp_path / "bare.json"
+        path.write_text(
+            json.dumps(snapshot_cache(warmed_cache())), encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match="not a checksummed snapshot"):
+            load_cache(path, policy=KeyPolicy([SIZE]))
+
+    def test_envelope_missing_its_format_key_is_rejected(self, tmp_path):
+        import json
+
+        path = save_cache(warmed_cache(), tmp_path / "cache.json")
+        document = json.loads(path.read_text(encoding="utf-8"))
+        del document["format"]
+        document["snapshot"]["entries"][0]["nref"] = 7   # and tampered
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(ValueError, match="not a checksummed snapshot"):
+            load_cache(path, policy=KeyPolicy([SIZE]))
 
     def test_save_is_atomic_under_torn_write(self, tmp_path):
         from repro.durability import atomic_write_json

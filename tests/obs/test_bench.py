@@ -1,6 +1,5 @@
 """Tests for the ``repro bench`` payload and regression gate: quantile
-estimation, schema round trips (including the legacy schema-1 reader),
-and the comparator — it must pass an unchanged tree and catch an
+estimation, schema round trips, and the comparator — it must pass an unchanged tree and catch an
 injected 2x slowdown in a sentinel policy."""
 
 import copy
@@ -95,47 +94,6 @@ class TestLoadBench:
         path.write_text('{"schema": 99}', encoding="utf-8")
         with pytest.raises(BenchError, match="unsupported schema"):
             load_bench(path)
-
-    def test_legacy_schema1_reader(self, tmp_path):
-        """The PR-1 sweep-benchmark file (no ``schema`` key) normalises
-        into the comparable shape."""
-        legacy = {
-            "workload": "BL",
-            "scale": 0.05,
-            "trace_requests": 50_000,
-            "engine_cold": {
-                "wall_seconds": 12.0,
-                "simulated_requests": 300_000,
-                "requests_per_second": 25_000.0,
-                "workers": 4,
-                "per_job_seconds": {
-                    "SIZE/RANDOM": 2.0,
-                    "NREF/RANDOM": 2.5,
-                },
-            },
-        }
-        path = tmp_path / "BENCH_legacy.json"
-        path.write_text(json.dumps(legacy), encoding="utf-8")
-        loaded = load_bench(path)
-        assert loaded["schema"] == 1
-        assert loaded["throughput"]["requests_per_second"] == 25_000.0
-        assert loaded["policies"]["SIZE/RANDOM"]["seconds"] == 2.0
-        assert loaded["policies"]["NREF/RANDOM"]["phases"] == {}
-        assert loaded["meta"]["workers"] == 4
-        # ... and is comparable against a schema-2 payload.
-        assert compare_bench(loaded, loaded) == []
-
-    def test_legacy_schema2_reader(self, tmp_path):
-        """A PR-5 payload (schema 2, no ``mrc`` section) still loads and
-        compares against a current one."""
-        legacy = make_payload()
-        legacy["schema"] = 2
-        path = tmp_path / "BENCH_v2.json"
-        path.write_text(json.dumps(legacy), encoding="utf-8")
-        loaded = load_bench(path)
-        assert loaded["schema"] == 2
-        assert "mrc" not in loaded
-        assert compare_bench(loaded, make_payload()) == []
 
     def test_committed_baseline_loads(self):
         """The checked-in baseline must stay readable — CI compares

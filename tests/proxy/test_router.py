@@ -2,11 +2,14 @@
 between live shards, deadline stamping, and the local endpoints."""
 
 import json
+import socket
+import threading
+import time
 
 import pytest
 
 from repro.httpnet.client import fetch
-from repro.httpnet.message import HttpRequest
+from repro.httpnet.message import HttpRequest, HttpResponse
 from repro.proxy import CachingProxy, ProxyStore
 from repro.proxy.origin import OriginServer, SyntheticSite
 from repro.proxy.router import (
@@ -143,3 +146,54 @@ class TestFleetRouter:
         response = fetch(router.address, STATUS_PATH, timeout=5.0)
         assert response.status == 200
         assert json.loads(response.body) == {"shards": [0, 1]}
+
+
+class TestSlowClients:
+    def test_a_trickling_client_cannot_pin_the_only_worker(self):
+        """One byte per tick keeps every recv inside the idle timeout;
+        only the total head deadline cuts the client off.  Before the
+        router shared the shard's head reader it had no such deadline
+        and this client held the worker for as long as it kept going."""
+        origin = OriginServer(SyntheticSite()).start()
+        shard = CachingProxy(
+            ProxyStore(capacity=256 * 1024),
+            resolver=lambda host: origin.address,
+        ).start()
+        router = FleetRouter(
+            StaticDirectory({0: shard.address}),
+            shard_timeout=0.6, max_clients=1,
+        ).start()
+        trickler = socket.create_connection(router.address, timeout=5.0)
+        head = b"GET " + URLS[0].encode("ascii") + b" HTTP/1.0\r\nX-Pad: " + b"a" * 64
+        stop = threading.Event()
+
+        def trickle():
+            try:
+                for index in range(len(head)):
+                    if stop.is_set():
+                        return
+                    trickler.sendall(head[index:index + 1])
+                    time.sleep(0.1)
+            except OSError:
+                pass    # cut off, as it should be
+
+        thread = threading.Thread(target=trickle, daemon=True)
+        try:
+            started = time.monotonic()
+            thread.start()
+            time.sleep(0.2)     # the trickler now holds the one worker
+            response = fetch(router.address, URLS[1], timeout=5.0)
+            elapsed = time.monotonic() - started
+            assert response.status == 200
+            assert elapsed < 2.0    # ~shard_timeout, not the 6.5 s head
+            trickler.settimeout(2.0)
+            cut = HttpResponse.parse(trickler.recv(4096))
+            assert cut.status == 408
+            assert json.loads(cut.body)["error"] == "client_read_timeout"
+        finally:
+            stop.set()
+            thread.join(timeout=2.0)
+            trickler.close()
+            router.stop()
+            shard.stop()
+            origin.stop()
