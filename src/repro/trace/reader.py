@@ -66,7 +66,7 @@ def read_clf_lines(
         if stats is not None:
             stats.lines += 1
         try:
-            request = parse_clf_line(stripped, epoch=epoch)
+            request = parse_clf_line(stripped, epoch)
         except CLFError:
             if not skip_malformed:
                 raise

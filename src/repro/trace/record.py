@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 from urllib.parse import urlsplit
 
 
@@ -68,6 +68,32 @@ def classify_extension(extension: str) -> DocumentType:
     return _EXTENSION_TO_TYPE.get(extension.lower(), DocumentType.UNKNOWN)
 
 
+def _split_url(url: str) -> Tuple[str, str, bool]:
+    """``(netloc, path, has_query)`` of a URL, exactly as ``urlsplit`` gives them.
+
+    A plain ``http://host/path`` URL -- lower-case scheme, printable ASCII,
+    none of ``?#[]`` -- is split at its first slash after the scheme, which
+    is all ``urlsplit`` does with it (nothing to strip, no query or fragment,
+    no bracketed host or non-ASCII netloc to check).  Every other URL goes
+    through ``urlsplit``.
+    """
+    if (
+        url.startswith("http://")
+        and url.isascii()
+        and url.isprintable()
+        and "?" not in url
+        and "#" not in url
+        and "[" not in url
+        and "]" not in url
+    ):
+        slash = url.find("/", 7)
+        if slash < 0:
+            return url[7:], "", False
+        return url[7:slash], url[slash:], False
+    parts = urlsplit(url)
+    return parts.netloc, parts.path, bool(parts.query)
+
+
 def classify_url(url: str) -> DocumentType:
     """Classify a URL into the paper's Table 4 categories.
 
@@ -77,13 +103,14 @@ def classify_url(url: str) -> DocumentType:
     without an extension (including directory URLs ending in ``/``) are
     treated as text, matching how mid-90s servers returned ``index.html``.
     """
-    parts = urlsplit(url)
-    path = parts.path or "/"
-    if parts.query or path.endswith((".cgi", ".pl")):
+    _, path, has_query = _split_url(url)
+    path = path or "/"
+    if has_query or path.endswith((".cgi", ".pl")):
         return DocumentType.CGI
     lowered = path.lower()
-    if any(marker in lowered for marker in _CGI_MARKERS):
-        return DocumentType.CGI
+    for marker in _CGI_MARKERS:
+        if marker in lowered:
+            return DocumentType.CGI
     final = lowered.rsplit("/", 1)[-1]
     if "." not in final:
         return DocumentType.TEXT
@@ -100,13 +127,15 @@ def server_of_url(url: str) -> str:
 
     URLs without a scheme are treated as server-relative and yield ``""``.
     """
-    parts = urlsplit(url)
-    return (parts.netloc or "").lower()
+    return _split_url(url)[0].lower()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Request:
     """One client request for a URL, as consumed by the simulator.
+
+    Frozen and compared by value; slotted (no per-instance ``__dict__``)
+    because a pass over a trace builds several of these per log line.
 
     Attributes:
         timestamp: seconds since the start of the trace epoch (float so that
@@ -114,29 +143,63 @@ class Request:
         url: the requested URL.  Matching in the cache is by exact URL string.
         size: document size in bytes as reported by the log (the response
             body length).  ``0`` encodes "size unknown" per Section 1.1.
-        status: HTTP status code returned to the client.
+        status: HTTP status code returned to the client (default 200).
         client: requesting host (dotted quad or name); used only by the
-            collection pipeline and workload characterisation.
+            collection pipeline and workload characterisation
+            (default ``"-"``).
         doc_type: the Table 4 media category, precomputed when known.
         last_modified: Last-Modified timestamp when the augmented log carries
             it (workloads BR/BL); ``None`` otherwise.
     """
 
+    # ``@dataclass(slots=True)`` needs Python 3.10; with explicit slots the
+    # fields cannot carry class-level defaults, so ``__init__`` holds them.
+    __slots__ = (
+        "timestamp", "url", "size", "status", "client", "doc_type",
+        "last_modified",
+    )
+
     timestamp: float
     url: str
     size: int
-    status: int = 200
-    client: str = "-"
-    doc_type: Optional[DocumentType] = None
-    last_modified: Optional[float] = None
+    status: int
+    client: str
+    doc_type: Optional[DocumentType]
+    last_modified: Optional[float]
 
-    def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError(f"size must be non-negative, got {self.size}")
-        if self.timestamp < 0:
+    def __init__(
+        self,
+        timestamp: float,
+        url: str,
+        size: int,
+        status: int = 200,
+        client: str = "-",
+        doc_type: Optional[DocumentType] = None,
+        last_modified: Optional[float] = None,
+    ) -> None:
+        if size < 0:
+            raise ValueError(f"size must be non-negative, got {size}")
+        if timestamp < 0:
             raise ValueError(
-                f"timestamp must be non-negative, got {self.timestamp}"
+                f"timestamp must be non-negative, got {timestamp}"
             )
+        # The slot descriptors write past the frozen ``__setattr__``.
+        _set_timestamp(self, timestamp)
+        _set_url(self, url)
+        _set_size(self, size)
+        _set_status(self, status)
+        _set_client(self, client)
+        _set_doc_type(self, doc_type)
+        _set_last_modified(self, last_modified)
+
+    def __reduce__(self):
+        # Default pickling of a slotted object restores state with setattr,
+        # which a frozen class refuses; rebuild through ``__init__`` instead
+        # (sweep workers receive the trace by pickle).
+        return (self.__class__, (
+            self.timestamp, self.url, self.size, self.status, self.client,
+            self.doc_type, self.last_modified,
+        ))
 
     @property
     def media_type(self) -> DocumentType:
@@ -162,14 +225,18 @@ class Request:
         known size (Section 1.1).
         """
         return Request(
-            timestamp=self.timestamp,
-            url=self.url,
-            size=size,
-            status=self.status,
-            client=self.client,
-            doc_type=self.doc_type,
-            last_modified=self.last_modified,
+            self.timestamp, self.url, size, self.status, self.client,
+            self.doc_type, self.last_modified,
         )
+
+
+_set_timestamp = Request.timestamp.__set__
+_set_url = Request.url.__set__
+_set_size = Request.size.__set__
+_set_status = Request.status.__set__
+_set_client = Request.client.__set__
+_set_doc_type = Request.doc_type.__set__
+_set_last_modified = Request.last_modified.__set__
 
 
 @dataclass

@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.trace.record import DocumentType, Request
+from repro.trace.record import DocumentType, Request, server_of_url
 
 __all__ = [
     "TypeShare",
@@ -83,9 +83,10 @@ def type_distribution(requests: Iterable[Request]) -> List[TypeShare]:
 
 def server_rank_series(requests: Iterable[Request]) -> List[Tuple[int, int]]:
     """Figure 1 series: ``(rank, request_count)`` per server, rank 1 = busiest."""
+    # A trace names each URL many times: split each URL once.
     counts: Counter = Counter()
-    for request in requests:
-        counts[request.server] += 1
+    for url, references in Counter(r.url for r in requests).items():
+        counts[server_of_url(url)] += references
     ordered = sorted(counts.values(), reverse=True)
     return [(rank + 1, count) for rank, count in enumerate(ordered)]
 
@@ -194,18 +195,22 @@ def summarize(requests: Iterable[Request]) -> WorkloadSummary:
     """Compute headline numbers for a valid trace."""
     summary = WorkloadSummary()
     urls: Dict[str, int] = {}
-    servers = set()
     per_day: Counter = Counter()
+    count = total_bytes = 0
     last_timestamp = 0.0
     for request in requests:
-        summary.requests += 1
-        summary.total_bytes += request.size
-        urls[request.url] = request.size
-        servers.add(request.server)
+        size = request.size
+        count += 1
+        total_bytes += size
+        urls[request.url] = size
         per_day[request.day] += 1
-        last_timestamp = max(last_timestamp, request.timestamp)
+        if request.timestamp > last_timestamp:
+            last_timestamp = request.timestamp
+    summary.requests = count
+    summary.total_bytes = total_bytes
     summary.unique_urls = len(urls)
-    summary.unique_servers = len(servers)
+    # A trace names each URL many times: split each URL once.
+    summary.unique_servers = len({server_of_url(url) for url in urls})
     summary.unique_bytes = sum(urls.values())
     summary.duration_days = int(last_timestamp // 86400) + 1 if summary.requests else 0
     summary.per_day_requests = dict(per_day)

@@ -37,7 +37,8 @@ def write_clf_file(
     opener = gzip.open if path.suffix == ".gz" else open
     count = 0
     with opener(path, "wt", encoding="utf-8") as handle:
-        for line in write_clf_lines(requests, epoch=epoch, augmented=augmented):
-            handle.write(line + "\n")
+        write = handle.write
+        for request in requests:
+            write(format_clf_line(request, epoch, "GET", augmented) + "\n")
             count += 1
     return count

@@ -109,13 +109,10 @@ def _correlated_size_assignment(
     if correlation >= 1.0 or count < 2:
         return ordered
     disorder = (1.0 - correlation) * count
-    noisy_positions = sorted(
-        range(count), key=lambda i: i + rng.gauss(0.0, disorder)
-    )
-    result = [0] * count
-    for position, size_index in enumerate(noisy_positions):
-        result[position] = ordered[size_index]
-    return result
+    gauss = rng.gauss
+    noisy = [index + gauss(0.0, disorder) for index in range(count)]
+    noisy_positions = sorted(range(count), key=noisy.__getitem__)
+    return [ordered[index] for index in noisy_positions]
 
 
 def build_catalog(
@@ -150,30 +147,27 @@ def build_catalog(
     if server_count <= 0:
         raise ValueError("server_count must be positive")
     servers = _server_names(server_count, domain)
-    server_sampler = ZipfSampler(server_count, server_zipf_exponent, rng=rng)
+    sample_server = ZipfSampler(server_count, server_zipf_exponent, rng=rng).sample
     by_type: Dict[DocumentType, List[Document]] = {}
     for doc_type, count in type_counts.items():
         if count < 0:
             raise ValueError(f"negative document count for {doc_type}")
         if count == 0:
             continue
-        model = size_models[doc_type]
-        extension = _EXTENSION_FOR_TYPE[doc_type]
-        sizes = [model.sample(rng) for _ in range(count)]
+        sample_size = size_models[doc_type].sample
+        sizes = [sample_size(rng) for _ in range(count)]
         sizes = _correlated_size_assignment(
             sizes, size_rank_correlation, rng
         )
+        # Each URL is http://<server>/<stem><index><suffix>.
+        stem = f"{url_prefix}{doc_type.value}/doc{generation}_"
+        suffix = f".{_EXTENSION_FOR_TYPE[doc_type]}"
         documents = []
-        for index in range(count):
-            server = servers[server_sampler.sample(rng)]
-            path = f"{url_prefix}{doc_type.value}/doc{generation}_{index}"
-            url = f"http://{server}/{path}.{extension}"
+        for index, size in enumerate(sizes):
+            server = servers[sample_server(rng)]
             documents.append(Document(
-                url=url,
-                server=server,
-                doc_type=doc_type,
-                size=sizes[index],
-                generation=generation,
+                f"http://{server}/{stem}{index}{suffix}",
+                server, doc_type, size, generation,
             ))
         by_type[doc_type] = documents
     return Catalog(by_type=by_type, servers=servers)

@@ -22,7 +22,9 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import accumulate
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.trace.record import DocumentType, Request, TraceMetadata
 from repro.trace.validation import TraceValidator
@@ -106,8 +108,9 @@ class WorkloadGenerator:
             counts[target.doc_type] = max(1, round(share / mean))
         return counts
 
-    def _build_catalogs(self) -> Tuple[Catalog, Optional[Catalog]]:
-        models = self._size_models()
+    def _build_catalogs(
+        self, models: Dict[DocumentType, SizeModel]
+    ) -> Tuple[Catalog, Optional[Catalog]]:
         budget = (
             self.profile.max_needed_bytes
             * self.scale
@@ -146,28 +149,33 @@ class WorkloadGenerator:
     # -- request synthesis ---------------------------------------------------
 
     def generate(self) -> GeneratedTrace:
-        """Synthesise the full raw trace (including invalid log lines)."""
+        """Synthesise the full raw trace (including invalid log lines).
+
+        The order in which random numbers are drawn is part of the output:
+        the loop below hoists what does not change from one request to the
+        next, and draws exactly what a request has always drawn.
+        """
         rng = self._rng
         prof = self.profile
-        primary, secondary = self._build_catalogs()
         models = self._size_models()
+        primary, secondary = self._build_catalogs(models)
         request_target = max(1, round(prof.requests * self.scale))
         calendar = prof.calendar_factory(prof.duration_days, rng)
         per_day = calendar.allocate(request_target)
 
-        type_population = [
-            t.doc_type for t in prof.type_mix if t.pct_refs > 0
-        ]
-        type_weights = [t.pct_refs for t in prof.type_mix if t.pct_refs > 0]
-        samplers = {
-            0: self._samplers_for(primary, rng),
-        }
+        mix = [t for t in prof.type_mix if t.pct_refs > 0]
+        type_population = [t.doc_type for t in mix]
+        # What ``rng.choices(weights=...)`` would accumulate on every call.
+        cum_weights = list(accumulate(t.pct_refs for t in mix))
+        picks = [self._type_picks(primary, type_population, rng)]
         if secondary is not None:
-            samplers[1] = self._samplers_for(secondary, rng)
+            picks.append(self._type_picks(secondary, type_population, rng))
 
         review_start_day: Optional[int] = None
         if prof.review_start_frac is not None:
             review_start_day = int(prof.review_start_frac * prof.duration_days)
+        # ``secondary`` exists exactly when the profile names this day.
+        fall_start_day = prof.new_generation_day
 
         seen_urls: set = set()
         nonzero_logged: set = set()
@@ -175,43 +183,57 @@ class WorkloadGenerator:
         raw: List[Request] = []
         clients = self._client_pool()
 
+        draw, choice, choices = rng.random, rng.choice, rng.choices
+        same_day_locality = prof.same_day_locality
+        review_boost = prof.review_boost
+        new_generation_share = prof.new_generation_share
+        modification_rate = prof.modification_rate
+        zero_size_rate = prof.zero_size_rate
+        invalid_status_rate = prof.invalid_status_rate
+        by_timestamp = attrgetter("timestamp")
+
         for day, count in enumerate(per_day):
+            day_start = day * 86400.0
             day_requests: List[Request] = []
             today_refs: List[Document] = []
             in_review = review_start_day is not None and day >= review_start_day
+            in_fall = fall_start_day is not None and day >= fall_start_day
             for _ in range(count):
-                doc = self._pick_document(
-                    rng, day, today_refs, history, in_review,
-                    primary, secondary, samplers,
-                    type_population, type_weights,
-                )
-                rereference = doc.url in seen_urls
-                if rereference and rng.random() < prof.modification_rate:
+                if today_refs and draw() < same_day_locality:
+                    doc = choice(today_refs)
+                elif in_review and history and draw() < review_boost:
+                    # Uniform over past *references* weights documents by
+                    # their historical reference count -- the
+                    # NREF-correlated review behaviour the paper observed
+                    # for workloads C and G.
+                    doc = choice(history)
+                else:
+                    generation = (
+                        1 if in_fall and draw() < new_generation_share else 0
+                    )
+                    sample_rank, documents = choices(
+                        picks[generation], cum_weights=cum_weights
+                    )[0]
+                    doc = documents[sample_rank(rng)]
+                url = doc.url
+                if url in seen_urls and draw() < modification_rate:
                     doc.modify(models[doc.doc_type].sample(rng))
-                seen_urls.add(doc.url)
+                seen_urls.add(url)
                 today_refs.append(doc)
                 history.append(doc)
-                timestamp = day * 86400.0 + diurnal_offset(rng)
-                log_zero = (
-                    doc.url in nonzero_logged
-                    and rng.random() < prof.zero_size_rate
-                )
+                timestamp = day_start + diurnal_offset(rng)
+                log_zero = url in nonzero_logged and draw() < zero_size_rate
                 size = 0 if log_zero else doc.size
                 if size:
-                    nonzero_logged.add(doc.url)
+                    nonzero_logged.add(url)
                 day_requests.append(Request(
-                    timestamp=timestamp,
-                    url=doc.url,
-                    size=size,
-                    status=200,
-                    client=rng.choice(clients),
-                    doc_type=doc.doc_type,
+                    timestamp, url, size, 200, choice(clients), doc.doc_type,
                 ))
-                if rng.random() < prof.invalid_status_rate:
+                if draw() < invalid_status_rate:
                     day_requests.append(self._invalid_line(
                         rng, day, doc, clients,
                     ))
-            day_requests.sort(key=lambda r: r.timestamp)
+            day_requests.sort(key=by_timestamp)
             raw.extend(day_requests)
 
         metadata = TraceMetadata(
@@ -231,50 +253,29 @@ class WorkloadGenerator:
 
     # -- helpers -------------------------------------------------------------
 
-    def _samplers_for(
-        self, catalog: Catalog, rng: random.Random
-    ) -> Dict[DocumentType, ZipfSampler]:
-        return {
+    def _type_picks(
+        self,
+        catalog: Catalog,
+        type_population: Sequence[DocumentType],
+        rng: random.Random,
+    ) -> List[Tuple[Callable[[random.Random], int], List[Document]]]:
+        """For each media type of the mix, in order: the rank sampler over
+        the catalog's documents of that type, and those documents.  A type
+        the catalog lacks stands in the catalog's first type."""
+        by_type = catalog.by_type
+        samplers = {
             doc_type: ZipfSampler(
                 len(docs), exponent=self.profile.zipf_exponent, rng=rng
             )
-            for doc_type, docs in catalog.by_type.items()
+            for doc_type, docs in by_type.items()
         }
-
-    def _pick_document(
-        self,
-        rng: random.Random,
-        day: int,
-        today_refs: Sequence[Document],
-        history: Sequence[Document],
-        in_review: bool,
-        primary: Catalog,
-        secondary: Optional[Catalog],
-        samplers: Dict[int, Dict[DocumentType, ZipfSampler]],
-        type_population: Sequence[DocumentType],
-        type_weights: Sequence[float],
-    ) -> Document:
-        prof = self.profile
-        if today_refs and rng.random() < prof.same_day_locality:
-            return rng.choice(today_refs)
-        if in_review and history and rng.random() < prof.review_boost:
-            # Uniform over past *references* weights documents by their
-            # historical reference count -- the NREF-correlated review
-            # behaviour the paper observed for workloads C and G.
-            return rng.choice(history)
-        catalog, generation = primary, 0
-        if (
-            secondary is not None
-            and prof.new_generation_day is not None
-            and day >= prof.new_generation_day
-            and rng.random() < prof.new_generation_share
-        ):
-            catalog, generation = secondary, 1
-        doc_type = rng.choices(type_population, weights=type_weights, k=1)[0]
-        if doc_type not in catalog.by_type:
-            doc_type = next(iter(catalog.by_type))
-        index = samplers[generation][doc_type].sample(rng)
-        return catalog.by_type[doc_type][index]
+        fallback = next(iter(by_type))
+        picks = []
+        for doc_type in type_population:
+            if doc_type not in by_type:
+                doc_type = fallback
+            picks.append((samplers[doc_type].sample, by_type[doc_type]))
+        return picks
 
     def _client_pool(self) -> List[str]:
         prof = self.profile

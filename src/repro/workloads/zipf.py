@@ -14,8 +14,9 @@ hundreds of thousands of references the full-size workloads need.
 
 from __future__ import annotations
 
-import bisect
 import random
+from bisect import bisect_left
+from itertools import accumulate
 from typing import List, Optional, Sequence
 
 __all__ = ["ZipfSampler", "zipf_weights"]
@@ -50,19 +51,13 @@ class ZipfSampler:
         self.n = n
         self.exponent = exponent
         self._rng = rng if rng is not None else random.Random(0)
-        cumulative = []
-        total = 0.0
-        for weight in zipf_weights(n, exponent):
-            total += weight
-            cumulative.append(total)
-        self._cumulative = cumulative
-        self._total = total
+        self._cumulative = list(accumulate(zipf_weights(n, exponent)))
+        self._total = self._cumulative[-1]
 
     def sample(self, rng: Optional[random.Random] = None) -> int:
         """Draw one index in ``[0, n)``; smaller indices are more likely."""
         source = rng if rng is not None else self._rng
-        point = source.random() * self._total
-        return bisect.bisect_left(self._cumulative, point)
+        return bisect_left(self._cumulative, source.random() * self._total)
 
     def sample_many(
         self, count: int, rng: Optional[random.Random] = None
