@@ -14,6 +14,9 @@ This subpackage rebuilds that pipeline:
 * :mod:`repro.httpnet.server` -- the one threaded socket server (accept
   loop, bounded pool or thread-per-connection, deadline-bounded head
   reader) the live proxy, router and origin are built on.
+* :mod:`repro.httpnet.client` -- the one-shot blocking client
+  (``fetch`` / ``request``) and the pooled ``UpstreamClient`` the live
+  tiers keep connections open with.
 * :mod:`repro.httpnet.packets` -- a TCP segment/flow model and a
   packetiser that turns transactions into segment streams.
 * :mod:`repro.httpnet.sniffer` -- flow reassembly of port-80 segments into

@@ -80,22 +80,26 @@ def get_header(headers: Dict[str, str], name: str) -> Optional[str]:
     if value is not None:
         return value
     lowered = name.lower()
+    value = headers.get(lowered)
+    if value is not None:
+        return value
     for key, value in headers.items():
         if key.lower() == lowered:
             return value
     return None
 
+
 def _parse_headers(block: bytes) -> Dict[str, str]:
     headers: Dict[str, str] = {}
-    for line in block.split(b"\r\n"):
+    for line in block.decode("latin-1").split("\r\n"):
         if not line:
             continue
-        name, sep, value = line.partition(b":")
+        name, sep, value = line.partition(":")
         if not sep:
-            raise HttpMessageError(f"malformed header line {line!r}")
-        headers[name.decode("latin-1").strip().lower()] = (
-            value.decode("latin-1").strip()
-        )
+            raise HttpMessageError(
+                f"malformed header line {line.encode('latin-1')!r}"
+            )
+        headers[name.strip().lower()] = value.strip()
     return headers
 
 
@@ -191,12 +195,17 @@ class HttpResponse:
         )
 
     def serialize(self) -> bytes:
-        """Render the response as wire bytes, filling Content-Length."""
+        """Render the response as wire bytes, filling ``Content-Length``
+        in unless the headers carry one already, in any case (a parsed
+        upstream response carries ``content-length``)."""
         reason = self.reason or REASON_PHRASES.get(self.status, "")
-        headers = dict(self.headers)
-        headers.setdefault("Content-Length", str(len(self.body)))
         lines = [f"{self.version} {self.status} {reason}".rstrip()]
-        lines.extend(f"{name}: {value}" for name, value in headers.items())
+        declared = False
+        for name, value in self.headers.items():
+            lines.append(f"{name}: {value}")
+            declared = declared or name.lower() == "content-length"
+        if not declared:
+            lines.append(f"Content-Length: {len(self.body)}")
         head = "\r\n".join(lines).encode("latin-1")
         return head + b"\r\n\r\n" + self.body
 

@@ -26,9 +26,10 @@ import json
 import os
 import threading
 import time
-from contextlib import contextmanager
+from collections import deque
+from contextlib import nullcontext
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Union
 
 __all__ = ["SpanHandle", "Tracer"]
 
@@ -60,6 +61,48 @@ class SpanHandle:
         return self.record["name"]
 
 
+class _Span(SpanHandle):
+    """What :meth:`Tracer.span` returns: entering it opens the span and
+    hands back this same object as the span's handle."""
+
+    __slots__ = ("_tracer", "_name", "_args", "_stack")
+
+    def __init__(self, tracer: "Tracer", name: str, args: dict) -> None:
+        self._tracer = tracer
+        self._clock = tracer.clock
+        self._name = name
+        self._args = args
+
+    def __enter__(self) -> "_Span":
+        tracer = self._tracer
+        stack = self._stack = tracer._stack()
+        self.record = record = {
+            "id": 0,
+            "parent": stack[-1]["id"] if stack else None,
+            "name": self._name,
+            "start": self._clock(),
+            "end": None,
+            "args": self._args,
+            "pid": os.getpid(),
+            "tid": threading.get_ident(),
+        }
+        with tracer._lock:
+            tracer._next_id += 1
+            record["id"] = tracer._next_id
+            # Appended at open time: parents precede their children.
+            tracer._retain_locked((record,))
+        stack.append(record)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._stack.pop()
+        self.record["end"] = self._clock()
+
+
+#: What a disabled tracer's ``span()`` returns: enters to ``None``.
+_NO_SPAN = nullcontext()
+
+
 class Tracer:
     """Collects nested spans from any number of threads."""
 
@@ -79,15 +122,17 @@ class Tracer:
         self.max_spans = max_spans
         self.dropped = 0
         self._lock = threading.Lock()
-        self._spans: List[dict] = []
+        self._spans: Deque[dict] = deque(maxlen=max_spans)
         self._local = threading.local()
         self._next_id = 0
 
-    def _trim_locked(self) -> None:
-        excess = len(self._spans) - self.max_spans
-        if excess > 0:
-            del self._spans[:excess]
-            self.dropped += excess
+    def _retain_locked(self, records) -> None:
+        """Append to the ring, counting what falls off its old end."""
+        spans = self._spans
+        overflow = len(spans) + len(records) - self.max_spans
+        if overflow > 0:
+            self.dropped += overflow
+        spans.extend(records)
 
     # -- recording -----------------------------------------------------------
 
@@ -97,36 +142,12 @@ class Tracer:
             stack = self._local.stack = []
         return stack
 
-    @contextmanager
     def span(self, name: str, **args: object):
-        """Open a span; nesting is tracked per thread."""
+        """A context manager that opens a span when entered; nesting is
+        tracked per thread."""
         if not self.enabled:
-            yield None
-            return
-        stack = self._stack()
-        with self._lock:
-            self._next_id += 1
-            span_id = self._next_id
-        record = {
-            "id": span_id,
-            "parent": stack[-1]["id"] if stack else None,
-            "name": name,
-            "start": self.clock(),
-            "end": None,
-            "args": dict(args),
-            "pid": os.getpid(),
-            "tid": threading.get_ident(),
-        }
-        with self._lock:
-            # Appended at open time: parents precede their children.
-            self._spans.append(record)
-            self._trim_locked()
-        stack.append(record)
-        try:
-            yield SpanHandle(record, self.clock)
-        finally:
-            stack.pop()
-            record["end"] = self.clock()
+            return _NO_SPAN
+        return _Span(self, name, args)
 
     def absorb(self, spans: Iterable[dict]) -> None:
         """Fold spans exported from another process in, re-keying ids so
@@ -142,8 +163,7 @@ class Tracer:
             for span in batch:
                 if span.get("parent") is not None:
                     span["parent"] = mapping.get(span["parent"])
-            self._spans.extend(batch)
-            self._trim_locked()
+            self._retain_locked(batch)
 
     # -- inspection ----------------------------------------------------------
 

@@ -30,7 +30,7 @@ import threading
 import time as _time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.httpnet.client import request as _client_request
+from repro.httpnet.client import UpstreamClient
 from repro.httpnet.message import (
     HttpMessageError,
     HttpRequest,
@@ -174,11 +174,17 @@ class FleetRouter(HttpServer):
         self.status = status
         self.telemetry = telemetry
         self.dashboard = dashboard
+        #: Connections to the shards, kept open between requests.
+        self._upstream = UpstreamClient()
         super().__init__(
             host, port, shard_timeout,
             admission=AdmissionController(overload),
             max_clients=max_clients,
         )
+
+    def stop(self) -> None:
+        super().stop()
+        self._upstream.close()
 
     # -- socket-server hooks -----------------------------------------------------
 
@@ -223,6 +229,12 @@ class FleetRouter(HttpServer):
     ) -> HttpResponse:
         deadline = self._deadline_for(request)
         ranked = rendezvous_rank(request.url, self.directory.ids())
+        forwarded = HttpRequest(
+            method=request.method,
+            url=request.url,
+            headers=dict(request.headers),
+        )
+        set_trace_header(forwarded.headers, ctx)
         attempted = 0
         for rank, shard_id in enumerate(ranked):
             address = self.directory.address_of(shard_id)
@@ -233,16 +245,10 @@ class FleetRouter(HttpServer):
                 if span is not None:
                     span.event("deadline_exhausted", shard=shard_id)
                 return error_response(503, "deadline_exhausted")
-            forwarded = HttpRequest(
-                method=request.method,
-                url=request.url,
-                headers=dict(request.headers),
-            )
             forwarded.headers[DEADLINE_HEADER] = deadline.header_value()
-            set_trace_header(forwarded.headers, ctx)
             timeout = min(self.shard_timeout, max(0.05, deadline.remaining()))
             try:
-                response = _client_request(
+                response = self._upstream.request(
                     address, forwarded, timeout=timeout,
                 )
             except (OSError, HttpMessageError, ValueError) as error:

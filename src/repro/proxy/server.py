@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import dataclasses
 import random
-import socket
 import threading
 import time as _time
 from typing import Callable, Optional, Tuple
-from urllib.parse import urlsplit
 
+from repro.httpnet.client import UpstreamClient
 from repro.httpnet.message import (
     HttpMessageError,
     HttpRequest,
@@ -61,6 +60,8 @@ from repro.proxy.consistency import ConsistencyEstimator, Freshness
 from repro.proxy.overload import AdmissionController, OverloadPolicy
 from repro.proxy.store import CachedDocument, ProxyStore
 from repro.retry import DEADLINE_HEADER, BreakerRegistry, Deadline, RetryPolicy
+from repro.trace.clf import format_clf_line
+from repro.trace.record import Request as TraceRequest, split_url
 
 __all__ = ["OriginError", "ProxyStats", "CachingProxy", "METRICS_PATH"]
 
@@ -260,6 +261,12 @@ class CachingProxy(HttpServer):
         #: Per-worker-thread trace context of the request in flight, so
         #: origin fetches deep in the call stack can continue the trace.
         self._trace_local = threading.local()
+        #: Connections to origins (or a parent proxy) that grant keep-alive.
+        self._upstream = UpstreamClient()
+
+    def stop(self) -> None:
+        super().stop()
+        self._upstream.close()
 
     @staticmethod
     def _default_resolver(host: str) -> Tuple[str, int]:
@@ -376,9 +383,6 @@ class CachingProxy(HttpServer):
     ) -> None:
         if self.access_log is None:
             return
-        from repro.trace.clf import format_clf_line
-        from repro.trace.record import Request as TraceRequest
-
         record = TraceRequest(
             timestamp=max(0.0, self._clock()),
             url=request.url,
@@ -554,10 +558,11 @@ class CachingProxy(HttpServer):
 
         Raises:
             OriginError: breaker open, deadline exhausted, or every
-                attempt failed (refused, timed out, reset, or returned
-                malformed/truncated bytes).
+                attempt failed (refused, timed out, reset, closed with
+                no response, or returned malformed bytes, a body that
+                disagrees with its declared length, or one too large).
         """
-        host = urlsplit(request.url).netloc
+        host = split_url(request.url)[0]
         breaker = self.breakers.for_host(host)
         now = self._clock()
         if not breaker.allow(now):
@@ -594,10 +599,12 @@ class CachingProxy(HttpServer):
                         raise self._deadline_exhausted(host, request.url)
                     attempt_timeout = min(attempt_timeout, remaining)
                 try:
-                    response = self._fetch_once(
-                        request, host, attempt_timeout,
+                    response = self._upstream.request(
+                        self.resolver(host), request, timeout=attempt_timeout,
                     )
-                except (OSError, HttpMessageError) as error:
+                except (OSError, ValueError) as error:
+                    # ValueError: not HTTP, a body that disagrees with
+                    # its declared length, or one past the client's cap.
                     if retry_index >= policy.max_retries:
                         breaker.record_failure(self._clock())
                         self.stats.m.origin_fetch_seconds.observe(
@@ -634,34 +641,6 @@ class CachingProxy(HttpServer):
                     )
                     return response
         raise AssertionError("unreachable")  # pragma: no cover
-
-    def _fetch_once(
-        self,
-        request: HttpRequest,
-        host: str,
-        timeout: float,
-    ) -> HttpResponse:
-        """One origin attempt: connect, send, read to EOF, validate."""
-        address = self.resolver(host)
-        with socket.create_connection(address, timeout=timeout) as upstream:
-            upstream.sendall(request.serialize())
-            data = bytearray()
-            upstream.settimeout(timeout)
-            while True:
-                chunk = upstream.recv(65536)
-                if not chunk:
-                    break
-                data.extend(chunk)
-        if not data:
-            raise OriginError("origin closed the connection with no response")
-        response = HttpResponse.parse(bytes(data))
-        declared = response.content_length
-        if declared is not None and len(response.body) < declared:
-            raise OriginError(
-                f"truncated origin response: {len(response.body)} of "
-                f"{declared} promised bytes"
-            )
-        return response
 
     @staticmethod
     def _respond_from(cached: CachedDocument, tag: str) -> HttpResponse:

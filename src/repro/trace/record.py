@@ -68,7 +68,7 @@ def classify_extension(extension: str) -> DocumentType:
     return _EXTENSION_TO_TYPE.get(extension.lower(), DocumentType.UNKNOWN)
 
 
-def _split_url(url: str) -> Tuple[str, str, bool]:
+def split_url(url: str) -> Tuple[str, str, bool]:
     """``(netloc, path, has_query)`` of a URL, exactly as ``urlsplit`` gives them.
 
     A plain ``http://host/path`` URL -- lower-case scheme, printable ASCII,
@@ -103,7 +103,7 @@ def classify_url(url: str) -> DocumentType:
     without an extension (including directory URLs ending in ``/``) are
     treated as text, matching how mid-90s servers returned ``index.html``.
     """
-    _, path, has_query = _split_url(url)
+    _, path, has_query = split_url(url)
     path = path or "/"
     if has_query or path.endswith((".cgi", ".pl")):
         return DocumentType.CGI
@@ -127,7 +127,7 @@ def server_of_url(url: str) -> str:
 
     URLs without a scheme are treated as server-relative and yield ``""``.
     """
-    return _split_url(url)[0].lower()
+    return split_url(url)[0].lower()
 
 
 @dataclass(frozen=True, init=False)

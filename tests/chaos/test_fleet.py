@@ -9,6 +9,7 @@ sections.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +141,21 @@ class TestFleetChaosAcceptance:
                 record["deterministic"], sort_keys=True,
             ).encode("utf-8"))
         assert blobs[0] == blobs[1]
+
+    def test_deterministic_section_is_byte_identical_to_the_parents(
+        self, chaos_runs,
+    ):
+        """Recorded at ``1105716``, before the router and the shards kept
+        connections open between tiers."""
+        fixture = (
+            Path(__file__).resolve().parents[1]
+            / "fixtures" / "fleet_chaos_deterministic_parent.json"
+        )
+        for report in chaos_runs:
+            assert (
+                json.dumps(report.deterministic, indent=1, sort_keys=True)
+                == fixture.read_text(encoding="utf-8")
+            )
 
     def test_the_fault_actually_fired(self, chaos_runs):
         for report in chaos_runs:

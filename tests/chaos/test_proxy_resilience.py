@@ -11,6 +11,7 @@ hit rate within five points of the fault-free baseline.
 import json
 import socket
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -348,3 +349,16 @@ class TestChaosAcceptance:
         assert record["degradation_points"] == report.degradation_points
         assert record["plan"]["rules"][0]["kind"] == "drop"
         assert record["faulted"]["client_errors"] == 0
+
+    def test_report_is_byte_identical_to_the_parents(self, report):
+        """Recorded at ``1105716``, before the shard kept its origin
+        connections open: the healthy baseline now reuses sockets, the
+        faulty origin never grants one, and not a count may move."""
+        fixture = (
+            Path(__file__).resolve().parents[1]
+            / "fixtures" / "chaos_report_parent.json"
+        )
+        assert (
+            json.dumps(report.as_dict(), indent=1, sort_keys=True)
+            == fixture.read_text(encoding="utf-8")
+        )

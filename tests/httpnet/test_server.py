@@ -9,9 +9,11 @@ import time
 
 import pytest
 
+from repro.faults import FaultPlan, FaultyOriginServer
 from repro.httpnet.client import fetch
 from repro.httpnet.message import HttpResponse
 from repro.httpnet.server import HttpServer, error_response
+from repro.proxy.overload import AdmissionController, OverloadPolicy
 
 
 class EchoServer(HttpServer):
@@ -185,3 +187,209 @@ class TestThreadPerConnection:
             assert server.request_count == clients
             # Serialised through one worker this would take clients * 0.3 s.
             assert elapsed < 0.3 * clients / 2
+
+
+# -- persistent connections ---------------------------------------------------
+
+
+KEEP_ALIVE = "Connection: keep-alive\r\n"
+
+
+def ask(sock, url, extra=KEEP_ALIVE, method="GET"):
+    sock.sendall(f"{method} {url} HTTP/1.0\r\n{extra}\r\n".encode("latin-1"))
+
+
+def read_one(sock):
+    """One response off a connection that may stay open: the head, then
+    exactly the declared body."""
+    data = bytearray()
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(4096)
+        if not chunk:
+            break
+        data.extend(chunk)
+    response = HttpResponse.parse(bytes(data))
+    while len(response.body) < (response.content_length or 0):
+        response.body += sock.recv(4096)
+    return response
+
+
+def at_eof(sock):
+    """The server closed its side (and sent nothing more first)."""
+    return sock.recv(4096) == b""
+
+
+def admission(max_inflight=64):
+    return AdmissionController(OverloadPolicy(max_inflight=max_inflight))
+
+
+BOTH_MODES = pytest.mark.parametrize(
+    "pooled", [False, True], ids=["thread-per-connection", "bounded-pool"],
+)
+
+
+class TestKeepAlive:
+    @BOTH_MODES
+    def test_many_requests_ride_one_connection(self, pooled):
+        gate = admission() if pooled else None
+        with EchoServer(admission=gate, max_clients=2) as server:
+            with socket.create_connection(server.address, timeout=5.0) as sock:
+                for index in range(5):
+                    ask(sock, f"/{index}")
+                    response = read_one(sock)
+                    assert response.body == f"/{index}".encode()
+                    assert response.headers["connection"] == "keep-alive"
+                assert server.request_count == 5
+                assert len(server._held) == 1       # one accept carried all five
+            assert wait_for(lambda: not server._held)
+            if pooled:
+                assert wait_for(lambda: gate.inflight == 0)
+
+    @BOTH_MODES
+    def test_no_grant_unless_asked_and_the_request_ends_at_its_head(self, pooled):
+        gate = admission() if pooled else None
+        with EchoServer(admission=gate) as server:
+            for extra, method, trailing in (
+                ("", "GET", b""),                       # did not ask
+                ("Connection: close\r\n", "GET", b""),  # asked for the opposite
+                (KEEP_ALIVE, "POST", b""),              # a body may follow
+                (KEEP_ALIVE, "GET", b"GET /next"),      # something did follow
+            ):
+                with socket.create_connection(server.address, timeout=5.0) as sock:
+                    sock.sendall(
+                        f"{method} /x HTTP/1.0\r\n{extra}\r\n".encode() + trailing
+                    )
+                    response = HttpResponse.parse(read_all(sock))  # reads to EOF
+                assert response.status == 200
+                assert "connection" not in response.headers
+            assert not server._held
+
+    def test_admission_is_per_request_not_per_connection(self):
+        gate = admission(max_inflight=1)
+        with EchoServer(admission=gate, max_clients=2) as server:
+            with socket.create_connection(server.address, timeout=5.0) as held:
+                ask(held, "/first")
+                assert read_one(held).status == 200
+                assert wait_for(lambda: gate.inflight == 0)  # idle: no slot
+                # A second connection takes the only slot (admitted at
+                # accept, its head not sent yet) ...
+                with socket.create_connection(server.address, timeout=5.0) as other:
+                    assert wait_for(lambda: gate.inflight == 1)
+                    # ... so the held connection's next request is shed,
+                    # inline, and the connection closed.
+                    ask(held, "/second")
+                    shed = read_one(held)
+                    assert shed.status == 503
+                    assert shed.headers["retry-after"] == "4"
+                    assert json.loads(shed.body)["error"] == "saturated"
+                    assert at_eof(held)
+                    ask(other, "/other", extra="")
+                    assert HttpResponse.parse(read_all(other)).body == b"/other"
+            assert server.request_count == 2
+            assert wait_for(lambda: gate.inflight == 0 and not server._held)
+
+    def test_idle_held_connections_pin_no_worker_and_no_slot(self):
+        gate = admission(max_inflight=64)
+        with EchoServer(admission=gate, max_clients=2) as server:
+            held = [
+                socket.create_connection(server.address, timeout=5.0)
+                for _ in range(20)
+            ]
+            try:
+                for index, sock in enumerate(held):
+                    ask(sock, f"/{index}")
+                    assert read_one(sock).status == 200
+                assert wait_for(lambda: gate.inflight == 0)
+                assert len(server._held) == 20
+                started = time.monotonic()
+                assert fetch(server.address, "/fresh", timeout=2.0).body == b"/fresh"
+                assert time.monotonic() - started < 0.5
+                # And every one of them still answers.
+                ask(held[7], "/again")
+                assert read_one(held[7]).body == b"/again"
+            finally:
+                for sock in held:
+                    sock.close()
+
+    def test_held_connections_are_bounded_by_max_inflight(self):
+        with EchoServer(admission=admission(max_inflight=2), max_clients=2) as server:
+            socks = []
+            try:
+                granted = []
+                for _ in range(3):
+                    sock = socket.create_connection(server.address, timeout=5.0)
+                    socks.append(sock)
+                    ask(sock, "/x")
+                    response = read_one(sock)
+                    assert response.status == 200
+                    granted.append(response.headers.get("connection"))
+                assert granted == ["keep-alive", "keep-alive", None]
+                assert at_eof(socks[2])     # no grant: closed as HTTP/1.0 does
+            finally:
+                for sock in socks:
+                    sock.close()
+
+    @BOTH_MODES
+    def test_idle_expiry_closes_without_a_word(self, pooled):
+        gate = admission() if pooled else None
+        with EchoServer(admission=gate, timeout=0.2) as server:
+            with socket.create_connection(server.address, timeout=5.0) as sock:
+                ask(sock, "/once")
+                assert read_one(sock).status == 200
+                started = time.monotonic()
+                assert at_eof(sock)         # not a 408: nothing was half-sent
+                assert 0.1 < time.monotonic() - started < 2.0
+            assert server.request_count == 1
+            assert server.bad == []
+
+    @BOTH_MODES
+    def test_trickled_head_on_a_held_connection_still_gets_408(self, pooled):
+        gate = admission() if pooled else None
+        with EchoServer(admission=gate, timeout=5.0, read_deadline=0.3) as server:
+            with socket.create_connection(server.address, timeout=5.0) as sock:
+                ask(sock, "/ok")
+                assert read_one(sock).status == 200
+                sock.sendall(b"GET /slow HT")
+                response = read_one(sock)
+                assert response.status == 408
+                assert json.loads(response.body)["error"] == "client_read_timeout"
+                assert at_eof(sock)
+            assert server.request_count == 1
+            if pooled:
+                assert wait_for(lambda: gate.inflight == 0)
+
+    @BOTH_MODES
+    def test_stop_closes_held_connections_and_the_port_refuses(self, pooled):
+        server = EchoServer(admission=admission() if pooled else None).start()
+        with socket.create_connection(server.address, timeout=5.0) as sock:
+            ask(sock, "/held")
+            assert read_one(sock).status == 200
+            server.stop()
+            assert at_eof(sock)
+            # Asked again anyway, a stopped server does not answer.
+            try:
+                ask(sock, "/after")
+                assert at_eof(sock)
+            except OSError:
+                pass
+        assert wait_for(lambda: not server._held)
+        with pytest.raises(OSError):
+            socket.create_connection(server.address, timeout=1.0)
+
+    def test_a_reply_override_never_grants(self):
+        """``FaultyOriginServer`` writes its replies itself (that is how
+        it truncates and drops), so it stays one request per connection
+        and every fault plan plays out connection by connection."""
+        injector = FaultPlan().injector()
+        origin = FaultyOriginServer(injector, timeout=2.0).start()
+        try:
+            for _ in range(2):
+                with socket.create_connection(origin.address, timeout=5.0) as sock:
+                    ask(sock, "/doc.html")
+                    response = HttpResponse.parse(read_all(sock))   # to EOF
+                    assert response.status == 200
+                    assert "connection" not in response.headers
+            assert not origin._held
+            assert injector.summary() == {"events": 2}
+        finally:
+            origin.stop()

@@ -1,10 +1,11 @@
 """One mechanism each: the next hand-rolled copy fails here, by path.
 
 ``repro.httpnet.server`` owns the accept loop and the request-head
-reader; ``repro.durability`` owns the checksummed-JSONL trailer.  A new
-server or export that grows its own is caught at review time instead of
-drifting apart from the shared one (as the router's deadline-less head
-reader once did).
+reader; ``repro.httpnet.client`` owns connecting out and reading a
+response; ``repro.durability`` owns the checksummed-JSONL trailer.  A
+new server, client or export that grows its own is caught at review
+time instead of drifting apart from the shared one (as the router's
+deadline-less head reader once did).
 """
 
 from pathlib import Path
@@ -26,6 +27,20 @@ def test_one_accept_loop():
 
 def test_one_request_head_reader():
     assert files_containing("recv(4096)") == ["httpnet/server.py"]
+
+
+# The load generator's slowloris probe trickles a request head and then
+# watches for the cut-off, which is exactly what a well-behaved client
+# does not do: it must hand-roll its socket.
+CLIENT_SIDE = ["httpnet/client.py", "proxy/loadgen.py"]
+
+
+def test_one_upstream_client():
+    assert files_containing("create_connection(") == CLIENT_SIDE
+
+
+def test_one_response_reader():
+    assert files_containing("recv(65536)") == CLIENT_SIDE
 
 
 def test_one_checksummed_jsonl_trailer():
