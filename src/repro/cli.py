@@ -14,10 +14,10 @@ Commands:
 * ``origin``       start the toy origin server
 * ``chaos``        replay a trace through the proxy under an injected
   fault plan and report the degradation
+* ``fleet``        sharded proxy fleet behind the rendezvous router:
+  ``fleet serve``, ``chaos``, ``shard``, ``status``, ``telemetry``
 * ``obs``          observability utilities: ``obs check`` lints the
   metric catalog, ``obs summarize`` renders run artifacts
-* ``bench``        pinned perf benchmark of the sweep grid; ``bench
-  --compare baseline.json`` gates on throughput/per-policy regressions
 
 Observability: ``sweep``, ``experiment``, ``chaos`` and ``proxy`` accept
 ``--log-level``, ``--trace-out`` (Chrome trace JSON, viewable in
@@ -36,8 +36,6 @@ Examples::
     python -m repro sweep --workers 4 --trace-out t.json --metrics-out m.prom
     python -m repro sweep --workers 4 --timeseries-out series.jsonl
     python -m repro obs summarize --trace t.json --metrics m.prom
-    python -m repro bench --out BENCH_sweep.json --stacks-out bench.stacks
-    python -m repro bench --compare benchmarks/results/BENCH_sweep.json
     python -m repro chaos --workload BL --scale 0.02 --drop-rate 0.2 --out chaos.json
     python -m repro report --out report.md
 """
@@ -45,6 +43,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from typing import Dict, List, Optional, Sequence
@@ -438,6 +437,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         run_sweep,
     )
 
+    if args.resume and not os.path.isdir(args.resume):
+        # A typo must not cost the whole grid: run_sweep would create
+        # the directory and start a fresh sweep there.
+        print(
+            f"sweep: --resume {args.resume}: no such checkpoint directory",
+            file=sys.stderr,
+        )
+        return 2
     obs = _build_obs(args)
     if args.trace:
         valid, _ = _load_valid_trace(args.trace, args.epoch, obs=obs)
@@ -1024,99 +1031,6 @@ def _cmd_fleet_telemetry(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the pinned benchmark grid and/or gate against a baseline."""
-    from repro.obs.bench import (
-        BenchError,
-        compare_bench,
-        load_bench,
-        render_comparison,
-        run_bench,
-        write_payload,
-    )
-
-    if args.list:
-        from repro.obs.bench import list_bench, render_bench_listing
-
-        entries = list_bench(args.results_dir)
-        print(render_bench_listing(entries, args.results_dir))
-        return 1 if any(not entry["ok"] for entry in entries) else 0
-    obs = _build_obs(args)
-    try:
-        if args.current:
-            current = load_bench(args.current)
-        else:
-            current, report = run_bench(
-                workload=args.workload,
-                scale=args.scale,
-                trace_seed=args.seed,
-                fraction=args.fraction,
-                workers=args.workers,
-                obs=obs,
-            )
-            print(
-                f"bench: {len(current['policies'])} policies over "
-                f"{current['grid']['trace_requests']:,} requests in "
-                f"{current['throughput']['wall_seconds']:.2f}s "
-                f"({current['throughput']['requests_per_second']:,.0f} "
-                f"req/s, {args.workers} worker(s))"
-            )
-            rows = [
-                [
-                    name,
-                    f"{entry['seconds']:.3f}",
-                    *(
-                        f"{entry['phases'].get(phase, {}).get('p95_seconds', 0.0) * 1e6:.1f}"
-                        for phase in ("lookup", "evict", "admit")
-                    ),
-                ]
-                for name, entry in current["policies"].items()
-            ]
-            print(render_table(
-                ["policy", "seconds",
-                 "lookup p95 us", "evict p95 us", "admit p95 us"],
-                rows,
-                title="Per-policy wall time and phase p95",
-            ))
-            mrc = current.get("mrc")
-            if mrc:
-                print(
-                    f"mrc: single-pass curve set "
-                    f"({len(mrc['keys'])} keys x "
-                    f"{len(mrc['fractions'])} fractions) in "
-                    f"{mrc['single_pass_seconds']:.2f}s vs exact grid "
-                    f"{mrc['exact_grid_seconds']:.2f}s — "
-                    f"{mrc['speedup']:.1f}x speedup"
-                )
-            if args.out:
-                write_payload(current, args.out)
-                print(f"wrote benchmark payload to {args.out}")
-            if args.stacks_out and obs.profiler is not None:
-                count = obs.profiler.write_collapsed(args.stacks_out)
-                print(f"wrote {count} collapsed stack(s) to {args.stacks_out}")
-            if args.timeseries_out:
-                _write_timeseries_out(
-                    [(jr.result.name, jr.result.timeseries)
-                     for jr in report.results],
-                    args.timeseries_out,
-                )
-        if args.compare:
-            baseline = load_bench(args.compare)
-            regressions = compare_bench(
-                baseline, current, threshold_pct=args.threshold,
-            )
-            print(render_comparison(
-                regressions, baseline, current, threshold_pct=args.threshold,
-            ))
-            _export_obs(obs, args)
-            return 1 if regressions else 0
-    except BenchError as error:
-        print(f"bench: {error}", file=sys.stderr)
-        return 1
-    _export_obs(obs, args)
-    return 0
-
-
 def cmd_origin(args: argparse.Namespace) -> int:
     from repro.proxy import OriginServer
 
@@ -1222,8 +1136,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="journal completed jobs here so a killed "
                             "sweep can be resumed")
     sweep.add_argument("--resume", default="", metavar="DIR",
-                       help="resume a checkpointed sweep from DIR, "
-                            "skipping journaled jobs")
+                       help="resume a checkpointed sweep from DIR "
+                            "(must exist), skipping journaled jobs")
     sweep.add_argument("--fault-plan", default="", metavar="PATH",
                        help="JSON fault plan (disk faults and "
                             "coordinator kills)")
@@ -1442,42 +1356,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_telemetry.add_argument("--html-out", default="", metavar="PATH",
                                  help="also write the HTML dashboard here")
     fleet_telemetry.set_defaults(func=cmd_fleet)
-
-    bench = commands.add_parser(
-        "bench",
-        help="pinned perf benchmark of the sweep grid, with a "
-             "regression gate (--compare)",
-    )
-    bench.add_argument("--workload", default="BL", choices=sorted(PROFILES))
-    bench.add_argument("--scale", type=float, default=0.05)
-    bench.add_argument("--seed", type=int, default=1996)
-    bench.add_argument("--fraction", type=float, default=0.10)
-    bench.add_argument("--workers", type=_positive_int, default=1)
-    bench.add_argument("--out", default="", metavar="PATH",
-                       help="write the schema-versioned BENCH payload here")
-    bench.add_argument("--stacks-out", default="", metavar="PATH",
-                       help="write collapsed profiler stacks "
-                            "(flamegraph.pl / speedscope input)")
-    bench.add_argument("--timeseries-out", default="", metavar="PATH",
-                       help="write the benchmark runs' recorded per-day "
-                            "series as checksummed JSONL")
-    bench.add_argument("--compare", default="", metavar="BASELINE",
-                       help="gate against a baseline payload; exit 1 on "
-                            "regression beyond --threshold")
-    bench.add_argument("--current", default="", metavar="PATH",
-                       help="compare this existing payload instead of "
-                            "running the benchmark")
-    bench.add_argument("--threshold", type=float, default=15.0,
-                       help="regression threshold in percent")
-    bench.add_argument("--list", action="store_true",
-                       help="list every BENCH_*.json under --results-dir "
-                            "with schema validation; exit 1 if any is "
-                            "invalid")
-    bench.add_argument("--results-dir", default="benchmarks/results",
-                       metavar="DIR",
-                       help="directory scanned by --list")
-    _add_obs_flags(bench)
-    bench.set_defaults(func=cmd_bench)
 
     origin = commands.add_parser("origin", help="run the toy origin server")
     origin.add_argument("--host", default="127.0.0.1")

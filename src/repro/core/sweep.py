@@ -55,7 +55,7 @@ from repro.durability import (
     write_manifest,
     Journal,
 )
-from repro.obs import EventLog, Obs, Profiler
+from repro.obs import EventLog, Obs
 from repro.obs.catalog import sweep_metrics
 from repro.trace.record import Request
 
@@ -127,20 +127,13 @@ class PolicySpec:
 class SimOptions:
     """Simulator options that shape the outcome of a run.
 
-    Every result-shaping field is part of the result-cache key: changing
-    one **must** bust the cache rather than return a stale result.
-    ``profile_phases`` is the one exception — phase timing cannot
-    perturb HR/WHR (timed and untimed accesses run the same code), so it
-    is excluded from the key; a cache-served job simply reports no phase
-    timings, which is why ``repro bench`` runs without a result cache.
+    Every field is part of the result-cache key: changing one **must**
+    bust the cache rather than return a stale result.
     """
 
     seed: int = 0
     use_heap_index: bool = True
     track_positions_every: int = 0
-    #: Attach a phase timer to each job's cache, collecting per-policy
-    #: lookup/evict/admit timings (histograms + profiler).
-    profile_phases: bool = False
 
     def cache_fields(self) -> Dict[str, object]:
         return {
@@ -706,13 +699,8 @@ def _run_job_in_worker(
     start = time.perf_counter()
     # Each job collects into a private obs context whose export rides
     # the result pipeline back; the parent merges payloads in job order
-    # so parallel aggregation stays deterministic.  Profiled jobs carry
-    # a per-job profiler the same way (never a signal sampler: workers
-    # only ever use the deterministic phase timers).
-    obs = Obs(
-        events=EventLog(level=_WORKER_LOG_LEVEL),
-        profiler=Profiler() if job.options.profile_phases else None,
-    )
+    # so parallel aggregation stays deterministic.
+    obs = Obs(events=EventLog(level=_WORKER_LOG_LEVEL))
     result = _execute(_WORKER_TRACE, job, obs=obs)
     return (
         index, time.perf_counter() - start,
@@ -821,7 +809,7 @@ class SweepReport:
         return self.simulated_requests / self.wall_seconds
 
     def summary(self) -> dict:
-        """Engine telemetry as a plain dict (for BENCH_sweep.json)."""
+        """Engine telemetry as a plain dict."""
         return {
             "jobs": len(self.results),
             "workers": self.workers,
@@ -1180,12 +1168,7 @@ def run_sweep(
             # and ships its export through the same index-ordered merge
             # as the workers, so every run shape (serial, parallel,
             # resumed) assembles one identical event stream.
-            job_obs = Obs(
-                events=EventLog(level=run_obs.events.level),
-                profiler=(
-                    Profiler() if job.options.profile_phases else None
-                ),
-            )
+            job_obs = Obs(events=EventLog(level=run_obs.events.level))
             result = _execute(trace, job, obs=job_obs)
             finish(
                 index, time.perf_counter() - job_start,

@@ -20,6 +20,7 @@ from typing import Iterable, List, Optional, Sequence
 
 from repro.core.cache import HIT, SimCache
 from repro.des.engine import EventLoop
+from repro.obs.metrics import sample_quantile
 from repro.trace.record import Request
 
 __all__ = ["LatencyParameters", "LatencyReport", "estimate_latency"]
@@ -92,11 +93,7 @@ class LatencyReport:
         """Latency percentile (e.g. ``0.95``)."""
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must be in [0, 1]")
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        index = min(len(ordered) - 1, int(fraction * len(ordered)))
-        return ordered[index]
+        return sample_quantile(sorted(self.latencies), fraction)
 
 
 def estimate_latency(

@@ -83,7 +83,7 @@ class Obs:
         self.tracer = tracer if tracer is not None else Tracer()
         #: Optional deterministic profiler (:mod:`repro.obs.profile`).
         #: ``None`` by default: phase timing costs two clock reads per
-        #: cache access, so callers opt in (``repro bench`` does).
+        #: cache access, so callers opt in.
         self.profiler = profiler
 
     @classmethod
@@ -111,9 +111,6 @@ class Obs:
             "metrics": self.registry.snapshot(),
             "spans": self.tracer.to_dicts(),
             "events": self.events.to_dicts(),
-            "profile": (
-                self.profiler.export() if self.profiler is not None else None
-            ),
         }
 
     def absorb(self, payload: dict) -> None:
@@ -121,12 +118,9 @@ class Obs:
 
         Callers absorb payloads in a deterministic order (the sweep
         engine uses job order) to keep merged event streams reproducible.
+        Other keys (the ``"profile"`` leg older checkpoint journals
+        carry) are ignored.
         """
         self.registry.merge(payload.get("metrics", {}))
         self.tracer.absorb(payload.get("spans", ()))
         self.events.absorb(payload.get("events", ()))
-        profile = payload.get("profile")
-        if profile:
-            if self.profiler is None:
-                self.profiler = Profiler()
-            self.profiler.absorb(profile)

@@ -41,6 +41,8 @@ __all__ = [
     "Histogram",
     "Registry",
     "DEFAULT_BUCKETS",
+    "histogram_quantile",
+    "sample_quantile",
     "render_prometheus",
 ]
 
@@ -318,6 +320,40 @@ class Histogram(_Family):
     @property
     def count(self) -> int:
         return self._require_default().count
+
+
+def histogram_quantile(
+    q: float,
+    buckets_le: Sequence[float],
+    bucket_counts: Sequence[int],
+    inf_count: int = 0,
+) -> float:
+    """Prometheus-style quantile estimate from cumulative-free buckets.
+
+    Linearly interpolates within the bucket the rank lands in;
+    observations in the ``+Inf`` bucket clamp to the highest finite
+    edge (the same convention ``histogram_quantile()`` uses in PromQL).
+    """
+    total = sum(bucket_counts) + inf_count
+    if total == 0:
+        return 0.0
+    rank = q * total
+    running = 0.0
+    lower = 0.0
+    for le, count in zip(buckets_le, bucket_counts):
+        if count > 0 and running + count >= rank:
+            return lower + (le - lower) * (rank - running) / count
+        running += count
+        lower = le
+    return float(buckets_le[-1]) if buckets_le else 0.0
+
+
+def sample_quantile(ordered: Sequence[float], fraction: float) -> float:
+    """Nearest-rank quantile of an ascending sample (``0.0`` when empty):
+    the value at index ``min(n - 1, int(fraction * n))``."""
+    if not ordered:
+        return 0.0
+    return ordered[min(len(ordered) - 1, int(fraction * len(ordered)))]
 
 
 class Registry:

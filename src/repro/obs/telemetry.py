@@ -46,9 +46,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.httpnet.message import get_header
 from repro.obs import Obs
-from repro.obs.bench import histogram_quantile
 from repro.obs.catalog import fleet_metrics, telemetry_metrics
-from repro.obs.metrics import Registry
+from repro.obs.metrics import Registry, histogram_quantile
 from repro.obs.summarize import parse_prometheus_text
 from repro.obs.timeseries import TimeSeriesRecorder
 

@@ -27,6 +27,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.httpnet.client import request as _client_request
 from repro.httpnet.message import HttpMessageError, HttpRequest, get_header
+from repro.obs.metrics import sample_quantile
 from repro.retry import DEADLINE_HEADER
 from repro.workloads.generator import generate_valid
 
@@ -108,10 +109,7 @@ class LoadReport:
         return 100.0 * self.well_formed / self.offered
 
     def percentile(self, fraction: float) -> float:
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        return ordered[int(fraction * (len(ordered) - 1))]
+        return sample_quantile(sorted(self.latencies), fraction)
 
 
 class LoadGenerator:

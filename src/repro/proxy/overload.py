@@ -32,6 +32,8 @@ import time as _time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+from repro.obs.metrics import sample_quantile
+
 __all__ = ["MODES", "OverloadPolicy", "AdmissionController"]
 
 #: The saturation ladder, least to most degraded.
@@ -136,10 +138,7 @@ class AdmissionController:
     # -- the ladder --------------------------------------------------------------
 
     def _p95_locked(self) -> float:
-        if not self._latencies:
-            return 0.0
-        ordered = sorted(self._latencies)
-        return ordered[int(0.95 * (len(ordered) - 1))]
+        return sample_quantile(sorted(self._latencies), 0.95)
 
     def _target_mode_locked(self) -> str:
         policy = self.policy

@@ -173,6 +173,11 @@ class TestResultCache:
             report = run_sweep(trace, mutated, workers=1, result_cache=cache)
             assert report.cache_hits == 0, mutated[0].options
 
+    def test_every_option_is_part_of_the_key(self):
+        assert set(SimOptions.__dataclass_fields__) == set(
+            SimOptions().cache_fields()
+        )
+
     def test_changed_trace_busts_cache(self, trace, jobs, tmp_path):
         cache = ResultCache(tmp_path)
         run_sweep(trace, jobs, workers=1, result_cache=cache)

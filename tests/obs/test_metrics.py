@@ -1,5 +1,6 @@
 """Unit tests for the metrics registry: families, labels, histogram
-bucket semantics, snapshots/merge, and the Prometheus exposition."""
+bucket semantics, the two quantile functions, snapshots/merge, and the
+Prometheus exposition."""
 
 import pytest
 
@@ -8,7 +9,9 @@ from repro.obs.metrics import (
     DuplicateMetricError,
     MetricError,
     Registry,
+    histogram_quantile,
     render_prometheus,
+    sample_quantile,
 )
 
 
@@ -128,6 +131,43 @@ class TestHistogram:
             "repro_test_seconds", "t", buckets=(5.0, 1.0),
         )
         assert h.buckets == (1.0, 5.0)
+
+
+class TestHistogramQuantile:
+    def test_empty_is_zero(self):
+        assert histogram_quantile(0.5, [0.001, 0.01], [0, 0]) == 0.0
+
+    def test_interpolates_within_bucket(self):
+        # 10 observations all landing in (0.0, 1.0]: p50 -> 0.5.
+        assert histogram_quantile(0.5, [1.0], [10]) == pytest.approx(0.5)
+
+    def test_spans_buckets(self):
+        # 5 in (0,1], 5 in (1,2]: p95 lands in the second bucket.
+        value = histogram_quantile(0.95, [1.0, 2.0], [5, 5])
+        assert 1.0 < value <= 2.0
+
+    def test_inf_bucket_clamps_to_highest_edge(self):
+        assert histogram_quantile(
+            0.99, [1.0, 2.0], [1, 0], inf_count=99,
+        ) == 2.0
+
+
+class TestSampleQuantile:
+    def test_empty_is_zero(self):
+        assert sample_quantile([], 0.95) == 0.0
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 0.95, 1.0])
+    def test_one_sample_is_every_quantile(self, fraction):
+        assert sample_quantile([0.25], fraction) == 0.25
+
+    @pytest.mark.parametrize("fraction, expected", [
+        (0.0, 1), (0.5, 11), (0.95, 20), (1.0, 20),
+    ])
+    def test_nearest_rank_of_twenty(self, fraction, expected):
+        # index min(n - 1, int(f * n)), as bench/harness.quantile; the
+        # retired int(f * (n - 1)) read 10 at the median and 19 at p95.
+        ordered = list(range(1, 21))
+        assert sample_quantile(ordered, fraction) == expected
 
 
 class TestSnapshotMerge:

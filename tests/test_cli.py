@@ -1,9 +1,11 @@
 """Tests for the command-line interface."""
 
 import argparse
+import re
 
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main, parse_capacity, parse_policy
 from repro.core.policy import DynamicPolicy, KeyPolicy
 
@@ -136,6 +138,17 @@ class TestParser:
             build_parser().parse_args(
                 ["generate", "XX", "--out", "x.log"]
             )
+
+
+    def test_module_docstring_names_every_subcommand(self):
+        (commands,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        listed = set(re.findall(
+            r"^\* ``(\w+)``", repro.cli.__doc__, flags=re.MULTILINE,
+        ))
+        assert listed == set(commands.choices)
 
 
 class TestSweepCommand:

@@ -155,69 +155,54 @@ class TestTimeseriesExport:
         assert "checksum verified" in capsys.readouterr().out
 
 
-class TestBenchCommand:
-    def test_compare_of_identical_payloads_passes(self, tmp_path, capsys):
-        from repro.obs.bench import load_bench, write_payload
+class TestBenchCommandRetired:
+    def test_bench_is_an_argparse_error(self, capsys):
+        """``bench/run.py`` is the one perf harness; the package has no
+        ``bench`` subcommand."""
+        with pytest.raises(SystemExit) as raised:
+            main(["bench", "--list"])
+        assert raised.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
-        baseline = load_bench("benchmarks/results/BENCH_sweep.json")
-        current = tmp_path / "current.json"
-        write_payload(baseline, current)
-        assert main([
-            "bench", "--current", str(current),
-            "--compare", "benchmarks/results/BENCH_sweep.json",
-        ]) == 0
-        assert "PASS" in capsys.readouterr().out
 
-    def test_compare_detects_injected_slowdown(self, tmp_path, capsys):
-        """End-to-end negative test: a sentinel policy 2x slower than
-        the committed baseline fails the gate with exit 1."""
-        from repro.obs.bench import load_bench, write_payload
+class TestSweepResume:
+    SWEEP = ["sweep", "--workload", "C", "--scale", "0.01"]
 
-        slowed = load_bench("benchmarks/results/BENCH_sweep.json")
-        slowed["policies"]["NREF/RANDOM"]["seconds"] *= 2.0
-        current = tmp_path / "slowed.json"
-        write_payload(slowed, current)
-        assert main([
-            "bench", "--current", str(current),
-            "--compare", "benchmarks/results/BENCH_sweep.json",
-        ]) == 1
-        assert "FAIL policy NREF/RANDOM" in capsys.readouterr().out
+    def test_missing_directory_is_refused_not_created(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-dir"
+        assert main(self.SWEEP + ["--resume", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(missing) in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert not missing.exists()
 
-    def test_unreadable_baseline_is_one_line_error(self, tmp_path, capsys):
-        missing = tmp_path / "absent.json"
-        assert main([
-            "bench", "--current",
-            "benchmarks/results/BENCH_sweep.json",
-            "--compare", str(missing),
-        ]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("bench: cannot read")
-        assert len(err.strip().splitlines()) == 1
+    def test_a_file_is_not_a_checkpoint_directory(self, tmp_path, capsys):
+        path = tmp_path / "ck"
+        path.write_text("", encoding="utf-8")
+        assert main(self.SWEEP + ["--resume", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
 
-    def test_list_validates_committed_results(self, capsys):
-        """Every committed BENCH_*.json loads and reports OK — the
-        naming-drift guard (the gate writes BENCH_sweep.json; any file
-        matching the pattern must stay schema-readable)."""
-        assert main(["bench", "--list"]) == 0
+    def test_directory_without_a_manifest_restarts_cleanly(
+        self, tmp_path, capsys,
+    ):
+        """A kill between the journal's creation and the manifest's
+        first write leaves exactly this behind."""
+        empty = tmp_path / "ck"
+        empty.mkdir()
+        assert main(self.SWEEP + ["--resume", str(empty)]) == 0
         out = capsys.readouterr().out
-        assert "BENCH_sweep.json" in out
-        assert "OK" in out
-        assert "INVALID" not in out
+        assert "0 hits / 36 misses" in out
+        assert "resumed from checkpoint" not in out
 
-    def test_list_flags_an_invalid_payload(self, tmp_path, capsys):
-        (tmp_path / "BENCH_corrupt.json").write_text(
-            "{broken", encoding="utf-8",
-        )
-        assert main([
-            "bench", "--list", "--results-dir", str(tmp_path),
-        ]) == 1
-        assert "INVALID" in capsys.readouterr().out
-
-    def test_list_of_empty_directory_hints_and_passes(self, tmp_path, capsys):
-        assert main([
-            "bench", "--list", "--results-dir", str(tmp_path),
-        ]) == 0
-        assert "none" in capsys.readouterr().out
+    def test_real_checkpoint_resumes_every_job(self, tmp_path, capsys):
+        checkpoint = tmp_path / "ck"
+        assert main(
+            self.SWEEP + ["--checkpoint-dir", str(checkpoint)]
+        ) == 0
+        capsys.readouterr()
+        assert main(self.SWEEP + ["--resume", str(checkpoint)]) == 0
+        assert "36 resumed from checkpoint" in capsys.readouterr().out
 
 
 class TestObsTailCommand:

@@ -2,10 +2,12 @@
 
 ``repro.httpnet.server`` owns the accept loop and the request-head
 reader; ``repro.httpnet.client`` owns connecting out and reading a
-response; ``repro.durability`` owns the checksummed-JSONL trailer.  A
-new server, client or export that grows its own is caught at review
-time instead of drifting apart from the shared one (as the router's
-deadline-less head reader once did).
+response; ``repro.durability`` owns the checksummed-JSONL trailer;
+``repro.obs.metrics`` owns the sample quantile; ``bench/run.py``, outside
+the package, is the one perf harness.  A new server, client, export or
+benchmark runner that grows its own is caught at review time instead of
+drifting apart from the shared one (as the router's deadline-less head
+reader once did).
 """
 
 from pathlib import Path
@@ -45,3 +47,14 @@ def test_one_response_reader():
 
 def test_one_checksummed_jsonl_trailer():
     assert files_containing('"sha256"') == ["durability.py"]
+
+
+def test_one_sample_quantile():
+    assert files_containing("len(ordered)") == ["obs/metrics.py"]
+    assert files_containing("def sample_quantile") == ["obs/metrics.py"]
+    assert files_containing("def histogram_quantile") == ["obs/metrics.py"]
+
+
+def test_the_package_carries_no_benchmark():
+    assert files_containing("BENCH_") == []
+    assert files_containing("def run_bench") == []
