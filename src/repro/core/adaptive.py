@@ -70,6 +70,7 @@ class GreedyDualSize(DynamicPolicy):
         self.name = name
         self.inflation = 0.0
         self._h: Dict[str, float] = {}
+        self._newest: Dict[str, int] = {}  # url -> seq of its one live record
         self._heap: List[Tuple[float, int, str]] = []
         self._seq = 0
 
@@ -81,21 +82,30 @@ class GreedyDualSize(DynamicPolicy):
 
     def _push(self, url: str, value: float) -> None:
         self._h[url] = value
-        self._seq += 1
-        heapq.heappush(self._heap, (value, self._seq, url))
+        self._seq = self._newest[url] = seq = self._seq + 1
+        heap = self._heap
+        heapq.heappush(heap, (value, seq, url))
+        if len(heap) > 2 * len(self._h) + 64:  # HeapIndex's compaction bound
+            newest = self._newest
+            heap[:] = [record for record in heap if newest.get(record[2]) == record[1]]
+            heapq.heapify(heap)
 
     def on_admit(self, entry: CacheEntry) -> None:
         """A document entered the cache: assign its initial H value."""
         self._push(entry.url, self._value(entry))
 
     def on_hit(self, entry: CacheEntry) -> None:
-        """A hit restores (and under GDSF raises) the document's H."""
-        self._push(entry.url, self._value(entry))
+        """A hit restores (and under GDSF raises) the document's H; an
+        unmoved H already has its record, which would surface first."""
+        value = self._value(entry)
+        if value != self._h.get(entry.url):
+            self._push(entry.url, value)
 
     def on_remove(self, entry: CacheEntry) -> None:
-        """The cache dropped an entry outside eviction (modification or
-        explicit removal)."""
+        """The entry left the cache (eviction, modification or explicit
+        removal): its heap record is stale from here on."""
         self._h.pop(entry.url, None)
+        self._newest.pop(entry.url, None)
 
     def choose_victim(
         self,
@@ -105,13 +115,10 @@ class GreedyDualSize(DynamicPolicy):
     ) -> CacheEntry:
         live = {entry.url: entry for entry in entries}
         while self._heap:
-            value, _, url = self._heap[0]
-            current = self._h.get(url)
-            if current is None or current != value or url not in live:
-                heapq.heappop(self._heap)  # stale record
-                continue
-            heapq.heappop(self._heap)
-            self._h.pop(url, None)
+            value, seq, url = heapq.heappop(self._heap)
+            if self._newest.get(url) != seq or url not in live:
+                continue  # stale record
+            self.on_remove(live[url])
             # GreedyDual's ageing step: future insertions start at the
             # evicted document's value.
             self.inflation = value
@@ -119,7 +126,7 @@ class GreedyDualSize(DynamicPolicy):
         # Heap lost sync (e.g. policy object reused across caches):
         # fall back to a direct scan.
         victim = min(entries, key=self._value)
-        self._h.pop(victim.url, None)
+        self.on_remove(victim)
         self.inflation = self._value(victim)
         return victim
 

@@ -13,11 +13,11 @@ Hit semantics follow Section 1.1 of the paper exactly:
   paper is silent on this case; the decision is recorded in DESIGN.md).
 
 Eviction order is maintained by one of two interchangeable indexes:
-:class:`HeapIndex` (a lazy-invalidation heap, O(log n) per operation — the
-production choice, embodying the paper's Section 1.3 argument that keeping
-the list sorted makes on-demand removal cheap) and :class:`NaiveIndex`
-(re-sorts on demand, O(n log n) — the obviously-correct reference that
-property tests compare against).
+:class:`HeapIndex` (a lazy heap, O(log n) per admission and eviction and
+nothing per hit — the production choice, embodying the paper's Section 1.3
+argument that keeping the list sorted makes on-demand removal cheap) and
+:class:`NaiveIndex` (re-sorts on demand, O(n log n) — the obviously-correct
+reference that property tests compare against).
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class EvictionIndex:
     """Maintains policy order over the live entries of one cache."""
 
     #: Whether a hit can move an entry in this index; when it cannot,
-    #: the cache's hit path skips :meth:`on_touch`.
+    #: the cache's hit path never calls :meth:`on_touch`.
     tracks_hits = False
 
     def __init__(self, policy: KeyPolicy, entries: Dict[str, CacheEntry]) -> None:
@@ -94,7 +94,8 @@ class EvictionIndex:
         """The entry was just admitted to the cache."""
 
     def on_touch(self, entry: CacheEntry) -> None:
-        """A hit just changed the entry's ATIME/NREF."""
+        """A hit under a clock that ran backwards just lowered the
+        entry's ATIME; no other hit is reported (see :class:`HeapIndex`)."""
 
     def pop_head(self) -> CacheEntry:
         """Return the entry first in removal order; the caller removes it
@@ -112,21 +113,29 @@ class NaiveIndex(EvictionIndex):
 
 
 class HeapIndex(EvictionIndex):
-    """Heap with lazy invalidation.
+    """Heap with lazy invalidation and lazy revaluation.
 
-    Every (re)insertion and every touch of a mutable-key entry pushes a
-    record ``(sort value, seq, entry)`` and stamps the entry with ``seq``
-    (:attr:`CacheEntry.heap_seq`); a record is live iff its entry still
-    carries its sequence number — a newer push or a removal (which
-    clears the stamp) makes it stale, and stale records are dropped when
-    they surface at the heap top.  The monotonically increasing sequence
-    number also makes records totally ordered without ever comparing
-    entries themselves.
+    Every admission pushes one record ``(sort value, seq, entry, nref)``
+    and stamps the entry with ``seq`` (:attr:`CacheEntry.heap_seq`); a
+    record is live iff its entry still carries its sequence number — a
+    newer push or a removal (which clears the stamp) makes it stale, and
+    stale records are dropped when they surface at the heap top.  The
+    unique sequence number also makes records totally ordered without
+    ever comparing entries themselves.
 
-    Stale records would otherwise pile up with hits, not documents, so
-    whenever they outnumber the live ones (plus :attr:`SLACK`) the heap
-    is rebuilt from its live records — amortised O(1) per push, and pop
-    order cannot change because ``(value, seq)`` is a total order.
+    A hit pushes nothing: it can only *raise* a sort value (the
+    :class:`~repro.core.keys.SortKey` contract), so each live record's
+    stored value is <= its entry's current one and :meth:`pop_head`
+    revalues at the top only.  A top whose entry still has the NREF
+    stamped into the record has not been hit since the push: it is
+    current and, every other record understating its entry, the true
+    minimum.  Any other top is replaced by a current record and the new
+    top examined.  The one hit that can lower a value, ``now`` before
+    the entry's ATIME, reaches :meth:`on_touch` and pushes afresh.
+
+    Records orphaned by removals and such pushes are compacted away when
+    they outnumber the live ones (plus :attr:`SLACK`) — amortised O(1)
+    per push; ``(value, seq)`` is a total order, so pop order holds.
     """
 
     #: Stale records tolerated beyond one per live entry.
@@ -134,14 +143,14 @@ class HeapIndex(EvictionIndex):
 
     def __init__(self, policy: KeyPolicy, entries: Dict[str, CacheEntry]) -> None:
         super().__init__(policy, entries)
-        self._heap: List[Tuple[Tuple[float, ...], int, CacheEntry]] = []
+        self._heap: List[Tuple[Tuple[float, ...], int, CacheEntry, int]] = []
         self._seq = 0
         self.tracks_hits = policy.mutable
 
     def add(self, entry: CacheEntry) -> None:
         self._seq = entry.heap_seq = seq = self._seq + 1
         heap = self._heap
-        heapq.heappush(heap, (self.policy.sort_value(entry), seq, entry))
+        heapq.heappush(heap, (self.policy.sort_value(entry), seq, entry, entry.nref))
         if len(heap) > 2 * len(self._entries) + self.SLACK:
             heap[:] = [record for record in heap if record[2].heap_seq == record[1]]
             heapq.heapify(heap)
@@ -151,9 +160,16 @@ class HeapIndex(EvictionIndex):
     def pop_head(self) -> CacheEntry:
         heap = self._heap
         while heap:
-            _, seq, entry = heapq.heappop(heap)
-            if entry.heap_seq == seq:
+            _, seq, entry, nref = heap[0]
+            if entry.heap_seq != seq:
+                heapq.heappop(heap)
+            elif entry.nref == nref or not self.tracks_hits:
+                heapq.heappop(heap)
                 return entry
+            else:
+                heapq.heapreplace(
+                    heap, (self.policy.sort_value(entry), seq, entry, entry.nref)
+                )
         raise LookupError("cannot evict from an empty cache")
 
 
@@ -308,8 +324,11 @@ class SimCache:
         code = MISS
         if entry is not None:
             if entry.size == size:
-                entry.touch(now)
-                if self._index_touch is not None:
+                # Only a clock running backwards lowers a sort value (HeapIndex).
+                backwards = now < entry.atime
+                entry.atime = now
+                entry.nref += 1
+                if backwards and self._index_touch is not None:
                     self._index_touch(entry)
                 if self._on_hit is not None:
                     self._on_hit(entry)

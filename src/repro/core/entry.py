@@ -9,7 +9,6 @@ expiry time) and bookkeeping for tie-breaking and index invalidation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.trace.record import DocumentType
@@ -17,7 +16,6 @@ from repro.trace.record import DocumentType
 __all__ = ["CacheEntry"]
 
 
-@dataclass
 class CacheEntry:
     """State of one cached document copy.
 
@@ -37,25 +35,41 @@ class CacheEntry:
         latency: estimated refetch latency in seconds (extension key).
         expires_at: expiry time for TTL-aware removal (extension key);
             ``None`` means no expiry is known.
-        heap_seq: sequence number of the entry's newest heap-index record
-            (a popped record is live iff it carries this number); 0, set
-            on removal, matches no record.
+        heap_seq: sequence number of the entry's live heap-index record
+            (the record at the heap head is live iff it carries this
+            number); 0, set on removal, matches no record.
+
+    Slotted, with a hand-written ``__init__`` (``dataclass(slots=True)``
+    needs Python 3.10); entries compare by identity.
     """
 
-    url: str
-    size: int
-    etime: float
-    atime: float
-    nref: int = 1
-    doc_type: DocumentType = DocumentType.UNKNOWN
-    random_stamp: float = 0.0
-    latency: float = 0.0
-    expires_at: Optional[float] = None
-    heap_seq: int = 0
+    __slots__ = (
+        "url", "size", "etime", "atime", "nref", "doc_type", "random_stamp",
+        "latency", "expires_at", "heap_seq",
+    )
 
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ValueError(f"cached document size must be positive, got {self.size}")
+    def __init__(
+        self, url: str, size: int, etime: float, atime: float, nref: int = 1,
+        doc_type: DocumentType = DocumentType.UNKNOWN,
+        random_stamp: float = 0.0, latency: float = 0.0,
+        expires_at: Optional[float] = None, heap_seq: int = 0,
+    ) -> None:
+        if size <= 0:
+            raise ValueError(f"cached document size must be positive, got {size}")
+        self.url = url
+        self.size = size
+        self.etime = etime
+        self.atime = atime
+        self.nref = nref
+        self.doc_type = doc_type
+        self.random_stamp = random_stamp
+        self.latency = latency
+        self.expires_at = expires_at
+        self.heap_seq = heap_seq
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"CacheEntry({fields})"
 
     def touch(self, now: float) -> None:
         """Record a hit: update recency and reference count."""

@@ -63,8 +63,11 @@ class SortKey:
         description: Table 1 definition, for reports.
         mutable: whether the value can change while the entry is cached
             (ATIME-family and NREF change on every hit; SIZE and ETIME are
-            fixed at admission).  Sorted indexes use this to know when heap
-            records go stale.
+            fixed at admission).  Contract: a mutable key's value never
+            *falls* on a hit while the clock does not run backwards — true
+            of ATIME, DAY(ATIME) and NREF — so the heap index ignores hits
+            and revalues a record only at its head.  A key a hit lowers
+            (MRU-style) would need eager pushes back; none exists.
     """
 
     def __init__(

@@ -1,5 +1,8 @@
 """Tests for GreedyDual-Size and GDSF."""
 
+import heapq
+import random
+
 import pytest
 
 from repro.core import (
@@ -95,6 +98,87 @@ class TestMechanics:
         assert GreedyDualSize(with_frequency=True).name == "GDSF"
         assert GreedyDualSize(cost=gds_byte_cost).name == "GDS(bytes)"
         assert "GreedyDual" in GreedyDualSize().describe()
+
+
+class _NeverCompacted(GreedyDualSize):
+    """``_push`` without the compaction: a record a push, for ever."""
+
+    def _push(self, url, value):
+        self._h[url] = value
+        self._seq = self._newest[url] = seq = self._seq + 1
+        heapq.heappush(self._heap, (value, seq, url))
+
+
+class TestHeapBound:
+    """The private heap grows with documents, not hits."""
+
+    DOCUMENTS = 100
+    BOUND = 2 * DOCUMENTS + 64
+
+    def hit_heavy(self, policy, hits):
+        """Admit 100 documents of mixed sizes that exactly fill the
+        cache, hit them ``hits`` times, then flush with one document as
+        large as the cache; returns the heap's size before the flush
+        and the flush's eviction order."""
+        sizes = [10 + 3 * (i % 7) for i in range(self.DOCUMENTS)]
+        requests = [req(0, f"doc{i}", size) for i, size in enumerate(sizes)]
+        cache = SimCache(sum(sizes), policy)
+        for request in requests:
+            cache.access_code(request)
+        rng = random.Random(8)
+        picks = [min(rng.randrange(self.DOCUMENTS), rng.randrange(self.DOCUMENTS))
+                 for _ in range(10_000)]
+        access = cache.access_code
+        for step in range(hits):
+            assert access(requests[picks[step % len(picks)]], float(step)) == 0
+        heap_size = len(policy._heap)
+        evicted = []
+        cache.access_code(req(hits, "flush", sum(sizes)), None, evicted)
+        assert len(evicted) == self.DOCUMENTS
+        return heap_size, [entry.url for entry in evicted]
+
+    @pytest.mark.parametrize("with_frequency", [True, False])
+    def test_bounded_over_a_million_hits(self, with_frequency):
+        """Under GDSF every hit raises H and pushes a record; the heap is
+        compacted past the bound.  Under plain GDS no eviction moves the
+        inflation, H does not move, and a hit pushes nothing."""
+        policy = GreedyDualSize(with_frequency=with_frequency)
+        heap_size, _ = self.hit_heavy(policy, 1_000_000)
+        assert heap_size <= self.BOUND
+        if not with_frequency:
+            assert heap_size == self.DOCUMENTS
+
+    def test_compaction_keeps_the_eviction_order(self):
+        """200,000 GDSF hits: the flush evicts in exactly the order a
+        never-compacted policy gives (whose heap holds a record a hit)."""
+        hits = 200_000
+        heap_size, order = self.hit_heavy(
+            GreedyDualSize(with_frequency=True), hits,
+        )
+        reference_size, reference_order = self.hit_heavy(
+            _NeverCompacted(with_frequency=True), hits,
+        )
+        assert heap_size <= self.BOUND < reference_size == hits + self.DOCUMENTS
+        assert order == reference_order
+
+    @pytest.mark.parametrize("with_frequency", [False, True])
+    @pytest.mark.parametrize("cost", [gds_hit_cost, gds_byte_cost])
+    def test_compaction_never_moves_a_result(self, cost, with_frequency):
+        """On a generated trace (evictions, modified documents, H values
+        that tie) a record is live iff it is its document's newest, so
+        dropping the others cannot change a victim."""
+        from repro.workloads import generate_valid
+        from repro.core.experiments import max_needed_for
+        trace = generate_valid("BR", seed=23, scale=0.05)
+        capacity = max(1, int(0.1 * max_needed_for(trace)))
+        compacted, reference = (
+            simulate(trace, SimCache(capacity, cls(cost, with_frequency)))
+            for cls in (GreedyDualSize, _NeverCompacted)
+        )
+        assert compacted.metrics.total_hits == reference.metrics.total_hits
+        assert compacted.metrics.total_bytes_hit == reference.metrics.total_bytes_hit
+        assert compacted.cache.eviction_count == reference.cache.eviction_count
+        assert len(compacted.cache.policy._heap) <= len(reference.cache.policy._heap)
 
 
 class TestOnWorkload:

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import (
     ALL_KEYS,
@@ -130,3 +132,51 @@ class TestEntry:
 
     def test_atime_day(self):
         assert entry(atime=3 * 86400.0 + 5).atime_day == 3
+
+    def test_positional_and_keyword_construction_agree(self):
+        values = ("u", 7, 1.0, 2.0, 3, DocumentType.AUDIO, 0.5, 0.25, 9.0, 4)
+        positional = CacheEntry(*values)
+        keyword = CacheEntry(**dict(zip(CacheEntry.__slots__, values)))
+        for name, value in zip(CacheEntry.__slots__, values):
+            assert getattr(positional, name) == getattr(keyword, name) == value
+
+    def test_defaults(self):
+        e = CacheEntry("u", 7, 1.0, 2.0)
+        assert (e.nref, e.doc_type, e.random_stamp) == (1, DocumentType.UNKNOWN, 0.0)
+        assert (e.latency, e.expires_at, e.heap_seq) == (0.0, None, 0)
+
+    def test_slotted(self):
+        e = entry()
+        assert not hasattr(e, "__dict__")
+        with pytest.raises(AttributeError):
+            e.colour = "red"
+
+    def test_repr_names_every_field(self):
+        text = repr(entry(url="http://x/"))
+        assert text.startswith("CacheEntry(url='http://x/', size=1000, ")
+        assert all(f"{name}=" in text for name in CacheEntry.__slots__)
+
+
+entries = st.builds(
+    CacheEntry,
+    url=st.just("u"),
+    size=st.integers(min_value=1, max_value=2**40),
+    etime=st.floats(min_value=0, max_value=1e9),
+    atime=st.floats(min_value=0, max_value=1e9),
+    nref=st.integers(min_value=1, max_value=10**6),
+    doc_type=st.sampled_from(list(DocumentType)),
+    random_stamp=st.floats(min_value=0, max_value=1),
+    latency=st.floats(min_value=0, max_value=60),
+    expires_at=st.none() | st.floats(min_value=0, max_value=2e9),
+)
+
+
+@pytest.mark.parametrize("key", ALL_KEYS, ids=lambda key: key.name)
+@given(e=entries, ahead=st.floats(min_value=0, max_value=1e9))
+def test_no_key_falls_on_a_hit_under_a_forward_clock(key, e, ahead):
+    """The contract ``HeapIndex``'s lazy revaluation rests on
+    (:class:`SortKey`): while the clock does not run backwards a hit
+    never lowers a key's value, so a heap record can only understate."""
+    before = key.value(e)
+    e.touch(e.atime + ahead)
+    assert key.value(e) >= before
