@@ -11,16 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.metrics import (
-    Series,
-    moving_average,
-    ratio_series,
-    series_mean,
-)
+from repro.core.metrics import ratio_series, series_mean
 from repro.core.multilevel import TwoLevelResult
 from repro.core.partitioned import PartitionedResult
 from repro.core.simulator import SimulationResult
-from repro.obs.timeseries import hit_rate_series, weighted_hit_rate_series
 from repro.trace.record import Request
 from repro.trace.stats import (
     interreference_scatter,
@@ -43,37 +37,6 @@ __all__ = [
 ]
 
 Points = List[Tuple[float, float]]
-
-
-def _smoothed_hr(
-    result: SimulationResult, window: int = 7, stream: str = "main",
-) -> Series:
-    """Smoothed daily HR, preferring the recorded time series.
-
-    Results normally carry a
-    :class:`~repro.obs.timeseries.TimeSeriesRecorder` ticked per
-    simulated day; deriving the figures from its stream (through the
-    same :func:`~repro.core.metrics.moving_average`) is byte-identical
-    to the legacy in-collector computation — the differential test in
-    ``tests/analysis`` pins that — and keeps one code path for live,
-    cached, and cross-process results.
-    """
-    recorder = getattr(result, "timeseries", None)
-    if recorder is not None:
-        return moving_average(hit_rate_series(recorder, stream), window)
-    return result.metrics.smoothed_hr(window)
-
-
-def _smoothed_whr(
-    result: SimulationResult, window: int = 7, stream: str = "main",
-) -> Series:
-    """Smoothed daily WHR, preferring the recorded time series."""
-    recorder = getattr(result, "timeseries", None)
-    if recorder is not None:
-        return moving_average(
-            weighted_hit_rate_series(recorder, stream), window,
-        )
-    return result.metrics.smoothed_whr(window)
 
 
 @dataclass
@@ -122,6 +85,7 @@ def fig3_7_infinite_cache(
     result: SimulationResult, workload: str
 ) -> FigureSeries:
     """Figures 3-7: infinite-cache HR and WHR, 7-day moving average."""
+    metrics = result.metrics
     return FigureSeries(
         figure_id={"U": "fig3", "G": "fig4", "C": "fig5",
                    "BL": "fig6", "BR": "fig7"}.get(workload, "fig3-7"),
@@ -129,8 +93,8 @@ def fig3_7_infinite_cache(
         xlabel="Day",
         ylabel="Percent",
         series={
-            "HR": [(float(d), v) for d, v in _smoothed_hr(result)],
-            "WHR": [(float(d), v) for d, v in _smoothed_whr(result)],
+            "HR": [(float(d), v) for d, v in metrics.smoothed_hr()],
+            "WHR": [(float(d), v) for d, v in metrics.smoothed_whr()],
         },
     )
 
@@ -144,11 +108,11 @@ def fig8_12_primary_keys(
     """Figures 8-12: each primary key's smoothed HR as a percentage of the
     infinite-cache smoothed HR (the figures plot SIZE, ETIME, ATIME, NREF;
     the paper notes LOG2SIZE tracks SIZE and DAY(ATIME) tracks ETIME)."""
-    infinite_hr = _smoothed_hr(infinite_result)
+    infinite_hr = infinite_result.metrics.smoothed_hr()
     series: Dict[str, Points] = {}
     for key in keys:
         result = finite_results[key]
-        ratio = ratio_series(_smoothed_hr(result), infinite_hr)
+        ratio = ratio_series(result.metrics.smoothed_hr(), infinite_hr)
         series[key] = [(float(d), v) for d, v in ratio]
     return FigureSeries(
         figure_id={"U": "fig8", "G": "fig9", "C": "fig10",
@@ -203,12 +167,12 @@ def fig15_secondary_keys(
 ) -> FigureSeries:
     """Figure 15: each secondary key's smoothed WHR as a percentage of the
     RANDOM secondary's, primary key fixed at ⌊log2(SIZE)⌋."""
-    baseline = _smoothed_whr(secondary_results["RANDOM"])
+    baseline = secondary_results["RANDOM"].metrics.smoothed_whr()
     series: Dict[str, Points] = {}
     for name, result in secondary_results.items():
         if name == "RANDOM":
             continue
-        ratio = ratio_series(_smoothed_whr(result), baseline)
+        ratio = ratio_series(result.metrics.smoothed_whr(), baseline)
         series[name] = [(float(d), v) for d, v in ratio]
     return FigureSeries(
         figure_id="fig15",
@@ -226,6 +190,7 @@ def fig16_18_second_level(
     result: TwoLevelResult, workload: str
 ) -> FigureSeries:
     """Figures 16-18: second-level cache HR and WHR over all requests."""
+    l2 = result.l2_metrics
     return FigureSeries(
         figure_id={"BR": "fig16", "C": "fig17", "G": "fig18"}.get(
             workload, "fig16-18"
@@ -234,26 +199,10 @@ def fig16_18_second_level(
         xlabel="Day",
         ylabel="Percent",
         series={
-            "WHR": [
-                (float(d), v) for d, v in moving_average(_l2_whr(result))
-            ],
-            "HR": [
-                (float(d), v) for d, v in moving_average(_l2_hr(result))
-            ],
+            "WHR": [(float(d), v) for d, v in l2.smoothed_whr()],
+            "HR": [(float(d), v) for d, v in l2.smoothed_hr()],
         },
     )
-
-
-def _l2_hr(result: TwoLevelResult) -> Series:
-    if result.timeseries is not None:
-        return hit_rate_series(result.timeseries, stream="l2")
-    return result.l2_metrics.hr_series()
-
-
-def _l2_whr(result: TwoLevelResult) -> Series:
-    if result.timeseries is not None:
-        return weighted_hit_rate_series(result.timeseries, stream="l2")
-    return result.l2_metrics.whr_series()
 
 
 def fig19_20_partitioned(
@@ -275,7 +224,7 @@ def fig19_20_partitioned(
         series[label] = [(float(d), v) for d, v in points]
     if infinite_result is not None:
         series["infinite cache WHR"] = [
-            (float(d), v) for d, v in _smoothed_whr(infinite_result)
+            (float(d), v) for d, v in infinite_result.metrics.smoothed_whr()
         ]
     return FigureSeries(
         figure_id="fig19" if partition == "audio" else "fig20",

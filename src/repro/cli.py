@@ -202,16 +202,17 @@ def _build_obs(args: argparse.Namespace):
 
 
 def _write_timeseries_out(named, path: str) -> None:
-    """Write named recorders as one checksummed JSONL stream."""
+    """Write named results' per-day series as one checksummed JSONL
+    stream (each result's recorder is built here, from its collector)."""
     from repro.obs.timeseries import merge_samples, write_timeseries
 
-    with_recorder = [
-        (name, recorder) for name, recorder in named if recorder is not None
-    ]
-    count = write_timeseries(merge_samples(with_recorder), path)
+    count = write_timeseries(
+        merge_samples([(name, result.timeseries) for name, result in named]),
+        path,
+    )
     print(
         f"wrote {count} time-series sample(s) from "
-        f"{len(with_recorder)} run(s) to {path}"
+        f"{len(named)} run(s) to {path}"
     )
 
 
@@ -330,7 +331,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         f"MaxNeeded {infinite.max_used_bytes / 2**20:.1f} MB\n"
     )
     obs = _build_obs(args)
-    recorders = [("infinite", getattr(infinite, "timeseries", None))]
+    runs = [("infinite", infinite)]
     if args.number == 1:
         smoothed = infinite.metrics.smoothed_hr()
         rows = [
@@ -356,16 +357,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                 f"{100 * args.fraction:.0f}% of MaxNeeded"
             ),
         ))
-        recorders += [
-            (name, getattr(result, "timeseries", None))
-            for name, result in sweep.items()
-        ]
+        runs += sweep.items()
         secondary = secondary_key_sweep(
             trace, infinite.max_used_bytes, args.fraction, seed=args.seed,
             workers=args.workers, result_cache=result_cache, obs=obs,
         )
-        recorders += [
-            (f"secondary/{name}", getattr(result, "timeseries", None))
+        runs += [
+            (f"secondary/{name}", result)
             for name, result in secondary.items()
         ]
         baseline = secondary["RANDOM"].weighted_hit_rate
@@ -384,7 +382,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         result = run_two_level(
             trace, infinite.max_used_bytes, args.fraction, seed=args.seed,
         )
-        recorders.append(("two-level", result.timeseries))
+        runs.append(("two-level", result))
         print(render_table(
             ["level", "HR% (all requests)", "WHR% (all requests)"],
             [
@@ -407,7 +405,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         rows = []
         for fraction in sorted(sweep):
             result = sweep[fraction]
-            recorders.append((f"audio={fraction:.2f}", result.timeseries))
+            runs.append((f"audio={fraction:.2f}", result))
             rows.append([
                 f"{fraction:.2f}",
                 f"{result.class_metrics['audio'].weighted_hit_rate:.2f}",
@@ -421,7 +419,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             title="Experiment 4: partitioned cache",
         ))
     if args.timeseries_out:
-        _write_timeseries_out(recorders, args.timeseries_out)
+        _write_timeseries_out(runs, args.timeseries_out)
     _export_obs(obs, args)
     return 0
 
@@ -549,8 +547,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
               f"to {args.results_out}")
     if args.timeseries_out:
         _write_timeseries_out(
-            [(jr.result.name, jr.result.timeseries)
-             for jr in report.results],
+            [(jr.result.name, jr.result) for jr in report.results],
             args.timeseries_out,
         )
     _export_obs(obs, args)

@@ -56,13 +56,23 @@ class DayStats:
 
 @dataclass
 class MetricsCollector:
-    """Accumulates per-day and cumulative HR/WHR over a simulation."""
+    """Accumulates per-day and cumulative HR/WHR over a simulation.
+
+    The collector is the one record of a replay's per-day history: the
+    four counters per recorded day, plus — stamped by the replay driver
+    when it closes a day — the cache's end-of-day occupancy.
+    """
 
     days: Dict[int, DayStats] = field(default_factory=dict)
     total_requests: int = 0
     total_hits: int = 0
     total_bytes_requested: int = 0
     total_bytes_hit: int = 0
+    #: day -> end-of-day ``(used_bytes, documents)`` of the cache this
+    #: collector describes; not part of equality, which is over counters.
+    occupancy: Dict[int, Tuple[int, int]] = field(
+        default_factory=dict, compare=False,
+    )
 
     def record(self, request: Request, is_hit: bool) -> None:
         """Account one valid request and whether the cache served it."""

@@ -49,9 +49,17 @@ class TwoLevelResult:
     l2_local_metrics: MetricsCollector
     l1_cache: SimCache
     l2_cache: SimCache
-    #: Per-day sample stream with ``l1`` / ``l2`` streams (the ``l2``
-    #: stream counts every client request, matching ``l2_metrics``).
-    timeseries: Optional[object] = None
+
+    @property
+    def timeseries(self):
+        """Per-day sample stream with ``l1`` / ``l2`` streams (the
+        ``l2`` stream counts every client request, matching
+        ``l2_metrics``), built from the collectors on every read."""
+        from repro.obs.timeseries import recorder_from_collectors
+
+        return recorder_from_collectors(
+            [("l1", self.l1_metrics), ("l2", self.l2_metrics)]
+        )
 
 
 class TwoLevelCache:
@@ -95,20 +103,18 @@ def simulate_two_level(
     l1: SimCache,
     l2: Optional[SimCache] = None,
     name: str = "",
-    timeseries=None,
 ) -> TwoLevelResult:
     """Drive a two-level hierarchy over a valid trace.
 
     ``l2`` defaults to an infinite cache, the Experiment 3 configuration.
-    The recorder (private by default; pass ``False`` to disable) is
-    ticked at every simulated-day boundary with one stream per level, so
-    Figures 16-18 derive from the recorded series.
+    Each level's end-of-day occupancy is stamped into its collector
+    (``l1_metrics``, ``l2_metrics``) at every simulated-day boundary.
     """
     if l2 is None:
         l2 = SimCache(capacity=None)
     hierarchy = TwoLevelCache(l1, l2, name=name)
-    days = DayTicks(timeseries, [
-        ("l1", hierarchy.l1_metrics, l1), ("l2", hierarchy.l2_metrics, l2),
+    days = DayTicks([
+        (hierarchy.l1_metrics, l1), (hierarchy.l2_metrics, l2),
     ])
     day_start = day_end = 0.0
     for request in trace:
@@ -116,9 +122,7 @@ def simulate_two_level(
             day_start, day_end = days.roll(request.timestamp)
         hierarchy.access(request)
     days.close()
-    result = hierarchy.result()
-    result.timeseries = days.recorder
-    return result
+    return hierarchy.result()
 
 
 @dataclass

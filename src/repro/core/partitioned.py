@@ -14,7 +14,7 @@ directly comparable to the unpartitioned WHR.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from repro.core.cache import SimCache
 from repro.core.metrics import MetricsCollector, Series, moving_average
@@ -50,21 +50,20 @@ class PartitionedResult:
     partitions: Dict[str, SimCache]
     class_metrics: Dict[str, MetricsCollector]
     overall: MetricsCollector
-    #: Per-day sample stream with one stream per partition class (each
-    #: counting every request, the Figures 19-20 convention) plus an
-    #: ``overall`` stream.
-    timeseries: Optional[object] = None
+
+    @property
+    def timeseries(self):
+        """Per-day sample stream with one stream per partition class
+        (each counting every request, the Figures 19-20 convention) plus
+        an ``overall`` stream, built from the collectors on every read."""
+        from repro.obs.timeseries import recorder_from_collectors
+
+        return recorder_from_collectors(
+            [*self.class_metrics.items(), ("overall", self.overall)]
+        )
 
     def class_whr_series(self, class_name: str, window: int = 7) -> Series:
-        """Smoothed WHR-over-all-requests series for one class — from
-        the recorded time series when present, else the collector."""
-        if self.timeseries is not None:
-            from repro.obs.timeseries import weighted_hit_rate_series
-
-            return moving_average(
-                weighted_hit_rate_series(self.timeseries, stream=class_name),
-                window,
-            )
+        """Smoothed WHR-over-all-requests series for one class."""
         return moving_average(
             self.class_metrics[class_name].whr_series(), window
         )
@@ -120,7 +119,6 @@ def simulate_partitioned(
     classify: Callable[[Request], str] = audio_partition,
     name: str = "",
     seed: int = 0,
-    timeseries=None,
 ) -> PartitionedResult:
     """Drive a partitioned cache over a valid trace.
 
@@ -148,10 +146,10 @@ def simulate_partitioned(
             capacity=capacity, policy=policy_factory(), seed=seed + index,
         )
     cache = PartitionedCache(partitions, classify)
-    days = DayTicks(timeseries, [
-        (part_name, cache.class_metrics[part_name], partitions[part_name])
-        for part_name in sorted(partitions)
-    ] + [("overall", cache.overall, None)])
+    days = DayTicks([
+        (cache.class_metrics[part_name], partition)
+        for part_name, partition in partitions.items()
+    ])
     day_start = day_end = 0.0
     for request in trace:
         if not day_start <= request.timestamp < day_end:
@@ -163,5 +161,4 @@ def simulate_partitioned(
         partitions=cache.partitions,
         class_metrics=cache.class_metrics,
         overall=cache.overall,
-        timeseries=days.recorder,
     )

@@ -41,11 +41,18 @@ class SimulationResult:
     #: time; empty unless ``track_positions_every`` was set.  Position 0
     #: is the next eviction victim.
     hit_positions: List = field(default_factory=list)
-    #: Per-simulated-day sample stream
-    #: (:class:`repro.obs.timeseries.TimeSeriesRecorder`), ticked at
-    #: every day boundary of the trace clock; the figures' HR/WHR and
-    #: occupancy-over-time series derive from it.
-    timeseries: Optional[object] = None
+
+    @property
+    def timeseries(self):
+        """The replay's per-simulated-day sample stream (a
+        :class:`repro.obs.timeseries.TimeSeriesRecorder` with one
+        ``main`` stream): a view built from ``metrics`` on every read,
+        never stored — a live result, one that crossed a process
+        boundary and one served from the result cache hold the same
+        collector, so they give the same samples."""
+        from repro.obs.timeseries import recorder_from_collectors
+
+        return recorder_from_collectors([("main", self.metrics)])
 
     @property
     def hit_rate(self) -> float:
@@ -93,50 +100,34 @@ class DayTicks:
 
     A driver keeps the running day's ``[start, end)`` bounds in locals
     and calls :meth:`roll` when a timestamp falls outside them, then
-    :meth:`close` after the last request.  Both take the end-of-day
-    snapshot — the day's last request has been processed, so collectors
-    hold its final state: each stream's ticker is updated from its
-    collector, then the recorder is ticked once.
+    :meth:`close` after the last request.  Closing a day stamps each
+    cache's end-of-day occupancy into its collector, beside the day's
+    counters (a day the clock re-enters is stamped again: the last
+    close wins).
 
     Args:
-        timeseries: a :class:`~repro.obs.timeseries.TimeSeriesRecorder`,
-            ``None`` for a private one, or ``False`` to record nothing.
-        streams: ``(stream name, collector, cache or None)`` per stream.
+        streams: ``(collector, cache)`` per cache whose occupancy is
+            recorded.
     """
 
     def __init__(
-        self,
-        timeseries,
-        streams: Sequence[Tuple[str, MetricsCollector, Optional[SimCache]]],
+        self, streams: Sequence[Tuple[MetricsCollector, SimCache]],
     ) -> None:
-        from repro.obs.timeseries import SimStreamTicker, TimeSeriesRecorder
-
         self.day: Optional[int] = None
-        if timeseries is False:
-            self.recorder = None
-            return
-        self.recorder = (
-            timeseries if timeseries is not None else TimeSeriesRecorder()
-        )
-        self._tickers = [
-            (SimStreamTicker(self.recorder, stream), collector, cache)
-            for stream, collector, cache in streams
-        ]
+        self._streams = streams
 
     def roll(self, timestamp: float) -> Tuple[float, float]:
-        """Snapshot the running day (if any) and open the day holding
+        """Close the running day (if any) and open the day holding
         ``timestamp``; returns the new day's bounds in seconds."""
-        self.close(force=False)
+        self.close()
         self.day = day = int(timestamp // 86400)
         return day * 86400.0, (day + 1) * 86400.0
 
-    def close(self, force: bool = True) -> None:
-        """Snapshot the running day; forced at the end of a replay, so
-        a trace always ends with a sample."""
-        if self.day is not None and self.recorder is not None:
-            for ticker, collector, cache in self._tickers:
-                ticker.update(collector, cache)
-            self.recorder.tick(self.day, force=force)
+    def close(self) -> None:
+        """Stamp the running day's end-of-day occupancy."""
+        if self.day is not None:
+            for collector, cache in self._streams:
+                collector.occupancy[self.day] = (cache.used_bytes, len(cache))
 
 
 def simulate(
@@ -145,14 +136,16 @@ def simulate(
     name: str = "",
     track_positions_every: int = 0,
     obs=None,
-    timeseries=None,
     profiler=None,
 ) -> SimulationResult:
     """Drive ``cache`` over a *valid* trace.
 
     The trace must already be validated (Section 1.1); feeding raw logs
     here would count invalid requests in HR/WHR.  All experiments start
-    with an empty cache and run the full trace (Section 3.2).
+    with an empty cache and run the full trace (Section 3.2).  The
+    result's ``metrics`` are the one record of the replay's days — the
+    counters and the end-of-day occupancy; the sample stream is derived
+    from them when read, so the loop builds no recorder.
 
     Args:
         trace: the validated request stream.
@@ -167,11 +160,6 @@ def simulate(
             event channel at debug level, and the whole replay runs
             under a ``sim.replay`` span.  Instrumentation reads state
             only — it can never perturb HR/WHR.
-        timeseries: optional
-            :class:`~repro.obs.timeseries.TimeSeriesRecorder` to tick at
-            every simulated-day boundary.  ``None`` (the default)
-            creates a private per-day recorder; pass ``False`` to
-            disable recording entirely.
         profiler: optional :class:`~repro.obs.profile.Profiler`.  When
             set (or when ``obs.profiler`` is), the replay attaches a
             phase timer to the cache, timing the lookup / evict / admit
@@ -189,7 +177,7 @@ def simulate(
     evicted = (
         [] if channel is not None and channel.enabled_for("debug") else None
     )
-    days = DayTicks(timeseries, [("main", metrics, cache)])
+    days = DayTicks([(metrics, cache)])
     if profiler is None and obs is not None:
         profiler = obs.profiler
     if profiler is not None:
@@ -213,8 +201,7 @@ def simulate(
     if span_cm is not None:
         span_cm.__enter__()
     # The flat loop: outcomes are counted per integer code and bytes in
-    # locals; ``metrics`` is brought up to date at each day boundary,
-    # before the day's snapshot reads it.
+    # locals; ``metrics`` is brought up to date at each day boundary.
     access = cache.access_code
     counts = [0] * len(OUTCOMES)
     bytes_requested = bytes_hit = hit_count = 0
@@ -280,7 +267,6 @@ def simulate(
         cache=cache,
         outcomes=outcomes,
         hit_positions=hit_positions,
-        timeseries=days.recorder,
     )
 
 

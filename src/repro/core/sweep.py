@@ -83,8 +83,8 @@ ENGINE_VERSION = 1
 #: On-disk envelope format of :class:`ResultCache` entries.  Bumped when
 #: the envelope (not the simulation) changes; entries with any other
 #: version are quarantined and recomputed, never silently reinterpreted.
-#: v3 added the per-day ``occupancy`` map that reconstructs each
-#: result's :class:`~repro.obs.timeseries.TimeSeriesRecorder`.
+#: v3 added the per-day ``occupancy`` map (end-of-day used bytes and
+#: document count, the collector's day stamps).
 RESULT_SCHEMA_VERSION = 3
 
 
@@ -208,26 +208,17 @@ class CacheStats:
 def result_to_record(result: SimulationResult) -> dict:
     """Flatten a simulation result into a JSON-serialisable record.
 
-    The per-day ``days`` counters plus the ``occupancy`` map are exactly
-    what :func:`record_to_result` needs to rebuild the result's
-    :class:`~repro.obs.timeseries.TimeSeriesRecorder`, so recorded
-    streams survive the result cache and the worker boundary
-    byte-identically.
+    The per-day ``days`` counters and the ``occupancy`` map (day ->
+    ``[used_bytes, documents]`` at end of day) are the collector's whole
+    day history, so the result's sample stream survives the result cache
+    and the worker boundary byte-identically.
     """
-    occupancy: Dict[str, List[int]] = {}
-    recorder = result.timeseries
-    if recorder is not None:
-        used = recorder.series("repro_sim_ts_used_bytes", stream="main")
-        documents = dict(
-            recorder.series("repro_sim_ts_documents", stream="main")
-        )
-        occupancy = {
-            str(day): [int(value), int(documents.get(day, 0.0))]
-            for day, value in used
-        }
     metrics = result.metrics
     return {
-        "occupancy": occupancy,
+        "occupancy": {
+            str(day): list(pair)
+            for day, pair in sorted(metrics.occupancy.items())
+        },
         "name": result.name,
         "policy_name": result.policy_name,
         "capacity": result.capacity,
@@ -264,11 +255,11 @@ def record_to_result(record: dict) -> SimulationResult:
     """Rebuild a :class:`SimulationResult` (with a :class:`CacheStats`
     shim in place of the live cache) from a flattened record.
 
-    The time-series recorder is replayed from the record's per-day
-    counters in day order — the same integer increments the live
-    simulation applied at each day boundary — so the reconstructed
-    sample stream is byte-identical to the one the original run
-    recorded (the serial/parallel/cached differential tests pin this).
+    The collector comes back whole — day counters, totals and the
+    end-of-day occupancy stamps — so ``result.timeseries`` of the
+    rebuilt result gives the samples the original run's would (the
+    serial/parallel/cached differential tests pin this).  A record
+    written before the ``occupancy`` map existed rebuilds without stamps.
     """
     metrics = MetricsCollector()
     for day, (requests, hits, bytes_requested, bytes_hit) in sorted(
@@ -278,7 +269,8 @@ def record_to_result(record: dict) -> SimulationResult:
             requests=requests, hits=hits,
             bytes_requested=bytes_requested, bytes_hit=bytes_hit,
         )
-    recorder = _rebuild_recorder(record, metrics)
+    for day, pair in record.get("occupancy", {}).items():
+        metrics.occupancy[int(day)] = tuple(pair)
     (metrics.total_requests, metrics.total_hits,
      metrics.total_bytes_requested, metrics.total_bytes_hit) = (
         record["totals"]
@@ -306,37 +298,7 @@ def record_to_result(record: dict) -> SimulationResult:
         cache=shim,  # type: ignore[arg-type]
         outcomes=outcomes,
         hit_positions=[tuple(pair) for pair in record["hit_positions"]],
-        timeseries=recorder,
     )
-
-
-def _rebuild_recorder(record: dict, metrics: MetricsCollector):
-    """Replay a record's per-day counters into a fresh recorder.
-
-    Records written before the occupancy map existed (schema < 3
-    journals) reconstruct without one: ``timeseries`` stays ``None``
-    and consumers fall back to the metrics collector.
-    """
-    occupancy = record.get("occupancy")
-    if occupancy is None:
-        return None
-    from repro.obs.timeseries import SimStreamTicker, TimeSeriesRecorder
-
-    recorder = TimeSeriesRecorder()
-    ticker = SimStreamTicker(recorder, stream="main")
-    running = MetricsCollector()
-    for day in sorted(metrics.days):
-        stats = metrics.days[day]
-        running.total_requests += stats.requests
-        running.total_hits += stats.hits
-        running.total_bytes_requested += stats.bytes_requested
-        running.total_bytes_hit += stats.bytes_hit
-        ticker.update(running)
-        day_occupancy = occupancy.get(str(day))
-        if day_occupancy is not None:
-            ticker.set_occupancy(*day_occupancy)
-        recorder.tick(day, force=True)
-    return recorder
 
 
 # -- the on-disk result cache -------------------------------------------------
@@ -975,33 +937,65 @@ def run_sweep(
         #: here, so every run shape merges telemetry identically.
         worker_exports: Dict[int, dict] = {}
 
+        failed_once: Set[int] = set()
+
+        def settle(
+            index: int, record: dict, seconds: float,
+            export: Optional[dict], source: str, resumed: bool = False,
+        ) -> None:
+            """Fill one job's slot from its record, count it, journal
+            it — the one way a job finishes.  ``source`` is its
+            ``repro_sweep_jobs_total`` label; a record ``resumed`` from
+            the journal is neither stored nor journaled again."""
+            job = jobs[index]
+            computed = source == "computed"
+            if result_cache is not None:
+                if not computed:
+                    m.result_cache.labels(event="hit").inc()
+                else:
+                    if resumed:  # a fresh miss was counted at its lookup
+                        m.result_cache.labels(event="miss").inc()
+                    else:
+                        result_cache.put(job, trace_hash, record)
+                    m.result_cache.labels(event="store").inc()
+            if export is not None:
+                worker_exports[index] = export
+            slots[index] = JobResult(
+                job=job, result=record_to_result(record),
+                seconds=seconds, from_cache=not computed,
+            )
+            m.jobs.labels(source=source).inc()
+            if computed:
+                m.job_seconds.observe(seconds)
+                if index in failed_once:
+                    m.recovered.inc()
+            if resumed:
+                m.resumed.inc()
+                channel.debug(
+                    "job.resumed", index=index, policy=job.spec.label,
+                    capacity=job.capacity, from_cache=not computed,
+                )
+                return
+            if checkpoint is not None:
+                checkpoint.record(
+                    index, seconds, record, export, from_cache=not computed,
+                )
+            if computed and index in coordinator_kills:
+                # Chaos: the coordinator dies right after this job's
+                # result hit the journal — the worst-timed crash a
+                # resume must recover from.
+                kill_hook(index)
+
         # Replay the checkpoint journal: restore each finished job's
         # slot, export, and telemetry exactly as the original run
         # recorded them, so the resumed run's report and event stream
         # are byte-identical to an uninterrupted one.
         for entry in resumed_records:
-            index = entry["index"]
-            job = jobs[index]
-            slots[index] = JobResult(
-                job=job, result=record_to_result(entry["record"]),
-                seconds=entry["seconds"], from_cache=entry["from_cache"],
-            )
-            if entry.get("export") is not None:
-                worker_exports[index] = entry["export"]
-            m.resumed.inc()
-            if entry["from_cache"]:
-                m.jobs.labels(source="cached").inc()
-                if result_cache is not None:
-                    m.result_cache.labels(event="hit").inc()
-            else:
-                m.jobs.labels(source="computed").inc()
-                m.job_seconds.observe(entry["seconds"])
-                if result_cache is not None:
-                    m.result_cache.labels(event="miss").inc()
-                    m.result_cache.labels(event="store").inc()
-            channel.debug(
-                "job.resumed", index=index, policy=job.spec.label,
-                capacity=job.capacity, from_cache=entry["from_cache"],
+            settle(
+                entry["index"], entry["record"], entry["seconds"],
+                entry.get("export"),
+                "cached" if entry["from_cache"] else "computed",
+                resumed=True,
             )
         if resumed_records:
             channel.debug(
@@ -1030,53 +1024,14 @@ def run_sweep(
             else:
                 record = None
             if record is not None:
-                m.jobs.labels(source="cached").inc()
-                m.result_cache.labels(event="hit").inc()
-                record = dict(record, name=job.name or job.spec.label)
-                slots[index] = JobResult(
-                    job=job, result=record_to_result(record),
-                    seconds=0.0, from_cache=True,
+                settle(
+                    index, dict(record, name=job.name or job.spec.label),
+                    0.0, None, "cached",
                 )
-                if checkpoint is not None:
-                    checkpoint.record(
-                        index, 0.0, record, None, from_cache=True,
-                    )
             else:
                 if result_cache is not None:
                     m.result_cache.labels(event="miss").inc()
                 pending.append((index, job))
-
-        failed_once: Set[int] = set()
-
-        def finish(
-            index: int,
-            seconds: float,
-            record: dict,
-            export: Optional[dict] = None,
-        ) -> None:
-            job = jobs[index]
-            if result_cache is not None:
-                result_cache.put(job, trace_hash, record)
-                m.result_cache.labels(event="store").inc()
-            if export is not None:
-                worker_exports[index] = export
-            slots[index] = JobResult(
-                job=job, result=record_to_result(record),
-                seconds=seconds, from_cache=False,
-            )
-            m.jobs.labels(source="computed").inc()
-            m.job_seconds.observe(seconds)
-            if index in failed_once:
-                m.recovered.inc()
-            if checkpoint is not None:
-                checkpoint.record(
-                    index, seconds, record, export, from_cache=False,
-                )
-            if index in coordinator_kills:
-                # Chaos: the coordinator dies right after this job's
-                # result hit the journal — the worst-timed crash a
-                # resume must recover from.
-                kill_hook(index)
 
         remaining = list(pending)
         if remaining and workers > 1:
@@ -1117,7 +1072,10 @@ def run_sweep(
                                 # traceback.
                                 pass
                             else:
-                                finish(index, seconds, record, export)
+                                settle(
+                                    index, record, seconds, export,
+                                    "computed",
+                                )
                                 completed.add(index)
                             if stop["signum"] is not None and not draining:
                                 # Graceful drain: queued jobs are
@@ -1170,9 +1128,10 @@ def run_sweep(
             # resumed) assembles one identical event stream.
             job_obs = Obs(events=EventLog(level=run_obs.events.level))
             result = _execute(trace, job, obs=job_obs)
-            finish(
-                index, time.perf_counter() - job_start,
-                result_to_record(result), job_obs.export(),
+            seconds = time.perf_counter() - job_start
+            settle(
+                index, result_to_record(result), seconds,
+                job_obs.export(), "computed",
             )
         # (workers == 1 lands here directly: the plain serial path.)
 

@@ -106,7 +106,7 @@ def timeseries_metrics(registry: Registry) -> SimpleNamespace:
     :class:`~repro.obs.timeseries.TimeSeriesRecorder`; the ``stream``
     label distinguishes the caches of one simulation (``main``, ``l1``,
     ``l2``, partition class names).  Counters are cumulative over the
-    trace; the per-day views are the recorder's ``delta``/``rate``.
+    trace; a day's own counts are the collector's ``days``.
     """
     return SimpleNamespace(
         requests=registry.counter(

@@ -4,30 +4,30 @@ The paper's Experiment 2 response variables are *time series* — HR/WHR
 as 7-day moving averages over trace time — so end-of-run snapshots are
 not enough.  :class:`TimeSeriesRecorder` snapshots any
 :class:`~repro.obs.metrics.Registry` on a simulated-clock cadence (per
-simulated day by default): the simulator ticks it at every day boundary
-of the trace clock, and each tick flattens the registry into
+simulated day by default); each tick flattens the registry into
 ``(sim_day, metric, labels, value)`` samples in one canonical order.
 
-Determinism: samples depend only on the simulated clock and the counter
-values at each boundary — never on wall time — so serial, parallel, and
-result-cached replays of the same job produce byte-identical streams.
-The JSONL export carries a trailing SHA-256 checksum line, making
-truncation detectable (``repro obs summarize --timeseries``).
+A simulation does not tick one.  Its per-day history is stored once, in
+its :class:`~repro.core.metrics.MetricsCollector` (day counters and
+end-of-day occupancy), and :func:`recorder_from_collectors` builds the
+recorder from that when ``result.timeseries`` is read.  The fleet's
+:class:`~repro.obs.telemetry.TelemetryAggregator` is the one caller
+that ticks a recorder live, once per scrape round.
 
-Derived views (:meth:`~TimeSeriesRecorder.smoothed`,
-:meth:`~TimeSeriesRecorder.delta`, :meth:`~TimeSeriesRecorder.rate`)
-turn cumulative counter series into the paper's plotted quantities; the
-moving average is :func:`repro.core.metrics.moving_average` itself, so
-figures driven by the recorder use the exact smoothing the analysis
-layer always used.
+Determinism: samples depend only on the simulated clock and the counter
+values at each boundary — never on wall time — and a serial, a parallel
+and a result-cached replay of the same job hold the same collector, so
+their streams are byte-identical by construction.  The JSONL export
+carries a trailing SHA-256 checksum line, making truncation detectable
+(``repro obs summarize --timeseries``).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.metrics import Series, moving_average
+from repro.core.metrics import MetricsCollector, Series
 from repro.durability import (
     jsonl_checksum,
     read_checksummed_jsonl,
@@ -39,9 +39,7 @@ __all__ = [
     "TimeSeriesRecorder",
     "TimeSeriesError",
     "SimStreamTicker",
-    "hit_rate_series",
-    "weighted_hit_rate_series",
-    "occupancy_series",
+    "recorder_from_collectors",
     "read_timeseries",
     "write_timeseries",
     "merge_samples",
@@ -87,8 +85,7 @@ class TimeSeriesRecorder:
 
         Returns whether a snapshot was recorded: days closer than
         ``cadence`` to the last recorded one are skipped unless
-        ``force`` is set (the simulator forces the final day so a trace
-        always ends with a sample).  Re-ticking a recorded day
+        ``force`` is set.  Re-ticking a recorded day
         overwrites its samples — the last snapshot of a day wins.
         """
         sim_day = int(sim_day)
@@ -154,40 +151,6 @@ class TimeSeriesRecorder:
                     break
         return out
 
-    # -- derived views -------------------------------------------------------
-
-    def delta(self, metric: str, **labels: object) -> Series:
-        """Per-snapshot increments of a cumulative series (the first
-        recorded day's delta is its value: counters start at zero)."""
-        out: Series = []
-        previous = 0.0
-        for day, value in self.series(metric, **labels):
-            out.append((day, value - previous))
-            previous = value
-        return out
-
-    def rate(self, metric: str, **labels: object) -> Series:
-        """Per-snapshot increments divided by the simulated-day gap
-        (the first recorded point uses a gap of 1)."""
-        out: Series = []
-        previous: Optional[Tuple[int, float]] = None
-        for day, value in self.series(metric, **labels):
-            if previous is None:
-                gap = 1
-                increment = value
-            else:
-                gap = max(1, day - previous[0])
-                increment = value - previous[1]
-            out.append((day, increment / gap))
-            previous = (day, value)
-        return out
-
-    def smoothed(
-        self, metric: str, window: int = 7, **labels: object
-    ) -> Series:
-        """K-day moving average over recorded points, paper-style."""
-        return moving_average(self.series(metric, **labels), window)
-
     # -- export --------------------------------------------------------------
 
     def checksum(self) -> str:
@@ -232,7 +195,7 @@ def merge_samples(named: List[Tuple[str, "TimeSeriesRecorder"]]) -> List[dict]:
 
 class SimStreamTicker:
     """Feeds one simulation stream's per-day state into a recorder's
-    registry (the recorder itself is ticked by the driver, once per day,
+    registry (the recorder itself is ticked by the caller, once per day,
     after every stream has updated).
 
     A *stream* is one ``stream=<name>`` label set over the
@@ -269,60 +232,41 @@ class SimStreamTicker:
             self._documents.set(len(cache))
 
     def set_occupancy(self, used_bytes: int, documents: int) -> None:
-        """Directly set the occupancy gauges (record reconstruction)."""
+        """Set the occupancy gauges from a collector's day stamp."""
         self._used_bytes.set(used_bytes)
         self._documents.set(documents)
 
 
-def hit_rate_series(recorder: TimeSeriesRecorder, stream: str = "main") -> Series:
-    """Daily HR (percent) derived from a recorded stream.
+def recorder_from_collectors(
+    streams: Sequence[Tuple[str, MetricsCollector]],
+) -> TimeSeriesRecorder:
+    """The per-day sample stream of a finished replay, as a view.
 
-    Computes ``100 * Δhits / Δrequests`` per recorded day — the same
-    integers and the same expression as
-    :attr:`repro.core.metrics.DayStats.hit_rate`, so the derived series
-    is byte-identical to the legacy in-analysis computation.
+    ``streams`` is ``(stream name, collector)`` per stream.  Each
+    collector's day counters are replayed in day order as running
+    totals, its stamped end-of-day occupancy set beside them, and the
+    recorder ticked once per recorded day — on a trace in time order,
+    exactly the samples a recorder ticked live at every day boundary
+    would hold (``tests/core/test_reference_loop.py`` keeps that live
+    ticking as its oracle).  A day without a stamp (a stream with no
+    cache, a record older than the occupancy map) leaves the gauges be.
     """
-    return _ratio_of_deltas(
-        recorder,
-        "repro_sim_ts_hits_total", "repro_sim_ts_requests_total",
-        stream,
-    )
-
-
-def weighted_hit_rate_series(
-    recorder: TimeSeriesRecorder, stream: str = "main"
-) -> Series:
-    """Daily WHR (percent) derived from a recorded stream (same math as
-    :attr:`repro.core.metrics.DayStats.weighted_hit_rate`)."""
-    return _ratio_of_deltas(
-        recorder,
-        "repro_sim_ts_bytes_hit_total", "repro_sim_ts_bytes_requested_total",
-        stream,
-    )
-
-
-def _ratio_of_deltas(
-    recorder: TimeSeriesRecorder,
-    numerator_metric: str,
-    denominator_metric: str,
-    stream: str,
-) -> Series:
-    numerator = recorder.delta(numerator_metric, stream=stream)
-    denominator = dict(recorder.delta(denominator_metric, stream=stream))
-    out: Series = []
-    for day, hit_delta in numerator:
-        request_delta = int(denominator.get(day, 0.0))
-        hit_delta = int(hit_delta)
-        if request_delta:
-            out.append((day, 100.0 * hit_delta / request_delta))
-        else:
-            out.append((day, 0.0))
-    return out
-
-
-def occupancy_series(
-    recorder: TimeSeriesRecorder, stream: str = "main"
-) -> Series:
-    """End-of-day cache occupancy in bytes (Kesidis's occupancy-vs-time
-    view; constant-at-max for an infinite cache once warmed)."""
-    return recorder.series("repro_sim_ts_used_bytes", stream=stream)
+    recorder = TimeSeriesRecorder()
+    running = [
+        (SimStreamTicker(recorder, stream), collector, MetricsCollector())
+        for stream, collector in streams
+    ]
+    for day in sorted(set().union(*(c.days for _, c in streams))):
+        for ticker, collector, totals in running:
+            stats = collector.days.get(day)
+            if stats is not None:
+                totals.total_requests += stats.requests
+                totals.total_hits += stats.hits
+                totals.total_bytes_requested += stats.bytes_requested
+                totals.total_bytes_hit += stats.bytes_hit
+                ticker.update(totals)
+            occupancy = collector.occupancy.get(day)
+            if occupancy is not None:
+                ticker.set_occupancy(*occupancy)
+        recorder.tick(day, force=True)
+    return recorder

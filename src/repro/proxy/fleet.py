@@ -54,6 +54,7 @@ from repro.httpnet.client import fetch as _fetch
 from repro.obs import Obs
 from repro.obs.catalog import fleet_metrics, telemetry_metrics
 from repro.obs.metrics import Registry
+from repro.obs.summarize import parse_prometheus_text
 from repro.obs.telemetry import (
     TelemetryAggregator,
     render_dashboard_html,
@@ -513,18 +514,15 @@ class FleetSupervisor:
             response = _fetch(
                 address, METRICS_PATH, timeout=self.scrape_timeout,
             )
+            return _metric_value(response.body.decode("utf-8"), name)
         except (OSError, ValueError):
             return None
-        return _metric_value(response.body.decode("utf-8"), name)
 
 
 def _metric_value(exposition: str, name: str) -> Optional[float]:
-    for line in exposition.splitlines():
-        if line.startswith(name + " "):
-            try:
-                return float(line.split()[-1])
-            except ValueError:  # pragma: no cover - malformed exposition
-                return None
+    for sample_name, labels, value in parse_prometheus_text(exposition):
+        if sample_name == name and not labels:
+            return value
     return None
 
 

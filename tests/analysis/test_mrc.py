@@ -56,7 +56,7 @@ def pinned():
                 policy=KeyPolicy([key]),
                 seed=0,
             )
-            result = simulate(trace, cache, timeseries=False)
+            result = simulate(trace, cache)
             exact[(key.name, fraction)] = (
                 result.hit_rate, result.weighted_hit_rate,
             )
@@ -183,7 +183,7 @@ class TestResultShape:
         infinite cache's hit rate regardless of key."""
         trace = generate_valid("BL", seed=7, scale=0.05)
         max_needed = max_needed_for(trace)
-        infinite = simulate(trace, SimCache(capacity=None), timeseries=False)
+        infinite = simulate(trace, SimCache(capacity=None))
         result = single_pass_mrc(
             trace, max_needed, rate=0.5, replicates=4,
             fractions=(1.0,), keys=["SIZE", "NREF"],
@@ -391,7 +391,7 @@ class TestBenchSpeedup:
                         policy=KeyPolicy([key]),
                         seed=0,
                     )
-                    simulate(trace, cache, timeseries=False)
+                    simulate(trace, cache)
 
         def single_pass():
             single_pass_mrc(

@@ -80,9 +80,7 @@ class TestInstrumentedDifferential:
 
         def run(profiler):
             cache = SimCache(capacity=64 * 1024, seed=0)
-            return simulate(
-                trace, cache, timeseries=False, profiler=profiler,
-            )
+            return simulate(trace, cache, profiler=profiler)
 
         plain = run(None)
         profiler = Profiler()

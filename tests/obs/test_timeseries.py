@@ -1,23 +1,22 @@
 """Tests for the simulated-clock time-series recorder and its JSONL
-export: cadence gating, derived views (delta/rate/smoothed), the
-checksummed read/write round trip and its failure diagnostics, and
-multi-run merging."""
+export: cadence gating, the checksummed read/write round trip and its
+failure diagnostics, multi-run merging, and the view a finished replay's
+collectors are read through."""
 
 import json
 
 import pytest
 
-from repro.core.metrics import moving_average
+from repro.core.metrics import DayStats, MetricsCollector
 from repro.obs.metrics import Registry
 from repro.obs.timeseries import (
     CHECKSUM_KIND,
     SimStreamTicker,
     TimeSeriesError,
     TimeSeriesRecorder,
-    hit_rate_series,
     merge_samples,
-    occupancy_series,
     read_timeseries,
+    recorder_from_collectors,
     write_timeseries,
 )
 
@@ -94,38 +93,6 @@ class TestRecorder:
         assert recorder.series("repro_sim_ts_l_total", stream="b") == [
             (0, 2.0),
         ]
-
-
-class TestDerivedViews:
-    def test_delta_first_day_is_value(self):
-        recorder, counter, _ = make_recorder()
-        counter.inc(4)
-        recorder.tick(0)
-        counter.inc(6)
-        recorder.tick(1)
-        assert recorder.delta("repro_sim_ts_test_total") == [
-            (0, 4.0), (1, 6.0),
-        ]
-
-    def test_rate_divides_by_day_gap(self):
-        recorder, counter, _ = make_recorder()
-        counter.inc(4)
-        recorder.tick(0)
-        counter.inc(10)
-        recorder.tick(5)   # gap of 5 days
-        assert recorder.rate("repro_sim_ts_test_total") == [
-            (0, 4.0), (5, 2.0),
-        ]
-
-    def test_smoothed_is_core_moving_average(self):
-        recorder, counter, _ = make_recorder()
-        for day in range(10):
-            counter.inc(day + 1)
-            recorder.tick(day)
-        series = recorder.series("repro_sim_ts_test_total")
-        assert recorder.smoothed(
-            "repro_sim_ts_test_total", window=7,
-        ) == moving_average(series, 7)
 
 
 class TestJsonlRoundTrip:
@@ -232,8 +199,8 @@ class TestMergeSamples:
 
 class TestSimStreamTicker:
     def test_ticker_drives_paper_series(self):
-        """Integer totals stream through the ticker and come back as
-        exact HR percentages."""
+        """Integer totals stream through the ticker into the catalog's
+        counter and gauge families."""
         recorder = TimeSeriesRecorder()
         ticker = SimStreamTicker(recorder, stream="main")
 
@@ -246,5 +213,47 @@ class TestSimStreamTicker:
         ticker.update(Totals())
         ticker.set_occupancy(300, 3)
         recorder.tick(0)
-        assert hit_rate_series(recorder) == [(0, 25.0)]
-        assert occupancy_series(recorder) == [(0, 300.0)]
+        assert recorder.series(
+            "repro_sim_ts_requests_total", stream="main",
+        ) == [(0, 4.0)]
+        assert recorder.series(
+            "repro_sim_ts_hits_total", stream="main",
+        ) == [(0, 1.0)]
+        assert recorder.series(
+            "repro_sim_ts_used_bytes", stream="main",
+        ) == [(0, 300.0)]
+        assert recorder.series(
+            "repro_sim_ts_documents", stream="main",
+        ) == [(0, 3.0)]
+
+
+class TestRecorderFromCollectors:
+    def test_counters_run_in_day_order_and_gauges_follow_the_stamps(self):
+        with_cache = MetricsCollector(
+            days={
+                5: DayStats(requests=2, hits=2, bytes_requested=20,
+                            bytes_hit=20),
+                1: DayStats(requests=4, hits=1, bytes_requested=400,
+                            bytes_hit=100),
+            },
+            occupancy={1: (300, 3), 5: (310, 4)},
+        )
+        without = MetricsCollector(days={1: DayStats(requests=4)})
+        recorder = recorder_from_collectors(
+            [("a", with_cache), ("b", without)],
+        )
+        assert recorder.recorded_days() == [1, 5]
+        assert recorder.series("repro_sim_ts_hits_total", stream="a") == [
+            (1, 1.0), (5, 3.0),
+        ]
+        assert recorder.series("repro_sim_ts_used_bytes", stream="a") == [
+            (1, 300.0), (5, 310.0),
+        ]
+        # A stream with no day 5 and no cache holds its totals, at zero
+        # occupancy — what a live ``overall`` stream recorded.
+        assert recorder.series(
+            "repro_sim_ts_requests_total", stream="b",
+        ) == [(1, 4.0), (5, 4.0)]
+        assert recorder.series("repro_sim_ts_documents", stream="b") == [
+            (1, 0.0), (5, 0.0),
+        ]

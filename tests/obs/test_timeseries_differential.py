@@ -1,10 +1,11 @@
-"""Differential tests pinning the time-series recorder's guarantees:
+"""Differential tests pinning the day series' guarantees:
 
-* the figures derived from the recorded stream are byte-identical to
-  the legacy in-collector computation,
-* a parallel sweep's recorders (rebuilt from worker exports) are
+* one job has one day series and one figure — from ``simulate()``, from
+  ``run_sweep`` and from a result-cache hit — even when the trace clock
+  steps backwards, and nothing builds a recorder until it is read,
+* a parallel sweep's recorders (built from worker exports) are
   identical to the serial path's, sample for sample, and
-* a result-cache round trip reconstructs the same recorder.
+* a result-cache round trip gives the same recorder.
 """
 
 import json
@@ -12,18 +13,20 @@ import json
 import pytest
 
 from repro.analysis.figures import fig3_7_infinite_cache
-from repro.core.experiments import max_needed_for
+from repro.core import RANDOM, SIZE, KeyPolicy, SimCache, simulate
+from repro.core.experiments import max_needed_for, run_two_level
+from repro.core.partitioned import simulate_partitioned
 from repro.core.sweep import (
     PolicySpec,
     ResultCache,
     SimOptions,
     SweepJob,
+    record_to_result,
+    result_to_record,
     run_sweep,
 )
-from repro.obs.timeseries import (
-    hit_rate_series,
-    weighted_hit_rate_series,
-)
+from repro.obs.timeseries import TimeSeriesRecorder
+from repro.trace import Request
 from repro.workloads import generate_valid
 
 SEED = 1996
@@ -50,33 +53,79 @@ def grid_jobs(capacity):
     ]
 
 
-class TestFigureByteIdentity:
-    def test_recorder_figures_match_legacy_path(self, trace):
-        """fig3-7 built from the recorded time series serialises to the
-        exact bytes the legacy MetricsCollector path produced."""
-        from repro.core import SimCache, simulate
+def backwards_clock_trace():
+    """Five requests whose clock steps back over midnight: day 0 gets
+    two requests, then day 1 two, then day 0 three more."""
+    return [
+        Request(timestamp=10.0, url="http://a/x", size=100),
+        Request(timestamp=86405.0, url="http://a/x", size=100),
+        Request(timestamp=86406.0, url="http://a/y", size=50),
+        Request(timestamp=20.0, url="http://a/y", size=50),
+        Request(timestamp=30.0, url="http://a/z", size=10),
+    ]
 
-        result = simulate(trace, SimCache(capacity=None), name="BL")
-        assert result.timeseries is not None
-        from_recorder = fig3_7_infinite_cache(result, "BL")
-        result.timeseries = None    # force the legacy in-collector path
-        legacy = fig3_7_infinite_cache(result, "BL")
-        assert json.dumps(from_recorder.series, sort_keys=True) == (
-            json.dumps(legacy.series, sort_keys=True)
+
+class TestOneJobOneFigure:
+    def test_live_sweep_and_cached_results_agree(self, tmp_path):
+        """A job has one day series however its result was obtained.
+
+        At the parent the live recorder (ticked at each boundary the
+        clock crossed) read day 0 as 40.0 % while the collector, and the
+        recorder every ``run_sweep`` result was rebuilt with, read
+        33.3 %."""
+        trace = backwards_clock_trace()
+        job = SweepJob(spec=PolicySpec(keys=("SIZE", "RANDOM")), capacity=None)
+        cache = ResultCache(tmp_path / "results")
+        live = simulate(trace, SimCache(capacity=None), name="SIZE")
+        swept = run_sweep(trace, [job], result_cache=cache).results[0]
+        served = run_sweep(trace, [job], result_cache=cache).results[0]
+        assert not swept.from_cache and served.from_cache
+
+        assert live.metrics.days[0].hit_rate == pytest.approx(100.0 / 3.0)
+        samples = live.timeseries.samples()
+        day0 = {
+            sample["metric"]: sample["value"]
+            for sample in samples if sample["day"] == 0
+        }
+        assert day0["repro_sim_ts_hits_total"] == 1.0
+        assert day0["repro_sim_ts_requests_total"] == 3.0
+        figure = json.dumps(
+            fig3_7_infinite_cache(live, "U").series, sort_keys=True,
         )
-        assert from_recorder.series["HR"]    # non-trivial figure
+        for other in (swept.result, served.result):
+            assert other.metrics == live.metrics
+            assert other.timeseries.samples() == samples
+            assert json.dumps(
+                fig3_7_infinite_cache(other, "U").series, sort_keys=True,
+            ) == figure
 
-    def test_raw_series_match_collector_series(self, trace, capacity):
-        """Under eviction pressure too: the recorder's daily HR/WHR
-        streams equal the collector's, day for day, bit for bit."""
-        from repro.core import SimCache, simulate
+    def test_no_recorder_is_built_until_the_series_is_read(
+        self, trace, capacity, tmp_path, monkeypatch,
+    ):
+        built = []
+        original = TimeSeriesRecorder.__init__
 
-        result = simulate(trace, SimCache(capacity=capacity, seed=SEED))
-        recorder = result.timeseries
-        assert hit_rate_series(recorder) == result.metrics.hr_series()
-        assert weighted_hit_rate_series(recorder) == (
-            result.metrics.whr_series()
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(TimeSeriesRecorder, "__init__", counting_init)
+        small = trace[:400]
+        result = simulate(small, SimCache(capacity=capacity, seed=SEED))
+        two_level = run_two_level(small, 10 * capacity)
+        split = simulate_partitioned(
+            small, capacity, {"audio": 0.5, "non-audio": 0.5},
+            policy_factory=lambda: KeyPolicy([SIZE, RANDOM]),
         )
+        record_to_result(result_to_record(result))
+        cache = ResultCache(tmp_path / "results")
+        run_sweep(small, grid_jobs(capacity), result_cache=cache)
+        warm = run_sweep(small, grid_jobs(capacity), result_cache=cache)
+        fig3_7_infinite_cache(result, "BL")
+        assert built == []
+        for holder in (result, two_level, split, warm.results[0].result):
+            assert holder.timeseries.samples()
+        assert len(built) == 4
 
 
 class TestSweepRecorderIdentity:

@@ -3,8 +3,11 @@
 ``repro.httpnet.server`` owns the accept loop and the request-head
 reader; ``repro.httpnet.client`` owns connecting out and reading a
 response; ``repro.durability`` owns the checksummed-JSONL trailer;
-``repro.obs.metrics`` owns the sample quantile; ``bench/run.py``, outside
-the package, is the one perf harness.  A new server, client, export or
+``repro.obs.metrics`` owns the sample quantile; ``repro.obs.summarize``
+owns reading Prometheus text; a replay's day series is stored once, in
+its ``MetricsCollector``, and ``repro.obs.timeseries`` builds the only
+view of it; ``bench/run.py``, outside the package, is the one perf
+harness.  A new server, client, export or
 benchmark runner that grows its own is caught at review time instead of
 drifting apart from the shared one (as the router's deadline-less head
 reader once did).
@@ -58,3 +61,24 @@ def test_one_sample_quantile():
 def test_the_package_carries_no_benchmark():
     assert files_containing("BENCH_") == []
     assert files_containing("def run_bench") == []
+
+
+def test_one_exposition_reader():
+    assert files_containing("def parse_prometheus_text") == [
+        "obs/summarize.py"
+    ]
+    assert files_containing('.startswith(name + " ")') == []
+
+
+def test_the_day_series_is_stored_once():
+    """Replay drivers and figures touch no recorder: the view over a
+    collector is built in ``obs/timeseries.py`` and only the fleet's
+    telemetry aggregator ticks one live."""
+    assert files_containing("SimStreamTicker(") == ["obs/timeseries.py"]
+    assert files_containing(".tick(") == [
+        "obs/telemetry.py", "obs/timeseries.py",
+    ]
+    assert [
+        path for path in files_containing("timeseries=")
+        if path.startswith(("core/", "analysis/"))
+    ] == []
