@@ -669,12 +669,6 @@ class TelemetryAggregator:
             self._thread.join(timeout=2.0)
             self._thread = None
 
-    def __enter__(self) -> "TelemetryAggregator":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
     def _loop(self) -> None:
         while self._running:
             try:

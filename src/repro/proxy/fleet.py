@@ -38,12 +38,11 @@ from __future__ import annotations
 import json
 import os
 import signal
-import socket
 import subprocess
 import sys
 import threading
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -72,16 +71,21 @@ from repro.proxy.server import METRICS_PATH
 
 __all__ = [
     "ENDPOINT_FILE",
+    "SPEC_FILE",
     "ShardSpec",
+    "shard_specs",
     "ShardHandle",
     "FleetSupervisor",
+    "Fleet",
     "FleetReport",
     "run_fleet_chaos",
-    "shard_main",
 ]
 
 #: File a shard atomically publishes into its state dir once listening.
 ENDPOINT_FILE = "endpoint.json"
+
+#: File the supervisor writes a shard's :class:`ShardSpec` into.
+SPEC_FILE = "shard.json"
 
 #: Shard lifecycle states (DESIGN.md §12).
 SHARD_STATES = ("STARTING", "UP", "RESTARTING", "FAILED", "STOPPED")
@@ -89,7 +93,12 @@ SHARD_STATES = ("STARTING", "UP", "RESTARTING", "FAILED", "STOPPED")
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """Everything needed to (re)spawn one shard process."""
+    """Everything needed to (re)spawn one shard process.
+
+    Declared here and nowhere else: the supervisor writes the spec into
+    the shard's state dir (:data:`SPEC_FILE`) and spawns ``repro fleet
+    shard --state-dir DIR``, which reads it back.
+    """
 
     shard_id: int
     state_dir: Path
@@ -97,23 +106,41 @@ class ShardSpec:
     policy: str = "SIZE"
     origin: str = ""          # "host:port" all origin hosts resolve to
     timeout: float = 5.0
-    max_inflight: int = 16
+    max_inflight: int = 12
     max_clients: int = 4
     read_deadline: float = 2.0
 
-    def command(self, python: str) -> List[str]:
-        return [
-            python, "-m", "repro", "fleet", "shard",
-            "--shard-id", str(self.shard_id),
-            "--state-dir", str(self.state_dir),
-            "--capacity", str(self.capacity),
-            "--policy", self.policy,
-            "--origin", self.origin,
-            "--timeout", str(self.timeout),
-            "--max-inflight", str(self.max_inflight),
-            "--max-clients", str(self.max_clients),
-            "--read-deadline", str(self.read_deadline),
-        ]
+    def write(self) -> None:
+        fields = asdict(self)
+        del fields["state_dir"]
+        atomic_write_text(
+            self.state_dir / SPEC_FILE, json.dumps(fields, sort_keys=True),
+        )
+
+    @classmethod
+    def read(cls, state_dir: Union[str, Path]) -> "ShardSpec":
+        state_dir = Path(state_dir)
+        fields = json.loads((state_dir / SPEC_FILE).read_text(encoding="utf-8"))
+        return cls(state_dir=state_dir, **fields)
+
+    def publish(self, address: Tuple[str, int]) -> None:
+        """Announce this (listening) process at ``address``: atomically
+        write :data:`ENDPOINT_FILE`, which the supervisor accepts only
+        from the pid it spawned."""
+        endpoint = {"pid": os.getpid(), "host": address[0],
+                    "port": address[1], "shard_id": self.shard_id}
+        atomic_write_text(
+            self.state_dir / ENDPOINT_FILE, json.dumps(endpoint, sort_keys=True),
+        )
+
+
+def shard_specs(
+    state_root: Union[str, Path], shards: int, **fields,
+) -> List[ShardSpec]:
+    """``shards`` specs sharing ``fields``, shard ``i`` under
+    ``state_root/shard-<i>``."""
+    root = Path(state_root)
+    return [ShardSpec(i, root / f"shard-{i}", **fields) for i in range(shards)]
 
 
 @dataclass
@@ -224,17 +251,12 @@ class FleetSupervisor:
             handle.state = "STOPPED"
         self._set_state_gauges()
 
-    def __enter__(self) -> "FleetSupervisor":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
     # -- spawning ----------------------------------------------------------------
 
     def _spawn_locked(self, handle: ShardHandle) -> None:
         spec = handle.spec
         spec.state_dir.mkdir(parents=True, exist_ok=True)
+        spec.write()
         endpoint = spec.state_dir / ENDPOINT_FILE
         try:
             endpoint.unlink()
@@ -247,7 +269,8 @@ class FleetSupervisor:
             src_root + (os.pathsep + existing if existing else "")
         )
         handle.process = subprocess.Popen(
-            spec.command(self.python),
+            [self.python, "-m", "repro", "fleet", "shard",
+             "--state-dir", str(spec.state_dir)],
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
@@ -519,6 +542,50 @@ class FleetSupervisor:
             return None
 
 
+class Fleet:
+    """The supervisor, a telemetry aggregator on its health cadence and
+    the router in front of them, wired to each other once: what ``repro
+    fleet serve`` runs and :func:`run_fleet_chaos` drives.
+
+    ``router_options`` go to :class:`~repro.proxy.router.FleetRouter`
+    (listen address, shard timeout, deadline budget).  :meth:`stop` is
+    safe to call twice and after a failed :meth:`start`.
+    """
+
+    def __init__(
+        self, specs: Sequence[ShardSpec], obs: Optional[Obs] = None,
+        **router_options,
+    ) -> None:
+        self.obs = obs if obs is not None else Obs()
+        self.supervisor = FleetSupervisor(specs, obs=self.obs)
+        self.aggregator = TelemetryAggregator(self.supervisor, obs=self.obs)
+        self._router_options = router_options
+        self.router: Optional[FleetRouter] = None
+
+    def start(self) -> "Fleet":
+        """Bring every shard UP, then the router, then the aggregator;
+        on any failure stop what started and re-raise."""
+        try:
+            self.supervisor.start()
+            self.router = FleetRouter(
+                self.supervisor,
+                obs=self.obs,
+                telemetry=self.aggregator.telemetry,
+                **self._router_options,
+            ).start()
+            self.aggregator.start()
+        except BaseException:
+            self.stop()
+            raise
+        return self
+
+    def stop(self) -> None:
+        self.aggregator.stop()
+        if self.router is not None:
+            self.router.stop()
+        self.supervisor.stop()
+
+
 def _metric_value(exposition: str, name: str) -> Optional[float]:
     for sample_name, labels, value in parse_prometheus_text(exposition):
         if sample_name == name and not labels:
@@ -619,10 +686,6 @@ def run_fleet_chaos(
     profile: str = "U",
     scale: float = 0.05,
     plan: Optional[FaultPlan] = None,
-    capacity: int = 4 << 20,
-    policy: str = "SIZE",
-    shard_max_inflight: int = 12,
-    shard_max_clients: int = 4,
     service_time: float = 0.01,
     client_timeout: float = 20.0,
     deadline_ms: int = 15_000,
@@ -631,6 +694,7 @@ def run_fleet_chaos(
     telemetry_out: Optional[Union[str, Path]] = None,
     dashboard_out: Optional[Union[str, Path]] = None,
     timeseries_out: Optional[Union[str, Path]] = None,
+    **shard_fields,
 ) -> FleetReport:
     """Run the seeded shard-kill + overload scenario end to end.
 
@@ -642,8 +706,10 @@ def run_fleet_chaos(
     evaluations (``telemetry_out`` / ``dashboard_out`` /
     ``timeseries_out`` write them out).  Returns the
     :class:`FleetReport`; the caller decides what to do with ``.ok``.
+    ``shard_fields`` are the :class:`ShardSpec` fields every shard
+    shares (``capacity``, ``policy``, ``max_inflight``...); the origin is
+    the harness's own.
     """
-    state_root = Path(state_root)
     if plan is None:
         plan = default_fleet_plan(seed, requests, shards)
     kills = plan.shard_kill_points()
@@ -658,82 +724,62 @@ def run_fleet_chaos(
     origin = _SlowOrigin(
         service_time=service_time, site=SyntheticSite(),
     ).start()
-    origin_address = f"{origin.address[0]}:{origin.address[1]}"
-    specs = [
-        ShardSpec(
-            shard_id=index,
-            state_dir=state_root / f"shard-{index}",
-            capacity=capacity,
-            policy=policy,
-            origin=origin_address,
-            max_inflight=shard_max_inflight,
-            max_clients=shard_max_clients,
-        )
-        for index in range(shards)
-    ]
-    supervisor = FleetSupervisor(specs, obs=obs)
-    aggregator = TelemetryAggregator(supervisor, obs=obs)
+    specs = shard_specs(
+        state_root, shards,
+        origin=f"{origin.address[0]}:{origin.address[1]}", **shard_fields,
+    )
+    spec = specs[0]
+    fleet = Fleet(
+        specs, obs=obs,
+        shard_timeout=client_timeout / 2,
+        default_budget=deadline_ms / 1000.0,
+    )
+    supervisor, aggregator = fleet.supervisor, fleet.aggregator
     killed_ids = sorted({s for sids in kills.values() for s in sids})
     try:
-        supervisor.start()
-        router = FleetRouter(
-            supervisor,
-            shard_timeout=client_timeout / 2,
-            default_budget=deadline_ms / 1000.0,
-            obs=obs,
-            status=supervisor.status,
-            telemetry=aggregator.telemetry,
-            dashboard=lambda: render_dashboard_html(
-                aggregator.telemetry(),
-            ),
-        ).start()
-        aggregator.start()
-        try:
-            fired: set = set()
-            fire_lock = threading.Lock()
+        fleet.start()
+        fired: set = set()
+        fire_lock = threading.Lock()
 
-            def on_index(i: int) -> None:
-                with fire_lock:
-                    if i in fired:
-                        return
-                    fired.add(i)
-                for sid in kills.get(i, ()):
-                    supervisor.kill_shard(sid)
-                for sid, seconds in stalls.get(i, ()):
-                    supervisor.stall_shard(sid, seconds)
+        def on_index(i: int) -> None:
+            with fire_lock:
+                if i in fired:
+                    return
+                fired.add(i)
+            for sid in kills.get(i, ()):
+                supervisor.kill_shard(sid)
+            for sid, seconds in stalls.get(i, ()):
+                supervisor.stall_shard(sid, seconds)
 
-            generator = LoadGenerator(
-                router.address,
-                urls,
-                rate=rate,
-                timeout=client_timeout,
-                slow_indices=slow,
-                deadline_ms=deadline_ms,
-                on_index=on_index,
+        generator = LoadGenerator(
+            fleet.router.address,
+            urls,
+            rate=rate,
+            timeout=client_timeout,
+            slow_indices=slow,
+            deadline_ms=deadline_ms,
+            on_index=on_index,
+        )
+        load = generator.run()
+
+        # The killed shard must warm-restart from its journal.
+        warm_restart_ok = True
+        for sid in killed_ids:
+            if not supervisor.wait_until_up(sid, timeout=15.0):
+                warm_restart_ok = False
+                continue
+            recovered = supervisor.scrape_gauge(
+                sid, "repro_proxy_store_recovered_documents",
             )
-            load = generator.run()
+            if recovered is None or recovered <= 0:
+                warm_restart_ok = False
 
-            # The killed shard must warm-restart from its journal.
-            warm_restart_ok = True
-            for sid in killed_ids:
-                if not supervisor.wait_until_up(sid, timeout=15.0):
-                    warm_restart_ok = False
-                    continue
-                recovered = supervisor.scrape_gauge(
-                    sid, "repro_proxy_store_recovered_documents",
-                )
-                if recovered is None or recovered <= 0:
-                    warm_restart_ok = False
-
-            # One final aggregation round while every shard is still up,
-            # so the telemetry document reflects the whole run.
-            aggregator.scrape_once()
-            final_status = supervisor.status()
-        finally:
-            aggregator.stop()
-            router.stop()
+        # One final aggregation round while every shard is still up,
+        # so the telemetry document reflects the whole run.
+        aggregator.scrape_once()
+        final_status = supervisor.status()
     finally:
-        supervisor.stop()
+        fleet.stop()
         origin.stop()
     telemetry_doc = aggregator.telemetry()
 
@@ -748,7 +794,7 @@ def run_fleet_chaos(
         "all_well_formed": (
             counts.get("malformed", 0) == 0
             and counts.get("client_error", 0)
-            <= max(1, len(killed_ids)) * shard_max_inflight
+            <= max(1, len(killed_ids)) * spec.max_inflight
         ),
         "warm_restart_ok": warm_restart_ok,
         "telemetry_collected": telemetry_doc["rounds"] >= 1,
@@ -770,10 +816,10 @@ def run_fleet_chaos(
         "rate": rate,
         "profile": profile,
         "scale": scale,
-        "capacity": capacity,
-        "policy": policy,
-        "shard_max_inflight": shard_max_inflight,
-        "shard_max_clients": shard_max_clients,
+        "capacity": spec.capacity,
+        "policy": spec.policy,
+        "shard_max_inflight": spec.max_inflight,
+        "shard_max_clients": spec.max_clients,
         "deadline_ms": deadline_ms,
         "availability_floor": availability_floor,
         "plan": plan.to_dict(),
@@ -781,12 +827,11 @@ def run_fleet_chaos(
         "telemetry": deterministic_telemetry,
         "invariants": invariants,
     }
-    fleet_m = router.m
     measured = {
         "availability_pct": round(availability, 4),
         "counts": counts,
         "restarts": supervisor.restarts_total(),
-        "failovers": int(fleet_m.failover.value),
+        "failovers": int(fleet.router.m.failover.value),
         "latency_p50_s": round(load.percentile(0.50), 6),
         "latency_p95_s": round(load.percentile(0.95), 6),
         "wall_seconds": round(load.wall_seconds, 3),
@@ -808,62 +853,3 @@ def run_fleet_chaos(
             timeseries_out,
         )
     return FleetReport(deterministic=deterministic, measured=measured)
-
-
-# -- the shard process entrypoint ----------------------------------------------------
-
-
-def shard_main(args) -> int:
-    """``repro fleet shard``: run one shard until SIGTERM.
-
-    Binds port 0, publishes ``endpoint.json`` into the state dir, then
-    serves until terminated; SIGTERM drains (stop accepting, close the
-    store so the journal is sealed) and exits 0.
-    """
-    from repro.cli import parse_policy
-    from repro.proxy.overload import OverloadPolicy
-    from repro.proxy.server import CachingProxy
-    from repro.proxy.store import ProxyStore
-
-    state_dir = Path(args.state_dir)
-    store = ProxyStore(
-        capacity=args.capacity,
-        policy=parse_policy(args.policy),
-        state_dir=state_dir,
-    )
-    resolver = None
-    if args.origin:
-        host, _, port = args.origin.partition(":")
-        address = (host, int(port or 80))
-        resolver = lambda _host: address  # noqa: E731 - tiny closure
-    proxy = CachingProxy(
-        store,
-        resolver=resolver,
-        timeout=args.timeout,
-        overload=OverloadPolicy(max_inflight=args.max_inflight),
-        max_clients=args.max_clients,
-        read_deadline=args.read_deadline,
-    ).start()
-    atomic_write_text(
-        state_dir / ENDPOINT_FILE,
-        json.dumps({
-            "pid": os.getpid(),
-            "host": proxy.address[0],
-            "port": proxy.address[1],
-            "shard_id": args.shard_id,
-        }, sort_keys=True),
-    )
-    stop_event = threading.Event()
-
-    def _drain(signum, frame) -> None:
-        stop_event.set()
-
-    signal.signal(signal.SIGTERM, _drain)
-    signal.signal(signal.SIGINT, _drain)
-    try:
-        while not stop_event.wait(0.2):
-            pass
-    finally:
-        proxy.stop()
-        store.close()
-    return 0

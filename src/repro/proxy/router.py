@@ -44,6 +44,7 @@ from repro.obs.telemetry import (
     TRACE_ID_HEADER,
     TraceContext,
     continue_trace,
+    render_dashboard_html,
     set_trace_header,
 )
 from repro.proxy.overload import AdmissionController, OverloadPolicy
@@ -68,6 +69,8 @@ TELEMETRY_PATH = "/fleet/telemetry"
 
 #: Local router path answering the self-contained HTML dashboard.
 DASHBOARD_PATH = "/fleet/dashboard"
+
+_FLEET_PATHS = (STATUS_PATH, TELEMETRY_PATH, DASHBOARD_PATH)
 
 
 def rendezvous_score(url: str, shard_id: int) -> int:
@@ -141,14 +144,14 @@ class FleetRouter(HttpServer):
             that arrive without an ``X-Deadline-Ms`` header.
         overload: front-tier admission configuration.
         max_clients: worker threads in the bounded handler pool.
-        status: optional callable returning the fleet-status dict served
-            at ``/fleet/status`` (the supervisor provides one).
         telemetry: optional callable returning the aggregated telemetry
-            document served at ``/fleet/telemetry`` (the
+            document served at ``/fleet/telemetry`` and rendered at
+            ``/fleet/dashboard`` (the
             :class:`~repro.obs.telemetry.TelemetryAggregator` provides
             one).
-        dashboard: optional callable returning the HTML dashboard page
-            served at ``/fleet/dashboard``.
+
+    ``/fleet/status`` serves the directory's ``status()`` when it has
+    one (the supervisor does), else the shard ids.
     """
 
     def __init__(
@@ -161,9 +164,7 @@ class FleetRouter(HttpServer):
         overload: Optional[OverloadPolicy] = None,
         max_clients: int = 16,
         obs: Optional[Obs] = None,
-        status: Optional[Callable[[], dict]] = None,
         telemetry: Optional[Callable[[], dict]] = None,
-        dashboard: Optional[Callable[[], str]] = None,
     ) -> None:
         self.directory = directory
         self.shard_timeout = shard_timeout
@@ -171,9 +172,7 @@ class FleetRouter(HttpServer):
         self.obs = obs if obs is not None else Obs()
         self.m = fleet_metrics(self.obs.registry)
         self._channel = self.obs.channel("fleet")
-        self.status = status
         self.telemetry = telemetry
-        self.dashboard = dashboard
         #: Connections to the shards, kept open between requests.
         self._upstream = UpstreamClient()
         super().__init__(
@@ -205,12 +204,8 @@ class FleetRouter(HttpServer):
         """Answer one client request (socket-free core, used by tests)."""
         if request.method == "GET" and request.url == METRICS_PATH:
             return self._metrics_response()
-        if request.method == "GET" and request.url == STATUS_PATH:
-            return self._status_response()
-        if request.method == "GET" and request.url == TELEMETRY_PATH:
-            return self._telemetry_response()
-        if request.method == "GET" and request.url == DASHBOARD_PATH:
-            return self._dashboard_response()
+        if request.method == "GET" and request.url in _FLEET_PATHS:
+            return self._fleet_response(request.url)
         ctx, traced = continue_trace(self.obs, "fleet.route", request)
         started = _time.perf_counter()
         with traced as span:
@@ -304,32 +299,26 @@ class FleetRouter(HttpServer):
             body=self.obs.registry.render().encode("utf-8"),
         )
 
-    def _status_response(self) -> HttpResponse:
-        status = self.status() if self.status is not None else {
-            "shards": self.directory.ids(),
-        }
-        return HttpResponse(
-            status=200,
-            headers={"Content-Type": "application/json"},
-            body=json.dumps(status, sort_keys=True).encode("utf-8"),
-        )
-
-    def _telemetry_response(self) -> HttpResponse:
-        if self.telemetry is None:
+    def _fleet_response(self, path: str) -> HttpResponse:
+        """The directory's status, or the telemetry document as JSON or
+        as the HTML dashboard."""
+        if path == STATUS_PATH:
+            status = getattr(self.directory, "status", None)
+            doc = status() if status is not None else {
+                "shards": self.directory.ids(),
+            }
+        elif self.telemetry is None:
             return error_response(404, "telemetry_not_configured")
+        else:
+            doc = self.telemetry()
+        if path == DASHBOARD_PATH:
+            return HttpResponse(
+                status=200,
+                headers={"Content-Type": "text/html; charset=utf-8"},
+                body=render_dashboard_html(doc).encode("utf-8"),
+            )
         return HttpResponse(
             status=200,
             headers={"Content-Type": "application/json"},
-            body=json.dumps(
-                self.telemetry(), sort_keys=True,
-            ).encode("utf-8"),
-        )
-
-    def _dashboard_response(self) -> HttpResponse:
-        if self.dashboard is None:
-            return error_response(404, "dashboard_not_configured")
-        return HttpResponse(
-            status=200,
-            headers={"Content-Type": "text/html; charset=utf-8"},
-            body=self.dashboard().encode("utf-8"),
+            body=json.dumps(doc, sort_keys=True).encode("utf-8"),
         )

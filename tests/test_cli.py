@@ -219,3 +219,103 @@ class TestMrcCommand:
         empty = tmp_path / "empty.log"
         empty.write_text("")
         assert main(["mrc", str(empty)]) == 1
+
+
+class TestOneErrorExit:
+    """A command fails in one ``<command>: <message>`` stderr line."""
+
+    @pytest.mark.parametrize("before,after", [
+        (["characterize"], []),
+        (["simulate"], []),
+        (["mrc"], []),
+        (["clone"], ["--out", "clone.log"]),
+        (["sweep"], []),
+        (["chaos"], []),
+        (["experiment", "1"], []),
+    ])
+    def test_a_missing_trace_file(self, tmp_path, capsys, before, after):
+        missing = tmp_path / "absent.log"
+        assert main([*before, str(missing), *after]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"{before[0]}: {missing}: No such file or directory\n"
+        )
+        assert captured.out == ""
+
+    def test_a_missing_fault_plan(self, tmp_path, capsys):
+        missing = tmp_path / "plan.json"
+        assert main([
+            "sweep", "--workload", "C", "--scale", "0.01",
+            "--fault-plan", str(missing),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err == f"sweep: {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "t.log", "--policy", "BOGUS"],
+        ["mrc", "t.log", "--policy", "BOGUS"],
+        ["proxy", "--policy", "BOGUS"],
+        ["chaos", "--policy", "BOGUS"],
+        ["fleet", "serve", "--state-dir", "d", "--policy", "BOGUS"],
+        ["fleet", "chaos", "--state-dir", "d", "--policy", "BOGUS"],
+    ])
+    def test_a_bad_policy_is_refused_before_any_work(self, argv, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --policy:" in err and "BOGUS" in err
+
+
+class TestOneShardSpec:
+    def test_the_spec_round_trips_through_the_state_dir(self, tmp_path):
+        from repro.proxy.fleet import ShardSpec
+
+        spec = ShardSpec(
+            shard_id=3, state_dir=tmp_path, capacity=123, policy="LRU",
+            origin="127.0.0.1:9", timeout=1.5, max_inflight=7,
+            max_clients=2, read_deadline=0.5,
+        )
+        spec.write()
+        assert ShardSpec.read(str(tmp_path)) == spec
+
+    def test_fleet_shard_takes_nothing_but_its_state_dir(self):
+        parser = build_parser()
+        assert parser.parse_args(
+            ["fleet", "shard", "--state-dir", "d"],
+        ).state_dir == "d"
+        for flag in ("--shard-id", "--capacity", "--policy", "--origin",
+                     "--timeout", "--max-inflight", "--max-clients",
+                     "--read-deadline"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(
+                    ["fleet", "shard", "--state-dir", "d", flag, "1"],
+                )
+
+    def test_fleet_chaos_hands_its_shard_flags_to_the_spec(
+        self, tmp_path, monkeypatch, capsys,
+    ):
+        """``--timeout`` used to be accepted and dropped; an omitted
+        flag keeps :class:`ShardSpec`'s default."""
+        seen = {}
+
+        class Report:
+            ok = True
+
+            def render(self):
+                return "fleet: stub"
+
+        def run_fleet_chaos(**kwargs):
+            seen.update(kwargs)
+            return Report()
+
+        monkeypatch.setattr(
+            "repro.proxy.fleet.run_fleet_chaos", run_fleet_chaos,
+        )
+        assert main([
+            "fleet", "chaos", "--state-dir", str(tmp_path),
+            "--timeout", "2.5", "--max-inflight", "3",
+        ]) == 0
+        assert seen["timeout"] == 2.5
+        assert seen["max_inflight"] == 3
+        assert "capacity" not in seen and "policy" not in seen

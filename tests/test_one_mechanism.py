@@ -7,10 +7,12 @@ response; ``repro.durability`` owns the checksummed-JSONL trailer;
 owns reading Prometheus text; a replay's day series is stored once, in
 its ``MetricsCollector``, and ``repro.obs.timeseries`` builds the only
 view of it; ``bench/run.py``, outside the package, is the one perf
-harness.  A new server, client, export or
-benchmark runner that grows its own is caught at review time instead of
-drifting apart from the shared one (as the router's deadline-less head
-reader once did).
+harness; ``repro.cli`` declares the one command line (its serve loop,
+the only signal handler besides the sweep's checkpointing drain) and
+``repro.proxy.fleet`` wires the one fleet from one shard spec.  A new
+server, client, export, benchmark runner, flag or fleet that grows its
+own is caught at review time instead of drifting apart from the shared
+one (as the router's deadline-less head reader once did).
 """
 
 from pathlib import Path
@@ -82,3 +84,17 @@ def test_the_day_series_is_stored_once():
         path for path in files_containing("timeseries=")
         if path.startswith(("core/", "analysis/"))
     ] == []
+
+
+def test_one_command_line():
+    assert files_containing("add_argument(") == ["cli.py"]
+    assert files_containing("signal.signal(") == ["cli.py", "core/sweep.py"]
+
+
+def test_one_fleet_wiring_from_one_shard_spec():
+    assert files_containing("FleetSupervisor(") == ["proxy/fleet.py"]
+    assert files_containing("TelemetryAggregator(") == ["proxy/fleet.py"]
+    assert files_containing("FleetRouter(") == [
+        "proxy/fleet.py", "proxy/router.py",
+    ]
+    assert files_containing("--shard-id") == []
