@@ -49,6 +49,8 @@ __all__ = [
     "primary_key_sweep",
     "secondary_key_sweep",
     "full_taxonomy_sweep",
+    "grid_jobs",
+    "taxonomy_specs",
     "run_two_level",
     "run_partitioned_sweep",
 ]
@@ -86,6 +88,24 @@ def run_policy(
     return simulate(trace, cache, name=name or policy.name)
 
 
+def grid_jobs(
+    named_specs: Iterable[Tuple[str, PolicySpec]],
+    max_needed: int,
+    fraction: float = 0.10,
+    seed: int = 0,
+) -> List[SweepJob]:
+    """One sweep job per ``(name, spec)``, every cache at ``fraction`` of
+    MaxNeeded: the grid Experiment 2 and ``repro sweep`` run."""
+    capacity = max(1, int(max_needed * fraction))
+    return [
+        SweepJob(
+            spec=spec, capacity=capacity, options=SimOptions(seed=seed),
+            name=name,
+        )
+        for name, spec in named_specs
+    ]
+
+
 def primary_key_sweep(
     trace: Sequence[Request],
     max_needed: int,
@@ -103,23 +123,14 @@ def primary_key_sweep(
     across all runs, ``workers > 1`` fans the grid out over processes,
     and ``result_cache`` memoizes completed runs on disk.
     """
-    capacity = max(1, int(max_needed * fraction))
-    jobs = [
-        SweepJob(
-            spec=PolicySpec((primary.name, RANDOM.name)),
-            capacity=capacity,
-            options=SimOptions(seed=seed),
-            name=primary.name,
-        )
-        for primary in primaries
-    ]
+    jobs = grid_jobs(
+        [(key.name, PolicySpec((key.name, RANDOM.name))) for key in primaries],
+        max_needed, fraction, seed,
+    )
     report = run_sweep(
         trace, jobs, workers=workers, result_cache=result_cache, obs=obs,
     )
-    return {
-        primary.name: job_result.result
-        for primary, job_result in zip(primaries, report.results)
-    }
+    return {job.name: jr.result for job, jr in zip(jobs, report.results)}
 
 
 def secondary_key_sweep(
@@ -135,25 +146,21 @@ def secondary_key_sweep(
     """Experiment 2 (Figure 15): fixed primary key (⌊log2 SIZE⌋, which
     produces the most ties), every other Table 1 key plus RANDOM as the
     secondary."""
-    capacity = max(1, int(max_needed * fraction))
     secondaries: List[SortKey] = [
         key for key in TAXONOMY_KEYS if key != primary
     ] + [RANDOM]
-    jobs = [
-        SweepJob(
-            spec=PolicySpec((primary.name, secondary.name)),
-            capacity=capacity,
-            options=SimOptions(seed=seed),
-            name=f"{primary.name}+{secondary.name}",
-        )
-        for secondary in secondaries
-    ]
+    jobs = grid_jobs(
+        [
+            (f"{primary.name}+{key.name}", PolicySpec((primary.name, key.name)))
+            for key in secondaries
+        ],
+        max_needed, fraction, seed,
+    )
     report = run_sweep(
         trace, jobs, workers=workers, result_cache=result_cache, obs=obs,
     )
     return {
-        secondary.name: job_result.result
-        for secondary, job_result in zip(secondaries, report.results)
+        job.spec.keys[1]: jr.result for job, jr in zip(jobs, report.results)
     }
 
 
@@ -167,24 +174,21 @@ def full_taxonomy_sweep(
     obs=None,
 ) -> Dict[Tuple[str, str], SimulationResult]:
     """All 36 primary/secondary combinations of Section 1.2."""
-    capacity = max(1, int(max_needed * fraction))
-    policies = taxonomy_policies()
-    jobs = [
-        SweepJob(
-            spec=PolicySpec.from_policy(policy),
-            capacity=capacity,
-            options=SimOptions(seed=seed),
-            name=policy.name,
-        )
-        for policy in policies
-    ]
+    jobs = grid_jobs(taxonomy_specs(), max_needed, fraction, seed)
     report = run_sweep(
         trace, jobs, workers=workers, result_cache=result_cache, obs=obs,
     )
     return {
-        (policy.keys[0].name, policy.keys[1].name): job_result.result
-        for policy, job_result in zip(policies, report.results)
+        job.spec.keys[:2]: jr.result for job, jr in zip(jobs, report.results)
     }
+
+
+def taxonomy_specs() -> List[Tuple[str, PolicySpec]]:
+    """The 36 policies of Section 1.2, named, as sweep specs."""
+    return [
+        (policy.name, PolicySpec.from_policy(policy))
+        for policy in taxonomy_policies()
+    ]
 
 
 def run_two_level(
