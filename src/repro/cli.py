@@ -82,8 +82,9 @@ __all__ = ["CommandError", "main", "parse_capacity", "parse_policy"]
 #: Wall-clock time of a trace's first line unless ``--epoch`` says otherwise.
 EPOCH = 800_000_000.0
 
-#: The :class:`~repro.proxy.fleet.ShardSpec` fields ``fleet serve`` and
-#: ``fleet chaos`` take from flags; an omitted flag keeps the spec's default.
+#: The :class:`~repro.proxy.fleet.ShardSpec` fields ``fleet serve`` takes
+#: from flags (``fleet chaos``: all but ``timeout`` and ``origin``); an
+#: omitted flag keeps the spec's default.
 SHARD_FIELDS = ("capacity", "policy", "timeout", "max_inflight", "origin")
 
 _CAPACITY_RE = re.compile(
@@ -187,15 +188,17 @@ def _unreadable(path: str, error: Exception) -> CommandError:
     return CommandError(f"{path}: {getattr(error, 'strerror', None) or error}")
 
 
-def _load_trace(args: argparse.Namespace, validator=None):
+def _load_trace(args: argparse.Namespace, validator=None,
+                allow_empty: bool = False):
     """The validated requests a command replays, and a label for them.
 
     The source is the CLF file ``args.trace`` — ingested leniently:
     malformed lines are quarantined (counted on ``args.obs`` when the
     command has one), never fatal mid-replay — or, where the command
     lets the file be omitted, the synthesised ``args.workload``.  An
-    unreadable file and a trace with no valid request are both a
-    :class:`CommandError`.
+    unreadable file is a :class:`CommandError`, and so is a trace with
+    no valid request unless ``allow_empty`` (``characterize``, whose
+    counters say why).
     """
     if args.trace:
         from repro.trace.reader import IngestStats
@@ -218,7 +221,7 @@ def _load_trace(args: argparse.Namespace, validator=None):
     else:
         valid = generate_valid(args.workload, seed=args.seed, scale=args.scale)
         label = f"workload {args.workload} at scale {args.scale}"
-    if not valid:
+    if not valid and not allow_empty:
         raise CommandError("trace contains no valid requests")
     return valid, label
 
@@ -336,7 +339,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_characterize(args: argparse.Namespace) -> int:
     validator = TraceValidator()
-    valid, _ = _load_trace(args, validator=validator)
+    valid, _ = _load_trace(args, validator=validator, allow_empty=True)
     print(render_table(
         ["counter", "value"],
         [[key, value] for key, value in validator.stats.as_dict().items()],
@@ -403,7 +406,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     trace, label = _load_trace(args)
-    infinite = run_infinite_cache(trace, args.trace or args.workload)
+    infinite = run_infinite_cache(trace, args.workload)
     print(
         f"{label}: {len(trace):,} requests, "
         f"infinite HR {infinite.hit_rate:.1f}% "
@@ -833,8 +836,8 @@ def cmd_obs_tail(args: argparse.Namespace) -> int:
             follow=args.follow,
             poll_interval=args.interval,
         )
-    except FileNotFoundError:
-        raise CommandError(f"{args.events}: no such file") from None
+    except (OSError, ValueError) as error:  # missing, or not UTF-8
+        raise _unreadable(args.events, error) from None
     except KeyboardInterrupt:
         pass  # a follow ends on ^C, not with a traceback
     return 0
@@ -872,14 +875,14 @@ def cmd_fleet_serve(args: argparse.Namespace) -> int:
         shard_specs(args.state_dir, args.shards, **_shard_fields(args)),
         obs=args.obs, host=args.host, port=args.port,
     ).start()
-    host, port = fleet.router.address
+    host, port = fleet.address
     print(f"fleet router on {host}:{port} "
           f"({args.shards} shard(s), state under {args.state_dir})")
     print(f"fleet status: curl http://{host}:{port}/fleet/status")
     print(f"fleet telemetry: curl http://{host}:{port}/fleet/telemetry")
     _serve(
         lambda: "  up={up}/{total} restarts={restarts}".format(
-            total=args.shards, **fleet.supervisor.status(),
+            total=args.shards, **fleet.status(),
         ),
         fleet.stop,
     )
@@ -889,6 +892,9 @@ def cmd_fleet_serve(args: argparse.Namespace) -> int:
 def cmd_fleet_chaos(args: argparse.Namespace) -> int:
     from repro.proxy.fleet import run_fleet_chaos
 
+    shard = _shard_fields(args)
+    if "max_inflight" in shard:  # the harness's name, as in its report
+        shard["shard_max_inflight"] = shard.pop("max_inflight")
     report = run_fleet_chaos(
         state_root=args.state_dir,
         shards=args.shards,
@@ -901,9 +907,8 @@ def cmd_fleet_chaos(args: argparse.Namespace) -> int:
         availability_floor=args.floor,
         obs=args.obs,
         telemetry_out=args.telemetry_out or None,
-        dashboard_out=args.dashboard_out or None,
         timeseries_out=args.timeseries_out or None,
-        **_shard_fields(args),
+        **shard,
     )
     print(report.render())
     if args.out:
@@ -911,7 +916,6 @@ def cmd_fleet_chaos(args: argparse.Namespace) -> int:
         print(f"wrote fleet report to {args.out}")
     for flag, path in (
         ("telemetry", args.telemetry_out),
-        ("dashboard", args.dashboard_out),
         ("time series", args.timeseries_out),
     ):
         if path:
@@ -953,10 +957,7 @@ def cmd_fleet_telemetry(args: argparse.Namespace) -> int:
     render the dashboard."""
     import json
 
-    from repro.obs.telemetry import (
-        render_dashboard_ascii,
-        render_dashboard_html,
-    )
+    from repro.obs.telemetry import render_dashboard_ascii
     from repro.proxy.router import TELEMETRY_PATH
 
     source = args.from_path or f"{args.router[0]}:{args.router[1]}"
@@ -973,11 +974,6 @@ def cmd_fleet_telemetry(args: argparse.Namespace) -> int:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(render_dashboard_ascii(doc))
-    if args.html_out:
-        Path(args.html_out).write_text(
-            render_dashboard_html(doc), encoding="utf-8",
-        )
-        print(f"wrote dashboard to {args.html_out}")
     return 0
 
 
@@ -992,22 +988,29 @@ def _command(commands, name: str, func, help: str, **kwargs):
     return parser
 
 
-def _trace_source(parser, seed: int = 0, scale: Optional[float] = None):
-    """The trace source: a CLF file (``--epoch`` dates its first line)
-    and the run's ``--seed``; given ``scale``, the file may be omitted
-    and ``--workload`` at ``--scale`` is synthesised instead."""
-    if scale is None:
+def _trace_source(parser, seed: Optional[int] = None,
+                  scale: Optional[float] = None, file: bool = True):
+    """The trace source: a CLF file (``--epoch`` dates its first line);
+    given ``scale``, ``--workload`` at ``--scale`` is synthesised when
+    the file is omitted, or always without ``file``.  ``--seed`` is
+    declared only for a command that reads one."""
+    if not file:
+        parser.set_defaults(trace="")
+    elif scale is None:
         parser.add_argument("trace", help="CLF trace")
     else:
         parser.add_argument("trace", nargs="?", default="",
                             help="CLF trace (synthesises --workload "
                                  "when omitted)")
+    if file:
+        parser.add_argument("--epoch", type=float, default=EPOCH,
+                            help="wall-clock epoch of trace start")
+    if scale is not None:
         parser.add_argument("--workload", default="BL",
                             choices=sorted(PROFILES))
         parser.add_argument("--scale", type=float, default=scale)
-    parser.add_argument("--epoch", type=float, default=EPOCH,
-                        help="wall-clock epoch of trace start")
-    parser.add_argument("--seed", type=int, default=seed)
+    if seed is not None:
+        parser.add_argument("--seed", type=int, default=seed)
 
 
 def _obs_flags(parser) -> None:
@@ -1041,10 +1044,9 @@ def _engine_flags(parser) -> None:
 
 
 def _grid_flags(parser) -> None:
-    """What ``experiment`` and ``sweep`` share: a trace (synthesised
-    when omitted), caches at ``--fraction`` of MaxNeeded, the sweep
-    engine, the per-day series export and the observability outputs."""
-    _trace_source(parser, seed=1996, scale=0.05)
+    """What ``experiment`` and ``sweep`` share after their trace source:
+    caches at ``--fraction`` of MaxNeeded, the sweep engine, the per-day
+    series export and the observability outputs."""
     parser.add_argument("--fraction", type=float, default=0.10)
     _engine_flags(parser)
     parser.add_argument("--timeseries-out", default="", metavar="PATH",
@@ -1066,8 +1068,8 @@ def _retry_flags(parser, timeout: float) -> None:
 
 
 def _shard_flags(parser) -> None:
-    """How many shards, where they keep state, and the per-shard
-    :data:`SHARD_FIELDS` (omitted: :class:`ShardSpec`'s defaults)."""
+    """How many shards, where they keep state, and the per-shard fields
+    both fleet commands take (omitted: :class:`ShardSpec`'s defaults)."""
     parser.add_argument("--shards", type=_positive_int, default=4)
     parser.add_argument("--state-dir", required=True, metavar="DIR",
                         help="root directory; shard i keeps its spec and "
@@ -1076,8 +1078,6 @@ def _shard_flags(parser) -> None:
     group.add_argument("--capacity", type=parse_capacity,
                        help="store capacity")
     group.add_argument("--policy", type=_policy_text)
-    group.add_argument("--timeout", type=float,
-                       help="per-attempt origin timeout, seconds")
     group.add_argument("--max-inflight", type=int,
                        help="admission bound (excess is shed as "
                             "503 + Retry-After)")
@@ -1112,7 +1112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = _command(commands, "simulate", cmd_simulate,
                    "simulate caches over a CLF trace")
-    _trace_source(sim)
+    _trace_source(sim, seed=0)
     sim.add_argument("--policy", **policies)
     size = sim.add_mutually_exclusive_group()
     size.add_argument("--capacity", type=parse_capacity,
@@ -1123,10 +1123,12 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = _command(commands, "experiment", cmd_experiment,
                           "run one of the paper's experiments")
     experiment.add_argument("number", type=int, choices=(1, 2, 3, 4))
+    _trace_source(experiment, seed=1996, scale=0.05, file=False)
     _grid_flags(experiment)
 
     sweep = _command(commands, "sweep", cmd_sweep,
                      "the full 36-policy taxonomy grid via the sweep engine")
+    _trace_source(sweep, seed=1996, scale=0.05)
     _grid_flags(sweep)
     sweep.add_argument("--checkpoint-dir", default="", metavar="DIR",
                        help="journal completed jobs here so a killed "
@@ -1226,6 +1228,8 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_serve = _command(fleet_sub, "serve", cmd_fleet_serve,
                            "run the supervisor and router until SIGTERM")
     _shard_flags(fleet_serve)
+    fleet_serve.add_argument("--timeout", type=float,
+                             help="per-attempt origin timeout, seconds")
     _listen_flags(fleet_serve, 8080)
     fleet_serve.add_argument("--origin",
                              help="route every request to this host:port")
@@ -1252,9 +1256,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_chaos.add_argument("--telemetry-out", default="", metavar="PATH",
                              help="write the final aggregated telemetry "
                                   "document as JSON")
-    fleet_chaos.add_argument("--dashboard-out", default="", metavar="PATH",
-                             help="write the HTML telemetry dashboard "
-                                  "snapshot")
     fleet_chaos.add_argument("--timeseries-out", default="", metavar="PATH",
                              help="write the aggregator's per-round rollup "
                                   "series as checksummed JSONL")
@@ -1281,8 +1282,6 @@ def build_parser() -> argparse.ArgumentParser:
                                       "document instead of fetching")
     fleet_telemetry.add_argument("--json", action="store_true",
                                  help="print the raw JSON document")
-    fleet_telemetry.add_argument("--html-out", default="", metavar="PATH",
-                                 help="also write the HTML dashboard here")
 
     origin = _command(commands, "origin", cmd_origin,
                       "run the toy origin server")
@@ -1290,7 +1289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mrc = _command(commands, "mrc", cmd_mrc,
                    "miss-ratio curves over a CLF trace")
-    _trace_source(mrc)
+    _trace_source(mrc, seed=0)
     mrc.add_argument("--policy", **policies)
     mrc.add_argument("--fractions", type=float, nargs="+",
                      default=[0.05, 0.10, 0.25, 0.50, 1.0])
@@ -1312,7 +1311,7 @@ def build_parser() -> argparse.ArgumentParser:
     clone = _command(commands, "clone", cmd_clone,
                      "calibrate a profile from a CLF trace and synthesise "
                      "a statistically similar stand-in")
-    _trace_source(clone)
+    _trace_source(clone, seed=0)
     clone.add_argument("--key", default="CAL")
     clone.add_argument("--scale", type=float, default=1.0)
     clone.add_argument("--out", required=True)

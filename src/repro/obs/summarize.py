@@ -2,10 +2,12 @@
 
 Takes any subset of the artifacts a run writes (``--events-out`` JSONL,
 ``--trace-out`` Chrome trace JSON, ``--metrics-out`` Prometheus text,
-``--timeseries-out`` checksummed JSONL) and produces a human-readable
-summary: event volumes by channel and level, the hottest event types,
-per-phase wall-time breakdowns from the spans, every non-zero metric
-sample, and the recorded time-series coverage.
+``--timeseries-out`` checksummed JSONL, ``fleet chaos``'s
+``FLEET_report.json``) and produces a human-readable summary: event
+volumes by channel and level, the hottest event types, per-phase
+wall-time breakdowns from the spans, every non-zero metric sample, the
+recorded time-series coverage, and the fleet's verdict line and
+dashboard.
 
 A missing, empty, or truncated artifact raises :class:`ArtifactError`
 with a one-line diagnostic naming the file — the CLI turns that into a
@@ -22,7 +24,10 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.analysis.report import render_table
 
-__all__ = ["ArtifactError", "parse_prometheus_text", "summarize_run"]
+__all__ = [
+    "ArtifactError", "fleet_verdict", "parse_prometheus_text",
+    "summarize_run",
+]
 
 
 class ArtifactError(ValueError):
@@ -210,80 +215,47 @@ def _summarize_timeseries(path: Path) -> str:
     )
 
 
-def _summarize_fleet(path: Path) -> str:
-    """One line from a ``FLEET_report.json``: shards, restarts, shed %,
-    availability, and the invariant verdict."""
-    text = _read_artifact(path, "fleet report")
-    try:
-        record = json.loads(text)
-        deterministic = record["deterministic"]
-        measured = record["measured"]
-        invariants = deterministic["invariants"]
-        requests = int(deterministic["requests"])
-        shards = int(deterministic["shards"])
-        availability = float(measured["availability_pct"])
-        shed = int(measured["counts"].get("shed", 0))
-        restarts = int(measured["restarts"])
-    except (KeyError, TypeError, ValueError) as error:
-        raise ArtifactError(
-            f"fleet report: {path} is not a FleetReport payload ({error})"
-        )
-    shed_pct = 100.0 * shed / requests if requests else 0.0
-    verdict = "PASS" if all(invariants.values()) else "FAIL"
-    failed = sorted(
-        name for name, held in invariants.items() if not held
+def fleet_verdict(report: dict) -> str:
+    """The fleet's one verdict line from a ``FleetReport`` payload:
+    shards, restarts, shed %, availability, PASS/FAIL and the names of
+    the invariants that did not hold."""
+    det, meas = report["deterministic"], report["measured"]
+    requests = int(det["requests"])
+    shed_pct = (
+        100.0 * int(meas["counts"].get("shed", 0)) / requests
+        if requests else 0.0
+    )
+    violated = sorted(
+        name for name, held in det["invariants"].items() if not held
     )
     line = (
-        f"fleet: {shards} shard(s), {restarts} restart(s), "
-        f"shed {shed_pct:.1f}%, availability {availability:.2f}% "
-        f"[{verdict}]"
+        f"fleet: {int(det['shards'])} shard(s), "
+        f"{int(meas['restarts'])} restart(s), shed {shed_pct:.1f}%, "
+        f"availability {float(meas['availability_pct']):.2f}% "
+        f"[{'FAIL' if violated else 'PASS'}]"
     )
-    if failed:
-        line += "\n  violated: " + ", ".join(failed)
-    telemetry = measured.get("telemetry")
-    if telemetry:
-        line += "\n" + _render_fleet_telemetry(telemetry)
+    if violated:
+        line += " violated: " + ", ".join(violated)
     return line
 
 
-def _render_fleet_telemetry(telemetry: dict) -> str:
-    """The aggregated rollup + SLO lines a telemetry-bearing fleet
-    report adds to ``obs summarize --fleet``."""
-    fleet = telemetry.get("fleet", {})
-    latency = fleet.get("latency", {})
-    stale = sorted(
-        shard_id
-        for shard_id, entry in telemetry.get("shards", {}).items()
-        if entry.get("stale")
-    )
-    lines = [
-        "  telemetry: {rounds} round(s), HR {hr:.1f}%, WHR {whr:.1f}%, "
-        "p50 {p50:.3f}s p95 {p95:.3f}s p99 {p99:.3f}s".format(
-            rounds=telemetry.get("rounds", 0),
-            hr=fleet.get("hit_ratio_pct", 0.0),
-            whr=fleet.get("weighted_hit_ratio_pct", 0.0),
-            p50=latency.get("p50_s", 0.0),
-            p95=latency.get("p95_s", 0.0),
-            p99=latency.get("p99_s", 0.0),
-        ),
-    ]
-    if stale:
-        lines.append("  stale shards: " + ", ".join(stale))
-    slo = telemetry.get("slo", {})
-    for objective in slo.get("objectives", ()):
-        burns = objective.get("burn_rates", {})
-        worst = max(burns.values()) if burns else 0.0
-        lines.append(
-            f"  slo {objective.get('name', '?')}: "
-            f"target {objective.get('target', 0.0):.2f}, "
-            f"worst burn {worst:.2f}"
+def _summarize_fleet(path: Path) -> str:
+    """A ``FLEET_report.json``: the verdict line, then the telemetry
+    dashboard when the report carries one."""
+    from repro.obs.telemetry import render_dashboard_ascii
+
+    text = _read_artifact(path, "fleet report")
+    try:
+        record = json.loads(text)
+        parts = [fleet_verdict(record)]
+        telemetry = record["measured"].get("telemetry")
+        if telemetry:
+            parts.append(render_dashboard_ascii(telemetry))
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
+        raise ArtifactError(
+            f"fleet report: {path} is not a FleetReport payload ({error})"
         )
-    alerts = slo.get("alerts", ())
-    if alerts:
-        lines.append("  FIRING: " + ", ".join(
-            f"{a['slo']}/{a['window']}" for a in alerts
-        ))
-    return "\n".join(lines)
+    return "\n\n".join(parts)
 
 
 def summarize_run(

@@ -35,7 +35,6 @@ and stay out of every ``deterministic`` report section; the SLO
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import threading
@@ -68,7 +67,6 @@ __all__ = [
     "slo_config",
     "TelemetryAggregator",
     "render_dashboard_ascii",
-    "render_dashboard_html",
 ]
 
 #: The propagation header: ``00-<32hex trace>-<16hex span>-<2hex hops>``
@@ -356,19 +354,6 @@ class SLOSpec:
             "description": self.description,
         }
 
-    @classmethod
-    def from_dict(cls, record: dict) -> "SLOSpec":
-        return cls(
-            name=str(record["name"]),
-            kind=str(record["kind"]),
-            target=float(record["target"]),
-            threshold_s=(
-                float(record["threshold_s"])
-                if record.get("threshold_s") is not None else None
-            ),
-            description=str(record.get("description", "")),
-        )
-
 
 @dataclass(frozen=True)
 class BurnWindow:
@@ -475,12 +460,6 @@ class SLOEngine:
             spec.name: deque(maxlen=depth) for spec in self.specs
         }
         self._active: Dict[Tuple[str, str], bool] = {}
-
-    def spec(self, name: str) -> Optional[SLOSpec]:
-        for candidate in self.specs:
-            if candidate.name == name:
-                return candidate
-        return None
 
     def observe(self, name: str, good: float, total: float) -> None:
         """Record one tick's (good, total) deltas for one SLO."""
@@ -781,13 +760,25 @@ class TelemetryAggregator:
                     state.failures,
                 )
 
-            quantiles = self._latency_quantiles()
+            # One read of the router-observed request latency a round:
+            # the quantile gauges and every latency SLO derive from it.
+            family = self.fleet_m.request_seconds
+            [(_, latency)] = family.samples()
+            counts, observed = list(latency.counts), latency.count
+            quantiles = {
+                f"p{int(q * 100)}": histogram_quantile(
+                    q, family.buckets, counts, latency.inf_count,
+                )
+                for q in (0.50, 0.95, 0.99)
+            }
             for quantile, seconds in sorted(quantiles.items()):
                 self.m.latency_quantile.labels(quantile=quantile).set(
                     seconds,
                 )
 
-            self._feed_slo(merged, requests, cache_served)
+            self._feed_slo(
+                requests, cache_served, family.buckets, counts, observed,
+            )
             alerts = self.slo.evaluate()
 
             self._rounds += 1
@@ -810,26 +801,14 @@ class TelemetryAggregator:
             }
             return dict(self._fleet)
 
-    def _latency_quantiles(self) -> Dict[str, float]:
-        """p50/p95/p99 of the router-observed fleet request latency."""
-        snapshot = self.obs.registry.snapshot()
-        family = snapshot.get("repro_fleet_request_seconds")
-        if not family or not family.get("samples"):
-            return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-        sample = family["samples"][0]
-        edges = family.get("buckets_le", [])
-        return {
-            f"p{int(q * 100)}": histogram_quantile(
-                q, edges, sample["bucket_counts"], sample["inf_count"],
-            )
-            for q in (0.50, 0.95, 0.99)
-        }
-
     def _feed_slo(
-        self, merged: Registry, requests: float, cache_served: float,
+        self, requests: float, cache_served: float,
+        edges: Sequence[float], latency_counts: List[int], observed: int,
     ) -> None:
         """Convert cumulative counters into per-tick (good, total) deltas
-        and feed them to the SLO engine."""
+        and feed them to the SLO engine.  A latency SLO's good requests
+        are the histogram's cumulative count at the first bucket edge at
+        or over its threshold."""
         registry = self.obs.registry
         routed = registry.value("repro_fleet_requests_total", outcome="routed")
         shed = registry.value("repro_fleet_requests_total", outcome="shed")
@@ -839,33 +818,19 @@ class TelemetryAggregator:
             if spec.kind == "availability":
                 cumulative[spec.name] = (routed, routed + shed + failed)
             elif spec.kind == "latency":
-                cumulative[spec.name] = self._latency_good_total(spec)
+                threshold = spec.threshold_s or 0.0
+                good = 0
+                for edge, count in zip(edges, latency_counts):
+                    good += count
+                    if edge >= threshold:
+                        break
+                cumulative[spec.name] = (float(good), float(observed))
             elif spec.kind == "hit_ratio":
                 cumulative[spec.name] = (cache_served, requests)
         for name, (good, total) in cumulative.items():
             prev_good, prev_total = self._prev_slo.get(name, (0.0, 0.0))
             self.slo.observe(name, good - prev_good, total - prev_total)
             self._prev_slo[name] = (good, total)
-
-    def _latency_good_total(self, spec: SLOSpec) -> Tuple[float, float]:
-        snapshot = self.obs.registry.snapshot()
-        family = snapshot.get("repro_fleet_request_seconds")
-        if not family or not family.get("samples"):
-            return (0.0, 0.0)
-        sample = family["samples"][0]
-        edges = family.get("buckets_le", [])
-        threshold = spec.threshold_s if spec.threshold_s is not None else 0.0
-        good = 0.0
-        running = 0.0
-        for edge, count in zip(edges, sample["bucket_counts"]):
-            running += count
-            if edge >= threshold:
-                good = running
-                break
-        else:
-            good = running
-        total = float(sample["count"])
-        return (good, total)
 
     # -- the telemetry document ----------------------------------------------------
 
@@ -899,20 +864,27 @@ class TelemetryAggregator:
 # -- dashboard rendering --------------------------------------------------------------
 
 
-def _dashboard_rows(doc: dict) -> Tuple[List[list], List[list], List[list]]:
-    """(fleet, shard, slo) table rows shared by both dashboard formats."""
+def render_dashboard_ascii(doc: dict) -> str:
+    """The telemetry document as ASCII tables: the fleet's one dashboard
+    (``fleet telemetry``, ``obs summarize --fleet``)."""
+    from repro.analysis.report import render_table
+
     fleet = doc.get("fleet", {})
     latency = fleet.get("latency", {})
-    fleet_rows = [
-        ["scrape rounds", doc.get("rounds", 0)],
-        ["shard requests", int(fleet.get("requests", 0))],
-        ["hit ratio %", f"{fleet.get('hit_ratio_pct', 0.0):.2f}"],
-        ["weighted hit ratio %",
-         f"{fleet.get('weighted_hit_ratio_pct', 0.0):.2f}"],
-        ["latency p50 s", f"{latency.get('p50_s', 0.0):.4f}"],
-        ["latency p95 s", f"{latency.get('p95_s', 0.0):.4f}"],
-        ["latency p99 s", f"{latency.get('p99_s', 0.0):.4f}"],
-    ]
+    parts = [render_table(
+        ["measure", "value"],
+        [
+            ["scrape rounds", doc.get("rounds", 0)],
+            ["shard requests", int(fleet.get("requests", 0))],
+            ["hit ratio %", f"{fleet.get('hit_ratio_pct', 0.0):.2f}"],
+            ["weighted hit ratio %",
+             f"{fleet.get('weighted_hit_ratio_pct', 0.0):.2f}"],
+            ["latency p50 s", f"{latency.get('p50_s', 0.0):.4f}"],
+            ["latency p95 s", f"{latency.get('p95_s', 0.0):.4f}"],
+            ["latency p99 s", f"{latency.get('p99_s', 0.0):.4f}"],
+        ],
+        title="Fleet rollup",
+    )]
     shard_rows = [
         [
             shard_id,
@@ -926,87 +898,33 @@ def _dashboard_rows(doc: dict) -> Tuple[List[list], List[list], List[list]]:
         ]
         for shard_id, entry in sorted(doc.get("shards", {}).items())
     ]
-    slo_rows = []
-    for objective in doc.get("slo", {}).get("objectives", ()):
-        burns = objective.get("burn_rates", {})
-        slo_rows.append([
-            objective.get("name", "?"),
-            objective.get("kind", "?"),
-            f"{objective.get('target', 0.0):.2f}",
-            ", ".join(
-                f"{window}={burn:.2f}"
-                for window, burn in sorted(burns.items())
-            ) or "-",
-        ])
-    return fleet_rows, shard_rows, slo_rows
-
-
-def render_dashboard_ascii(doc: dict) -> str:
-    """The telemetry document as ASCII tables (CLI dashboard)."""
-    from repro.analysis.report import render_table
-
-    fleet_rows, shard_rows, slo_rows = _dashboard_rows(doc)
-    parts = [render_table(
-        ["measure", "value"], fleet_rows, title="Fleet rollup",
-    )]
     if shard_rows:
         parts.append(render_table(
             ["shard", "occupancy", "scrape age s", "failures", "freshness"],
             shard_rows, title="Shards",
         ))
+    slo_rows = [
+        [
+            objective.get("name", "?"),
+            objective.get("kind", "?"),
+            f"{objective.get('target', 0.0):.2f}",
+            ", ".join(
+                f"{window}={burn:.2f}"
+                for window, burn in sorted(
+                    objective.get("burn_rates", {}).items(),
+                )
+            ) or "-",
+        ]
+        for objective in doc.get("slo", {}).get("objectives", ())
+    ]
     if slo_rows:
         parts.append(render_table(
             ["slo", "kind", "target", "burn rates"],
             slo_rows, title="Objectives",
         ))
-    alerts = doc.get("fleet", {}).get("alerts", ())
+    alerts = fleet.get("alerts", ())
     if alerts:
         parts.append("FIRING: " + ", ".join(
             f"{a['slo']}/{a['window']} ({a['severity']})" for a in alerts
         ))
     return "\n\n".join(parts)
-
-
-def render_dashboard_html(doc: dict) -> str:
-    """The telemetry document as one self-contained HTML page."""
-    def table(headers: List[str], rows: List[list]) -> str:
-        head = "".join(f"<th>{h}</th>" for h in headers)
-        body = "".join(
-            "<tr>" + "".join(f"<td>{cell}</td>" for cell in row) + "</tr>"
-            for row in rows
-        )
-        return (
-            f"<table><thead><tr>{head}</tr></thead>"
-            f"<tbody>{body}</tbody></table>"
-        )
-
-    fleet_rows, shard_rows, slo_rows = _dashboard_rows(doc)
-    alerts = doc.get("fleet", {}).get("alerts", ())
-    alert_html = (
-        "<p class='firing'>FIRING: " + ", ".join(
-            f"{a['slo']}/{a['window']} ({a['severity']})" for a in alerts
-        ) + "</p>"
-        if alerts else "<p class='ok'>no SLO alerts firing</p>"
-    )
-    return (
-        "<!DOCTYPE html><html><head><meta charset='utf-8'>"
-        "<title>repro fleet telemetry</title><style>"
-        "body{font-family:monospace;margin:2em;background:#fafafa}"
-        "table{border-collapse:collapse;margin:1em 0}"
-        "th,td{border:1px solid #999;padding:0.3em 0.7em;text-align:left}"
-        "th{background:#eee}"
-        ".firing{color:#a00;font-weight:bold}.ok{color:#080}"
-        "</style></head><body>"
-        "<h1>repro fleet telemetry</h1>"
-        + alert_html
-        + "<h2>Fleet rollup</h2>" + table(["measure", "value"], fleet_rows)
-        + "<h2>Shards</h2>" + table(
-            ["shard", "occupancy", "scrape age s", "failures", "freshness"],
-            shard_rows,
-        )
-        + "<h2>Objectives</h2>" + table(
-            ["slo", "kind", "target", "burn rates"], slo_rows,
-        )
-        + "<pre>" + json.dumps(doc, indent=1, sort_keys=True) + "</pre>"
-        "</body></html>"
-    )

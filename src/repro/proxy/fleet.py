@@ -44,7 +44,7 @@ import threading
 import time as _time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import repro
 from repro.durability import atomic_write_text
@@ -53,12 +53,8 @@ from repro.httpnet.client import fetch as _fetch
 from repro.obs import Obs
 from repro.obs.catalog import fleet_metrics, telemetry_metrics
 from repro.obs.metrics import Registry
-from repro.obs.summarize import parse_prometheus_text
-from repro.obs.telemetry import (
-    TelemetryAggregator,
-    render_dashboard_html,
-    slo_config,
-)
+from repro.obs.summarize import fleet_verdict, parse_prometheus_text
+from repro.obs.telemetry import TelemetryAggregator, slo_config
 from repro.obs.timeseries import merge_samples, write_timeseries
 from repro.proxy.loadgen import (
     LoadGenerator,
@@ -209,17 +205,23 @@ class FleetSupervisor:
 
     def start(self, wait: float = 15.0) -> "FleetSupervisor":
         """Spawn every shard and block until all are UP (or ``wait``
-        seconds pass, which raises)."""
+        seconds pass, which raises); a failed start stops what it
+        spawned."""
         self._running = True
-        with self._lock:
-            for handle in self._handles.values():
-                self._spawn_locked(handle)
-        deadline = _time.monotonic() + wait
-        for shard_id in list(self._handles):
-            remaining = deadline - _time.monotonic()
-            if not self.wait_until_up(shard_id, timeout=max(0.1, remaining)):
-                self.stop()
-                raise RuntimeError(f"shard {shard_id} failed to come up")
+        try:
+            with self._lock:
+                for handle in self._handles.values():
+                    self._spawn_locked(handle)
+            deadline = _time.monotonic() + wait
+            for shard_id in list(self._handles):
+                remaining = deadline - _time.monotonic()
+                if not self.wait_until_up(
+                    shard_id, timeout=max(0.1, remaining),
+                ):
+                    raise RuntimeError(f"shard {shard_id} failed to come up")
+        except BaseException:
+            self.stop()
+            raise
         self._health_thread = threading.Thread(
             target=self._health_loop, daemon=True,
         )
@@ -548,8 +550,9 @@ class Fleet:
     fleet serve`` runs and :func:`run_fleet_chaos` drives.
 
     ``router_options`` go to :class:`~repro.proxy.router.FleetRouter`
-    (listen address, shard timeout, deadline budget).  :meth:`stop` is
-    safe to call twice and after a failed :meth:`start`.
+    (listen address, shard timeout, deadline budget).  :meth:`stop`
+    stops each part that started exactly once, however often it is
+    called — also after a failed :meth:`start`.
     """
 
     def __init__(
@@ -560,19 +563,33 @@ class Fleet:
         self.supervisor = FleetSupervisor(specs, obs=self.obs)
         self.aggregator = TelemetryAggregator(self.supervisor, obs=self.obs)
         self._router_options = router_options
-        self.router: Optional[FleetRouter] = None
+        self._router: Optional[FleetRouter] = None
+        self._stops: List[Callable[[], None]] = []
+
+    @property
+    def address(self) -> Tuple[str, int]:
+        """Where the started fleet's router listens."""
+        return self._router.address
+
+    def status(self) -> dict:
+        """The ``/fleet/status`` document."""
+        return self.supervisor.status()
 
     def start(self) -> "Fleet":
         """Bring every shard UP, then the router, then the aggregator;
         on any failure stop what started and re-raise."""
         try:
-            self.supervisor.start()
-            self.router = FleetRouter(
+            self.supervisor.start()  # stops its own shards if it fails
+            self._stops.append(self.supervisor.stop)
+            self._router = FleetRouter(
                 self.supervisor,
                 obs=self.obs,
                 telemetry=self.aggregator.telemetry,
                 **self._router_options,
-            ).start()
+            )
+            self._stops.append(self._router.stop)
+            self._router.start()
+            self._stops.append(self.aggregator.stop)
             self.aggregator.start()
         except BaseException:
             self.stop()
@@ -580,10 +597,9 @@ class Fleet:
         return self
 
     def stop(self) -> None:
-        self.aggregator.stop()
-        if self.router is not None:
-            self.router.stop()
-        self.supervisor.stop()
+        """Stop what :meth:`start` started, newest first, each once."""
+        while self._stops:
+            self._stops.pop()()
 
 
 def _metric_value(exposition: str, name: str) -> Optional[float]:
@@ -642,20 +658,8 @@ class FleetReport:
         return all(self.deterministic["invariants"].values())
 
     def render(self) -> str:
-        """One human line: the fleet summary."""
-        det, meas = self.deterministic, self.measured
-        shed_pct = (
-            100.0 * meas["counts"].get("shed", 0) / det["requests"]
-            if det["requests"] else 0.0
-        )
-        verdict = "PASS" if self.ok else "FAIL"
-        return (
-            f"fleet: {det['shards']} shard(s), "
-            f"{meas['restarts']} restart(s), "
-            f"shed {shed_pct:.1f}%, "
-            f"availability {meas['availability_pct']:.2f}% "
-            f"[{verdict}]"
-        )
+        """The fleet's one verdict line."""
+        return fleet_verdict(self.as_dict())
 
 
 def default_fleet_plan(
@@ -686,15 +690,17 @@ def run_fleet_chaos(
     profile: str = "U",
     scale: float = 0.05,
     plan: Optional[FaultPlan] = None,
+    capacity: int = ShardSpec.capacity,
+    policy: str = ShardSpec.policy,
+    shard_max_inflight: int = ShardSpec.max_inflight,
+    shard_max_clients: int = ShardSpec.max_clients,
     service_time: float = 0.01,
     client_timeout: float = 20.0,
     deadline_ms: int = 15_000,
     availability_floor: float = 99.0,
     obs: Optional[Obs] = None,
     telemetry_out: Optional[Union[str, Path]] = None,
-    dashboard_out: Optional[Union[str, Path]] = None,
     timeseries_out: Optional[Union[str, Path]] = None,
-    **shard_fields,
 ) -> FleetReport:
     """Run the seeded shard-kill + overload scenario end to end.
 
@@ -703,12 +709,11 @@ def run_fleet_chaos(
     firing the plan's faults at their request indices.  A
     :class:`~repro.obs.telemetry.TelemetryAggregator` rides along on the
     health cadence, so the run produces fleet rollups and SLO burn-rate
-    evaluations (``telemetry_out`` / ``dashboard_out`` /
-    ``timeseries_out`` write them out).  Returns the
-    :class:`FleetReport`; the caller decides what to do with ``.ok``.
-    ``shard_fields`` are the :class:`ShardSpec` fields every shard
-    shares (``capacity``, ``policy``, ``max_inflight``...); the origin is
-    the harness's own.
+    evaluations (``telemetry_out`` / ``timeseries_out`` write them
+    out).  Returns the :class:`FleetReport`; the caller decides what to
+    do with ``.ok``.  Every shard shares ``capacity``, ``policy``,
+    ``shard_max_inflight`` and ``shard_max_clients`` (defaults:
+    :class:`ShardSpec`'s); the origin is the harness's own.
     """
     if plan is None:
         plan = default_fleet_plan(seed, requests, shards)
@@ -724,13 +729,14 @@ def run_fleet_chaos(
     origin = _SlowOrigin(
         service_time=service_time, site=SyntheticSite(),
     ).start()
-    specs = shard_specs(
-        state_root, shards,
-        origin=f"{origin.address[0]}:{origin.address[1]}", **shard_fields,
-    )
-    spec = specs[0]
     fleet = Fleet(
-        specs, obs=obs,
+        shard_specs(
+            state_root, shards,
+            capacity=capacity, policy=policy,
+            max_inflight=shard_max_inflight, max_clients=shard_max_clients,
+            origin=f"{origin.address[0]}:{origin.address[1]}",
+        ),
+        obs=obs,
         shard_timeout=client_timeout / 2,
         default_budget=deadline_ms / 1000.0,
     )
@@ -752,7 +758,7 @@ def run_fleet_chaos(
                 supervisor.stall_shard(sid, seconds)
 
         generator = LoadGenerator(
-            fleet.router.address,
+            fleet.address,
             urls,
             rate=rate,
             timeout=client_timeout,
@@ -794,7 +800,7 @@ def run_fleet_chaos(
         "all_well_formed": (
             counts.get("malformed", 0) == 0
             and counts.get("client_error", 0)
-            <= max(1, len(killed_ids)) * spec.max_inflight
+            <= max(1, len(killed_ids)) * shard_max_inflight
         ),
         "warm_restart_ok": warm_restart_ok,
         "telemetry_collected": telemetry_doc["rounds"] >= 1,
@@ -816,10 +822,10 @@ def run_fleet_chaos(
         "rate": rate,
         "profile": profile,
         "scale": scale,
-        "capacity": spec.capacity,
-        "policy": spec.policy,
-        "shard_max_inflight": spec.max_inflight,
-        "shard_max_clients": spec.max_clients,
+        "capacity": capacity,
+        "policy": policy,
+        "shard_max_inflight": shard_max_inflight,
+        "shard_max_clients": shard_max_clients,
         "deadline_ms": deadline_ms,
         "availability_floor": availability_floor,
         "plan": plan.to_dict(),
@@ -831,7 +837,7 @@ def run_fleet_chaos(
         "availability_pct": round(availability, 4),
         "counts": counts,
         "restarts": supervisor.restarts_total(),
-        "failovers": int(fleet.router.m.failover.value),
+        "failovers": int(obs.registry.value("repro_fleet_failover_total")),
         "latency_p50_s": round(load.percentile(0.50), 6),
         "latency_p95_s": round(load.percentile(0.95), 6),
         "wall_seconds": round(load.wall_seconds, 3),
@@ -842,10 +848,6 @@ def run_fleet_chaos(
         Path(telemetry_out).write_text(
             json.dumps(telemetry_doc, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
-        )
-    if dashboard_out is not None:
-        Path(dashboard_out).write_text(
-            render_dashboard_html(telemetry_doc), encoding="utf-8",
         )
     if timeseries_out is not None:
         write_timeseries(

@@ -44,7 +44,6 @@ from repro.obs.telemetry import (
     TRACE_ID_HEADER,
     TraceContext,
     continue_trace,
-    render_dashboard_html,
     set_trace_header,
 )
 from repro.proxy.overload import AdmissionController, OverloadPolicy
@@ -58,7 +57,6 @@ __all__ = [
     "FleetRouter",
     "STATUS_PATH",
     "TELEMETRY_PATH",
-    "DASHBOARD_PATH",
 ]
 
 #: Local router path answering a JSON fleet-status document.
@@ -67,10 +65,7 @@ STATUS_PATH = "/fleet/status"
 #: Local router path answering the aggregated fleet telemetry document.
 TELEMETRY_PATH = "/fleet/telemetry"
 
-#: Local router path answering the self-contained HTML dashboard.
-DASHBOARD_PATH = "/fleet/dashboard"
-
-_FLEET_PATHS = (STATUS_PATH, TELEMETRY_PATH, DASHBOARD_PATH)
+_FLEET_PATHS = (STATUS_PATH, TELEMETRY_PATH)
 
 
 def rendezvous_score(url: str, shard_id: int) -> int:
@@ -145,8 +140,7 @@ class FleetRouter(HttpServer):
         overload: front-tier admission configuration.
         max_clients: worker threads in the bounded handler pool.
         telemetry: optional callable returning the aggregated telemetry
-            document served at ``/fleet/telemetry`` and rendered at
-            ``/fleet/dashboard`` (the
+            document served at ``/fleet/telemetry`` (the
             :class:`~repro.obs.telemetry.TelemetryAggregator` provides
             one).
 
@@ -300,8 +294,7 @@ class FleetRouter(HttpServer):
         )
 
     def _fleet_response(self, path: str) -> HttpResponse:
-        """The directory's status, or the telemetry document as JSON or
-        as the HTML dashboard."""
+        """The directory's status or the telemetry document, as JSON."""
         if path == STATUS_PATH:
             status = getattr(self.directory, "status", None)
             doc = status() if status is not None else {
@@ -311,12 +304,6 @@ class FleetRouter(HttpServer):
             return error_response(404, "telemetry_not_configured")
         else:
             doc = self.telemetry()
-        if path == DASHBOARD_PATH:
-            return HttpResponse(
-                status=200,
-                headers={"Content-Type": "text/html; charset=utf-8"},
-                body=render_dashboard_html(doc).encode("utf-8"),
-            )
         return HttpResponse(
             status=200,
             headers={"Content-Type": "application/json"},

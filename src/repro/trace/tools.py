@@ -81,14 +81,10 @@ def merge_traces(*traces: Sequence[Request]) -> List[Request]:
     """Merge traces into one, ordered by timestamp.
 
     Each input must itself be timestamp-ordered (as generated traces and
-    parsed logs are).
+    parsed logs are).  Requests at the same timestamp keep input order:
+    an earlier trace's first, each trace's in its own order.
     """
-    def keyed(trace):
-        return ((request.timestamp, index, request)
-                for index, request in enumerate(trace))
-
-    merged = heapq.merge(*(keyed(trace) for trace in traces))
-    return [request for _, _, request in merged]
+    return list(heapq.merge(*traces, key=lambda request: request.timestamp))
 
 
 def split_by_type(

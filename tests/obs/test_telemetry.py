@@ -20,7 +20,6 @@ from repro.obs.telemetry import (
     default_slo_specs,
     extract_trace_context,
     render_dashboard_ascii,
-    render_dashboard_html,
     set_trace_header,
     slo_config,
     snapshot_from_exposition,
@@ -354,6 +353,47 @@ class TestTelemetryAggregator:
         assert {s["day"] for s in samples} == {1, 2}
 
 
+class TestOneLatencyRead:
+    """A round reads the router's latency histogram once: the quantile
+    gauges and every latency SLO's good/total derive from that read."""
+
+    @pytest.mark.parametrize("specs", [
+        (),
+        (
+            SLOSpec(name="fast", kind="latency", target=0.95,
+                    threshold_s=0.05),
+            SLOSpec(name="slow", kind="latency", target=0.95,
+                    threshold_s=2.5),
+        ),
+    ], ids=["stock_slos", "two_latency_slos"])
+    def test_one_scrape_reads_the_histogram_once(self, specs):
+        obs = Obs()
+        latency = fleet_metrics(obs.registry).request_seconds
+        for seconds in [0.01] * 10 + [10.0] * 10:
+            latency.observe(seconds)
+        aggregator = TelemetryAggregator(
+            FakeDirectory({}), obs=obs, specs=specs,
+            fetch=lambda *a: "", clock=fake_clock(),
+        )
+        # The per-round time-series tick snapshots the whole registry
+        # for its own stream; only the rollup's reads are counted here.
+        aggregator.recorder.tick = lambda *a, **k: True
+        reads = []
+        samples = latency.samples
+        latency.samples = lambda: reads.append(1) or samples()
+        fleet = aggregator.scrape_once()
+        assert len(reads) == 1
+        assert 0.0 < fleet["latency"]["p50_s"] <= fleet["latency"]["p99_s"]
+        latency_specs = [
+            spec for spec in aggregator.slo.specs if spec.kind == "latency"
+        ]
+        assert len(latency_specs) == max(1, len(specs))
+        for spec in latency_specs:
+            # Half the requests are over every threshold: bad fraction
+            # 0.5 against a 5% budget.
+            assert aggregator.slo.burn_rate(spec, 1) == pytest.approx(10.0)
+
+
 class TestDashboards:
     def _doc(self):
         directory = FakeDirectory({0: ("h", 1)})
@@ -371,10 +411,3 @@ class TestDashboards:
         assert "hit ratio %" in text
         assert "40.00" in text
         assert "fresh" in text
-
-    def test_html_dashboard_is_self_contained(self):
-        html = render_dashboard_html(self._doc())
-        assert html.startswith("<!DOCTYPE html>")
-        assert "repro fleet telemetry" in html
-        assert "no SLO alerts firing" in html
-        assert "40.0" in html

@@ -105,6 +105,23 @@ class TestCommands:
         empty.write_text("")
         assert main(["simulate", str(empty)]) == 1
 
+    def test_characterize_explains_a_trace_with_no_valid_request(
+        self, tmp_path, capsys,
+    ):
+        """The one diagnostic command still reports on the trace that
+        most needs it: every replaying command refuses it instead."""
+        malformed = tmp_path / "malformed.log"
+        malformed.write_text("garbage line one\nnot a clf line either\n")
+        assert main(["characterize", str(malformed)]) == 0
+        captured = capsys.readouterr()
+        assert "quarantined 2 malformed line(s) of 2" in captured.err
+        assert "Validation (Section 1.1)" in captured.out
+        assert "Workload summary" in captured.out
+        assert main(["simulate", str(malformed)]) == 1
+        assert capsys.readouterr().err.endswith(
+            "simulate: trace contains no valid requests\n"
+        )
+
     @pytest.mark.parametrize("number,expect", [
         (1, "Experiment 1"),
         (2, "Experiment 2"),
@@ -231,7 +248,6 @@ class TestOneErrorExit:
         (["clone"], ["--out", "clone.log"]),
         (["sweep"], []),
         (["chaos"], []),
-        (["experiment", "1"], []),
     ])
     def test_a_missing_trace_file(self, tmp_path, capsys, before, after):
         missing = tmp_path / "absent.log"
@@ -266,6 +282,19 @@ class TestOneErrorExit:
         err = capsys.readouterr().err
         assert "argument --policy:" in err and "BOGUS" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["characterize", "t.log", "--seed", "1"],
+        ["experiment", "1", "some.log"],
+        ["experiment", "1", "--epoch", "0"],
+    ])
+    def test_a_value_the_command_never_reads_is_refused(self, argv, capsys):
+        """``characterize`` draws nothing at random and ``experiment``
+        only synthesises its workload."""
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestOneShardSpec:
     def test_the_spec_round_trips_through_the_state_dir(self, tmp_path):
@@ -295,8 +324,9 @@ class TestOneShardSpec:
     def test_fleet_chaos_hands_its_shard_flags_to_the_spec(
         self, tmp_path, monkeypatch, capsys,
     ):
-        """``--timeout`` used to be accepted and dropped; an omitted
-        flag keeps :class:`ShardSpec`'s default."""
+        """``--timeout`` is the origin timeout of ``fleet serve`` only;
+        ``--max-inflight`` reaches the harness, and an omitted flag keeps
+        :class:`ShardSpec`'s default."""
         seen = {}
 
         class Report:
@@ -312,10 +342,16 @@ class TestOneShardSpec:
         monkeypatch.setattr(
             "repro.proxy.fleet.run_fleet_chaos", run_fleet_chaos,
         )
+        with pytest.raises(SystemExit) as raised:
+            main([
+                "fleet", "chaos", "--state-dir", str(tmp_path),
+                "--timeout", "2.5",
+            ])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --timeout" in capsys.readouterr().err
         assert main([
             "fleet", "chaos", "--state-dir", str(tmp_path),
-            "--timeout", "2.5", "--max-inflight", "3",
+            "--max-inflight", "3",
         ]) == 0
-        assert seen["timeout"] == 2.5
-        assert seen["max_inflight"] == 3
+        assert seen["shard_max_inflight"] == 3
         assert "capacity" not in seen and "policy" not in seen

@@ -238,6 +238,15 @@ class TestObsTailCommand:
         assert err.startswith("obs tail:")
         assert len(err.strip().splitlines()) == 1
 
+    def test_a_file_that_is_not_utf8_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(b'\xff\xfe{"seq": 1}\n')
+        assert main(["obs", "tail", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"obs tail: {path}: ")
+        assert "codec can't decode" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_corrupt_lines_are_skipped_not_fatal(self, tmp_path, capsys):
         path = tmp_path / "events.jsonl"
         path.write_text(
@@ -276,16 +285,19 @@ class TestFleetTelemetryCommand:
         assert "33.50" in out
 
     def test_json_mode_and_html_out(self, tmp_path, capsys):
+        """``--json`` prints the document itself; the HTML dashboard
+        (``--html-out``) is gone — the ASCII one is the only render."""
         path = tmp_path / "telemetry.json"
         path.write_text(json.dumps(self._doc()), encoding="utf-8")
-        html = tmp_path / "dash.html"
         assert main([
-            "fleet", "telemetry", "--from", str(path),
-            "--json", "--html-out", str(html),
+            "fleet", "telemetry", "--from", str(path), "--json",
         ]) == 0
-        out = capsys.readouterr().out
-        assert json.loads(out[:out.rindex("}") + 1])["rounds"] == 3
-        assert html.read_text(encoding="utf-8").startswith("<!DOCTYPE html>")
+        assert json.loads(capsys.readouterr().out) == self._doc()
+        with pytest.raises(SystemExit):
+            main([
+                "fleet", "telemetry", "--from", str(path),
+                "--html-out", str(tmp_path / "dash.html"),
+            ])
 
     def test_missing_document_is_one_line_error(self, tmp_path, capsys):
         assert main([
@@ -299,3 +311,53 @@ class TestFleetTelemetryCommand:
             "fleet", "telemetry", "--router", "127.0.0.1:1",
         ]) == 1
         assert capsys.readouterr().err.startswith("fleet telemetry:")
+
+
+class TestSummarizeFleet:
+    """``obs summarize --fleet``: the one verdict line, then the one
+    dashboard over the report's telemetry document."""
+
+    def _report(self, tmp_path, **invariants):
+        from repro.proxy.fleet import FleetReport
+
+        held = {"availability_floor_met": True, "warm_restart_ok": True}
+        held.update(invariants)
+        path = tmp_path / "FLEET_report.json"
+        FleetReport(
+            deterministic={"shards": 4, "requests": 200, "invariants": held},
+            measured={
+                "availability_pct": 99.5,
+                "counts": {"ok": 190, "shed": 10},
+                "restarts": 1,
+                "telemetry": TestFleetTelemetryCommand()._doc(),
+            },
+        ).write(path)
+        return path
+
+    def test_a_passing_report_prints_the_verdict_and_the_dashboard(
+        self, tmp_path, capsys,
+    ):
+        assert main(["obs", "summarize", "--fleet",
+                     str(self._report(tmp_path))]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == (
+            "fleet: 4 shard(s), 1 restart(s), shed 5.0%, "
+            "availability 99.50% [PASS]"
+        )
+        assert "Fleet rollup" in out and "33.50" in out
+        assert "Shards" in out and "fresh" in out
+
+    def test_a_false_invariant_is_named(self, tmp_path, capsys):
+        path = self._report(tmp_path, warm_restart_ok=False)
+        assert main(["obs", "summarize", "--fleet", str(path)]) == 0
+        verdict = capsys.readouterr().out.splitlines()[0]
+        assert verdict.endswith("[FAIL] violated: warm_restart_ok")
+
+    def test_a_malformed_report_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "FLEET_report.json"
+        path.write_text(json.dumps({"deterministic": {}}), encoding="utf-8")
+        assert main(["obs", "summarize", "--fleet", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("obs summarize: fleet report: ")
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""

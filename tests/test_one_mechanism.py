@@ -8,11 +8,13 @@ owns reading Prometheus text; a replay's day series is stored once, in
 its ``MetricsCollector``, and ``repro.obs.timeseries`` builds the only
 view of it; ``bench/run.py``, outside the package, is the one perf
 harness; ``repro.cli`` declares the one command line (its serve loop,
-the only signal handler besides the sweep's checkpointing drain) and
-``repro.proxy.fleet`` wires the one fleet from one shard spec.  A new
-server, client, export, benchmark runner, flag or fleet that grows its
-own is caught at review time instead of drifting apart from the shared
-one (as the router's deadline-less head reader once did).
+the only signal handler besides the sweep's checkpointing drain);
+``repro.proxy.fleet`` wires the one fleet from one shard spec; and
+``repro.obs.telemetry`` renders the one fleet dashboard while
+``repro.obs.summarize`` formats the one fleet verdict line.  A new
+server, client, export, benchmark runner, flag, fleet or dashboard that
+grows its own fails here instead of drifting apart from the shared one
+(as the router's deadline-less head reader once did).
 """
 
 from pathlib import Path
@@ -98,3 +100,11 @@ def test_one_fleet_wiring_from_one_shard_spec():
         "proxy/fleet.py", "proxy/router.py",
     ]
     assert files_containing("--shard-id") == []
+
+
+def test_one_fleet_dashboard_and_verdict_line():
+    """The SLO block is produced and read in one file, the verdict line
+    is formatted in one, and the fleet renders no HTML."""
+    assert files_containing("burn_rates") == ["obs/telemetry.py"]
+    assert files_containing("restart(s)") == ["obs/summarize.py"]
+    assert files_containing("<!DOCTYPE") == []

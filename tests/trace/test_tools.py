@@ -65,6 +65,14 @@ class TestMergeSplit:
     def test_merge_empty(self):
         assert merge_traces([], []) == []
 
+    def test_merge_breaks_timestamp_ties_by_input_order(self):
+        """Requests define no order: a tie at the same timestamp and the
+        same position must not fall through to comparing them."""
+        a = [Request(5.0, "http://b/y", 2)]
+        b = [Request(5.0, "http://a/x", 1)]
+        assert merge_traces(a, b) == a + b
+        assert merge_traces(b, a) == b + a
+
     def test_split_by_type_covers_all_types(self):
         parts = split_by_type(TRACE)
         assert set(parts) == set(DocumentType)
