@@ -24,20 +24,12 @@ def run_modes(trace, capacity):
         ("pure periodic, aggressive (comfort 0.5)", False, 0.5),
     ):
         periodic = PeriodicRemovalCache(
-            SimCache(capacity=capacity, policy=KeyPolicy([SIZE])),
+            capacity, KeyPolicy([SIZE]),
             period=86400.0, comfort_level=comfort, on_demand=flag,
         )
-        hits = bytes_hit = total = total_bytes = 0
-        for request in trace:
-            result = periodic.access(request)
-            total += 1
-            total_bytes += request.size
-            if result.is_hit:
-                hits += 1
-                bytes_hit += request.size
+        result = simulate(trace, periodic)
         rows[label] = (
-            100.0 * hits / total,
-            100.0 * bytes_hit / total_bytes,
+            result.hit_rate, result.weighted_hit_rate,
             periodic.eviction_count,
         )
     return rows

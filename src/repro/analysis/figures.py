@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.metrics import ratio_series, series_mean
-from repro.core.multilevel import TwoLevelResult
-from repro.core.partitioned import PartitionedResult
+from repro.core.multilevel import TwoLevelCache
+from repro.core.partitioned import PartitionedCache
 from repro.core.simulator import SimulationResult
 from repro.trace.record import Request
 from repro.trace.stats import (
@@ -187,7 +187,7 @@ def fig15_secondary_keys(
 
 
 def fig16_18_second_level(
-    result: TwoLevelResult, workload: str
+    result: TwoLevelCache, workload: str
 ) -> FigureSeries:
     """Figures 16-18: second-level cache HR and WHR over all requests."""
     l2 = result.l2_metrics
@@ -206,7 +206,7 @@ def fig16_18_second_level(
 
 
 def fig19_20_partitioned(
-    sweep: Dict[float, PartitionedResult],
+    sweep: Dict[float, PartitionedCache],
     partition: str,
     infinite_result: SimulationResult = None,
 ) -> FigureSeries:

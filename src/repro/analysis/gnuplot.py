@@ -50,12 +50,14 @@ def write_script(
         path: where to write the ``.gp`` script.
         logscale: e.g. ``"xy"`` for the rank-distribution figures.
         with_style: gnuplot style (``lines``, ``points``, ...).
-        output: PNG path; defaults to the script path with ``.png``.
+        output: PNG path; defaults to the script's file name with
+            ``.png``, relative like the data path, so the script runs
+            from its own directory in any checkout.
     """
     path = Path(path)
     dat_path = Path(dat_path)
     if output is None:
-        output = path.with_suffix(".png")
+        output = path.with_suffix(".png").name
     lines = [
         "set terminal png size 900,600",
         f'set output "{output}"',

@@ -62,7 +62,7 @@ from repro.core.metrics import (
     ratio_series,
     series_mean,
 )
-from repro.core.simulator import SimulationResult, simulate
+from repro.core.simulator import SimulationResult, replay, simulate
 from repro.core.sweep import (
     ENGINE_VERSION,
     PolicySpec,
@@ -76,13 +76,11 @@ from repro.core.sweep import (
 from repro.core.multilevel import (
     SharedSecondLevel,
     TwoLevelCache,
-    TwoLevelResult,
     simulate_shared_second_level,
     simulate_two_level,
 )
 from repro.core.partitioned import (
     PartitionedCache,
-    PartitionedResult,
     audio_partition,
     simulate_partitioned,
 )
@@ -99,7 +97,6 @@ from repro.core.consistency_sim import (
 )
 from repro.core.cooperative import (
     CooperativeGroup,
-    CooperativeResult,
     simulate_cooperative,
 )
 from repro.core.periodic import PeriodicRemovalCache
@@ -157,6 +154,7 @@ __all__ = [
     "ratio_series",
     "series_mean",
     "SimulationResult",
+    "replay",
     "simulate",
     "ENGINE_VERSION",
     "PolicySpec",
@@ -168,11 +166,9 @@ __all__ = [
     "trace_fingerprint",
     "SharedSecondLevel",
     "TwoLevelCache",
-    "TwoLevelResult",
     "simulate_shared_second_level",
     "simulate_two_level",
     "PartitionedCache",
-    "PartitionedResult",
     "audio_partition",
     "simulate_partitioned",
     "GreedyDualSize",
@@ -184,7 +180,6 @@ __all__ = [
     "ConsistencyStrategy",
     "simulate_consistency",
     "CooperativeGroup",
-    "CooperativeResult",
     "simulate_cooperative",
     "PeriodicRemovalCache",
     "load_cache",

@@ -15,42 +15,14 @@ problem 3, answered here for the peer topology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence
 
-from repro.core.cache import SimCache
+from repro.core.cache import HIT, SimCache
 from repro.core.metrics import MetricsCollector
 from repro.trace.record import Request
+from repro.trace.tools import merge_tagged
 
-__all__ = ["CooperativeGroup", "CooperativeResult", "simulate_cooperative"]
-
-
-@dataclass
-class CooperativeResult:
-    """Per-cache and group-level outcomes of a cooperative simulation."""
-
-    local_metrics: Dict[str, MetricsCollector]
-    #: Requests answered by *some sibling* after a local miss, per cache.
-    sibling_hits: Dict[str, int]
-    #: Requests that had to go to the origin, per cache.
-    origin_fetches: Dict[str, int]
-    total_requests: int = 0
-
-    @property
-    def group_hit_rate(self) -> float:
-        """Percent of all requests served without touching an origin
-        (local hits + sibling hits)."""
-        if not self.total_requests:
-            return 0.0
-        origin = sum(self.origin_fetches.values())
-        return 100.0 * (self.total_requests - origin) / self.total_requests
-
-    @property
-    def sibling_hit_rate(self) -> float:
-        """Percent of all requests answered by a sibling."""
-        if not self.total_requests:
-            return 0.0
-        return 100.0 * sum(self.sibling_hits.values()) / self.total_requests
+__all__ = ["CooperativeGroup", "simulate_cooperative"]
 
 
 class CooperativeGroup:
@@ -86,9 +58,9 @@ class CooperativeGroup:
         except KeyError:
             raise KeyError(f"unknown group member {member!r}") from None
         self.total_requests += 1
-        result = cache.access(request)
-        self.local_metrics[member].record(request, result.is_hit)
-        if result.is_hit:
+        hit = cache.access_code(request) == HIT
+        self.local_metrics[member].record(request, hit)
+        if hit:
             return "local"
         # The local access above already admitted the document; what
         # remains is deciding *where the bytes came from*: a sibling copy
@@ -103,35 +75,36 @@ class CooperativeGroup:
         self.origin_fetches[member] += 1
         return "origin"
 
-    def result(self) -> CooperativeResult:
-        return CooperativeResult(
-            local_metrics=self.local_metrics,
-            sibling_hits=dict(self.sibling_hits),
-            origin_fetches=dict(self.origin_fetches),
-            total_requests=self.total_requests,
-        )
+    @property
+    def group_hit_rate(self) -> float:
+        """Percent of all requests served without touching an origin
+        (local hits + sibling hits)."""
+        if not self.total_requests:
+            return 0.0
+        origin = sum(self.origin_fetches.values())
+        return 100.0 * (self.total_requests - origin) / self.total_requests
+
+    @property
+    def sibling_hit_rate(self) -> float:
+        """Percent of all requests answered by a sibling."""
+        if not self.total_requests:
+            return 0.0
+        return 100.0 * sum(self.sibling_hits.values()) / self.total_requests
 
 
 def simulate_cooperative(
     traces: Dict[str, Sequence[Request]],
     cache_factory: Callable[[str], SimCache],
-) -> CooperativeResult:
+) -> CooperativeGroup:
     """Interleave per-member traces (by timestamp) through a group.
 
     Args:
         traces: valid trace per member name.
         cache_factory: builds each member's cache.
     """
-    import heapq
-
     group = CooperativeGroup({
         name: cache_factory(name) for name in traces
     })
-
-    def tag(name: str, trace: Sequence[Request]):
-        return ((request.timestamp, name, request) for request in trace)
-
-    merged = heapq.merge(*(tag(name, trace) for name, trace in traces.items()))
-    for _, name, request in merged:
+    for name, request in merge_tagged(traces):
         group.access(name, request)
-    return group.result()
+    return group

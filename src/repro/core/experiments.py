@@ -25,9 +25,9 @@ from repro.core.keys import (
     TAXONOMY_KEYS,
     SortKey,
 )
-from repro.core.multilevel import TwoLevelResult, simulate_two_level
+from repro.core.multilevel import TwoLevelCache, simulate_two_level
 from repro.core.partitioned import (
-    PartitionedResult,
+    PartitionedCache,
     audio_partition,
     simulate_partitioned,
 )
@@ -198,7 +198,7 @@ def run_two_level(
     policy: Optional[RemovalPolicy] = None,
     name: str = "",
     seed: int = 0,
-) -> TwoLevelResult:
+) -> TwoLevelCache:
     """Experiment 3 (Figures 16-18): finite L1 under the Experiment 2
     winner (SIZE, random secondary), infinite L2."""
     capacity = max(1, int(max_needed * fraction))
@@ -214,7 +214,7 @@ def run_partitioned_sweep(
     fraction: float = 0.10,
     audio_fractions: Sequence[float] = (0.25, 0.50, 0.75),
     seed: int = 0,
-) -> Dict[float, PartitionedResult]:
+) -> Dict[float, PartitionedCache]:
     """Experiment 4 (Figures 19-20): audio/non-audio partitions at the
     Table 5 split levels, SIZE primary key, over workload BR."""
     capacity = max(1, int(max_needed * fraction))

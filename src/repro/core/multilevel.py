@@ -15,17 +15,15 @@ cache, measuring cross-workload commonality.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence
 
-from repro.core.cache import SimCache
+from repro.core.cache import HIT, SimCache
 from repro.core.metrics import MetricsCollector
-from repro.core.simulator import DayTicks
+from repro.core.simulator import replay
 from repro.trace.record import Request
+from repro.trace.tools import merge_tagged
 
 __all__ = [
-    "TwoLevelResult",
     "TwoLevelCache",
     "simulate_two_level",
     "SharedSecondLevel",
@@ -33,22 +31,34 @@ __all__ = [
 ]
 
 
-@dataclass
-class TwoLevelResult:
-    """Response variables of a two-level simulation.
+class TwoLevelCache:
+    """A first-level cache backed by a (typically infinite) second level.
 
+    The replay loop drives the hierarchy through :meth:`access_code` and
+    counts ``l1_metrics``; the hierarchy records the second level.
     ``l2_metrics`` counts every client request, so the second level's
     HR/WHR are fractions of *total* client traffic (how the paper reports
     Figures 16-18: small HR, large WHR).  ``l2_local_metrics`` counts only
     the requests that actually reached L2 (the L1 misses).
     """
 
-    name: str
-    l1_metrics: MetricsCollector
-    l2_metrics: MetricsCollector
-    l2_local_metrics: MetricsCollector
-    l1_cache: SimCache
-    l2_cache: SimCache
+    def __init__(self, l1: SimCache, l2: SimCache, name: str = "") -> None:
+        self.l1_cache = l1
+        self.l2_cache = l2
+        self.name = name
+        self.l1_metrics = MetricsCollector()
+        self.l2_metrics = MetricsCollector()
+        self.l2_local_metrics = MetricsCollector()
+
+    def access_code(self, request: Request) -> int:
+        """Process one request; returns L1's outcome code.  Only L1's
+        misses reach L2."""
+        code = self.l1_cache.access_code(request)
+        l2_hit = code != HIT and self.l2_cache.access_code(request) == HIT
+        self.l2_metrics.record(request, l2_hit)
+        if code != HIT:
+            self.l2_local_metrics.record(request, l2_hit)
+        return code
 
     @property
     def timeseries(self):
@@ -62,48 +72,12 @@ class TwoLevelResult:
         )
 
 
-class TwoLevelCache:
-    """A first-level cache backed by a (typically infinite) second level."""
-
-    def __init__(self, l1: SimCache, l2: SimCache, name: str = "") -> None:
-        self.l1 = l1
-        self.l2 = l2
-        self.name = name
-        self.l1_metrics = MetricsCollector()
-        self.l2_metrics = MetricsCollector()
-        self.l2_local_metrics = MetricsCollector()
-
-    def access(self, request: Request) -> Tuple[bool, bool]:
-        """Process one request; returns ``(l1_hit, l2_hit)``."""
-        l1_result = self.l1.access(request)
-        if l1_result.is_hit:
-            self.l1_metrics.record(request, True)
-            self.l2_metrics.record(request, False)
-            return True, False
-        self.l1_metrics.record(request, False)
-        l2_result = self.l2.access(request)
-        self.l2_metrics.record(request, l2_result.is_hit)
-        self.l2_local_metrics.record(request, l2_result.is_hit)
-        return False, l2_result.is_hit
-
-    def result(self) -> TwoLevelResult:
-        """Bundle the collected metrics."""
-        return TwoLevelResult(
-            name=self.name,
-            l1_metrics=self.l1_metrics,
-            l2_metrics=self.l2_metrics,
-            l2_local_metrics=self.l2_local_metrics,
-            l1_cache=self.l1,
-            l2_cache=self.l2,
-        )
-
-
 def simulate_two_level(
     trace: Iterable[Request],
     l1: SimCache,
     l2: Optional[SimCache] = None,
     name: str = "",
-) -> TwoLevelResult:
+) -> TwoLevelCache:
     """Drive a two-level hierarchy over a valid trace.
 
     ``l2`` defaults to an infinite cache, the Experiment 3 configuration.
@@ -113,48 +87,41 @@ def simulate_two_level(
     if l2 is None:
         l2 = SimCache(capacity=None)
     hierarchy = TwoLevelCache(l1, l2, name=name)
-    days = DayTicks([
+    replay(trace, hierarchy.access_code, hierarchy.l1_metrics, [
         (hierarchy.l1_metrics, l1), (hierarchy.l2_metrics, l2),
     ])
-    day_start = day_end = 0.0
-    for request in trace:
-        if not day_start <= request.timestamp < day_end:
-            day_start, day_end = days.roll(request.timestamp)
-        hierarchy.access(request)
-    days.close()
-    return hierarchy.result()
+    return hierarchy
 
 
-@dataclass
 class SharedSecondLevel:
-    """Several per-workload L1 caches sharing one L2 (open problem 3)."""
+    """Several per-workload L1 caches sharing one L2 (open problem 3).
 
-    l1_caches: Dict[str, SimCache]
-    l2_cache: SimCache
-    l1_metrics: Dict[str, MetricsCollector] = field(default_factory=dict)
-    l2_metrics: MetricsCollector = field(default_factory=MetricsCollector)
-    l2_hits_by_origin: Dict[str, int] = field(default_factory=dict)
+    Each workload runs through its own :class:`TwoLevelCache` over the
+    one shared ``l2_cache``, and all of them count into the one
+    ``l2_metrics``.
+    """
 
-    def __post_init__(self) -> None:
-        for key in self.l1_caches:
-            self.l1_metrics.setdefault(key, MetricsCollector())
-            self.l2_hits_by_origin.setdefault(key, 0)
+    def __init__(self, l1_caches: Dict[str, SimCache], l2_cache: SimCache) -> None:
+        self.l2_cache = l2_cache
+        self.l2_metrics = MetricsCollector()
+        self.hierarchies = {
+            key: TwoLevelCache(l1, l2_cache, name=key)
+            for key, l1 in l1_caches.items()
+        }
+        for hierarchy in self.hierarchies.values():
+            hierarchy.l2_metrics = self.l2_metrics
 
-    def access(self, origin: str, request: Request) -> Tuple[bool, bool]:
-        """Process one request arriving from the named workload's clients."""
-        l1 = self.l1_caches[origin]
-        l1_result = l1.access(request)
-        metrics = self.l1_metrics[origin]
-        if l1_result.is_hit:
-            metrics.record(request, True)
-            self.l2_metrics.record(request, False)
-            return True, False
-        metrics.record(request, False)
-        l2_result = self.l2_cache.access(request)
-        self.l2_metrics.record(request, l2_result.is_hit)
-        if l2_result.is_hit:
-            self.l2_hits_by_origin[origin] += 1
-        return False, l2_result.is_hit
+    @property
+    def l1_metrics(self) -> Dict[str, MetricsCollector]:
+        return {key: h.l1_metrics for key, h in self.hierarchies.items()}
+
+    @property
+    def l2_hits_by_origin(self) -> Dict[str, int]:
+        """Shared-L2 hits per workload whose L1 missed."""
+        return {
+            key: h.l2_local_metrics.total_hits
+            for key, h in self.hierarchies.items()
+        }
 
 
 def simulate_shared_second_level(
@@ -172,17 +139,9 @@ def simulate_shared_second_level(
     """
     if l2 is None:
         l2 = SimCache(capacity=None)
-    shared = SharedSecondLevel(
-        l1_caches={key: l1_factory(key) for key in traces},
-        l2_cache=l2,
-    )
-    def tag(key: str, trace: Sequence[Request]):
-        # A real function (not a nested genexp) so each stream binds its
-        # own key — nested generator expressions would close over the loop
-        # variable and tag every stream with the last key.
-        return ((request.timestamp, key, request) for request in trace)
-
-    tagged = heapq.merge(*(tag(key, trace) for key, trace in traces.items()))
-    for _, key, request in tagged:
-        shared.access(key, request)
+    shared = SharedSecondLevel({key: l1_factory(key) for key in traces}, l2)
+    # Several traces, so no replay: this loop counts each L1 itself.
+    for key, request in merge_tagged(traces):
+        hierarchy = shared.hierarchies[key]
+        hierarchy.l1_metrics.record(request, hierarchy.access_code(request) == HIT)
     return shared

@@ -20,7 +20,7 @@ as the online simulator, so their HR/WHR are directly comparable.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cache import AccessOutcome
@@ -76,7 +76,7 @@ def simulate_clairvoyant(
     used = 0
     max_used = 0
     evictions = 0
-    outcomes: Dict[AccessOutcome, int] = defaultdict(int)
+    outcomes = Counter()
 
     def eviction_key(item: Tuple[str, Tuple[int, float]]):
         url, (size, upcoming) = item
@@ -93,15 +93,17 @@ def simulate_clairvoyant(
             metrics.record(request, True)
             outcomes[AccessOutcome.HIT] += 1
             continue
+        metrics.record(request, False)
+        # One outcome a request: a modified copy stays MISS_MODIFIED.
         if held is not None:
             used -= held[0]
             del contents[request.url]
             outcomes[AccessOutcome.MISS_MODIFIED] += 1
+        elif request.size > capacity:
+            outcomes[AccessOutcome.MISS_TOO_LARGE] += 1
         else:
             outcomes[AccessOutcome.MISS] += 1
-        metrics.record(request, False)
         if request.size > capacity:
-            outcomes[AccessOutcome.MISS_TOO_LARGE] += 1
             continue
         # A clairvoyant cache refuses documents never used again — caching
         # them cannot produce a future hit.
@@ -125,12 +127,11 @@ def simulate_clairvoyant(
     shell.eviction_count = evictions
     label = name or ("MIN+size" if size_aware else "MIN")
     shell.policy.name = label
-    from collections import Counter
     return SimulationResult(
         name=label,
         policy_name=label,
         capacity=capacity,
         metrics=metrics,
         cache=shell,
-        outcomes=Counter(outcomes),
+        outcomes=outcomes,
     )

@@ -13,18 +13,16 @@ directly comparable to the unpartitioned WHR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable
 
-from repro.core.cache import SimCache
+from repro.core.cache import HIT, SimCache
 from repro.core.metrics import MetricsCollector, Series, moving_average
 from repro.core.policy import RemovalPolicy
-from repro.core.simulator import DayTicks
+from repro.core.simulator import replay
 from repro.trace.record import DocumentType, Request
 
 __all__ = [
     "PartitionedCache",
-    "PartitionedResult",
     "audio_partition",
     "simulate_partitioned",
 ]
@@ -37,19 +35,50 @@ def audio_partition(request: Request) -> str:
     return "non-audio"
 
 
-@dataclass
-class PartitionedResult:
-    """Response variables of a partitioned-cache simulation.
+class PartitionedCache:
+    """A cache split into independent fixed-size partitions.
 
-    ``class_metrics[name]`` holds hits for that class; its ``record`` was
-    fed *every* request (hits only possible for the class's own requests),
-    so HR/WHR are fractions of total traffic, as the paper plots them.
+    The replay loop drives it through :meth:`access_code` and counts
+    ``overall``.  ``class_metrics[name]`` holds hits for that class; it
+    is fed *every* request (hits only possible for the class's own
+    requests), so HR/WHR are fractions of total traffic, as the paper
+    plots them.
+
+    Args:
+        partitions: partition name -> its cache.
+        classify: maps a request to a partition name.
+        name: label for reports.
     """
 
-    name: str
-    partitions: Dict[str, SimCache]
-    class_metrics: Dict[str, MetricsCollector]
-    overall: MetricsCollector
+    def __init__(
+        self,
+        partitions: Dict[str, SimCache],
+        classify: Callable[[Request], str] = audio_partition,
+        name: str = "",
+    ) -> None:
+        if not partitions:
+            raise ValueError("need at least one partition")
+        self.partitions = partitions
+        self.classify = classify
+        self.name = name
+        self.class_metrics = {part: MetricsCollector() for part in partitions}
+        self.overall = MetricsCollector()
+
+    def access_code(self, request: Request) -> int:
+        """Route a request to its partition; returns its outcome code."""
+        name = self.classify(request)
+        try:
+            cache = self.partitions[name]
+        except KeyError:
+            raise KeyError(
+                f"classifier produced unknown partition {name!r}"
+            ) from None
+        code = cache.access_code(request)
+        # Every class's collector sees every request, so rates are over
+        # total traffic (the Figures 19-20 convention).
+        for metric_name, collector in self.class_metrics.items():
+            collector.record(request, code == HIT and metric_name == name)
+        return code
 
     @property
     def timeseries(self):
@@ -69,48 +98,6 @@ class PartitionedResult:
         )
 
 
-class PartitionedCache:
-    """A cache split into independent fixed-size partitions.
-
-    Args:
-        partitions: partition name -> its cache.
-        classify: maps a request to a partition name.
-    """
-
-    def __init__(
-        self,
-        partitions: Dict[str, SimCache],
-        classify: Callable[[Request], str] = audio_partition,
-    ) -> None:
-        if not partitions:
-            raise ValueError("need at least one partition")
-        self.partitions = partitions
-        self.classify = classify
-        self.class_metrics = {
-            name: MetricsCollector() for name in partitions
-        }
-        self.overall = MetricsCollector()
-
-    def access(self, request: Request) -> bool:
-        """Route a request to its partition; returns hit/miss."""
-        name = self.classify(request)
-        try:
-            cache = self.partitions[name]
-        except KeyError:
-            raise KeyError(
-                f"classifier produced unknown partition {name!r}"
-            ) from None
-        result = cache.access(request)
-        # Every class's collector sees every request, so rates are over
-        # total traffic (the Figures 19-20 convention).
-        for metric_name, collector in self.class_metrics.items():
-            collector.record(
-                request, result.is_hit and metric_name == name
-            )
-        self.overall.record(request, result.is_hit)
-        return result.is_hit
-
-
 def simulate_partitioned(
     trace: Iterable[Request],
     total_capacity: int,
@@ -119,7 +106,7 @@ def simulate_partitioned(
     classify: Callable[[Request], str] = audio_partition,
     name: str = "",
     seed: int = 0,
-) -> PartitionedResult:
+) -> PartitionedCache:
     """Drive a partitioned cache over a valid trace.
 
     Args:
@@ -145,20 +132,9 @@ def simulate_partitioned(
         partitions[part_name] = SimCache(
             capacity=capacity, policy=policy_factory(), seed=seed + index,
         )
-    cache = PartitionedCache(partitions, classify)
-    days = DayTicks([
+    cache = PartitionedCache(partitions, classify, name=name)
+    replay(trace, cache.access_code, cache.overall, [
         (cache.class_metrics[part_name], partition)
         for part_name, partition in partitions.items()
     ])
-    day_start = day_end = 0.0
-    for request in trace:
-        if not day_start <= request.timestamp < day_end:
-            day_start, day_end = days.roll(request.timestamp)
-        cache.access(request)
-    days.close()
-    return PartitionedResult(
-        name=name,
-        partitions=cache.partitions,
-        class_metrics=cache.class_metrics,
-        overall=cache.overall,
-    )
+    return cache

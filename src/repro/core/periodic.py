@@ -19,101 +19,92 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core.cache import AccessOutcome, AccessResult, SimCache
+from repro.core.cache import MISS_MODIFIED, MISS_TOO_LARGE, SimCache
 from repro.core.entry import CacheEntry
+from repro.core.policy import RemovalPolicy
 from repro.trace.record import Request
 
 __all__ = ["PeriodicRemovalCache"]
 
 
-class PeriodicRemovalCache:
-    """A cache running a periodic eviction sweep on top of a ``SimCache``.
+class PeriodicRemovalCache(SimCache):
+    """A finite cache that also runs a periodic eviction sweep.
+
+    ``simulate`` drives it like any cache.  The first sweep falls at the
+    end of the period holding the first request, then one every
+    ``period`` seconds.
 
     Args:
-        cache: the underlying finite cache (supplies policy and capacity).
+        capacity: cache size in bytes (must be finite).
+        policy: removal policy (sweep order too); SIZE by default.
+        seed: seed for the per-entry random tie-break stamps.
         period: sweep interval in seconds (86400 = the Pitkow/Recker
             end-of-day run).
         comfort_level: sweep target occupancy as a fraction of capacity;
             each sweep evicts (in policy order) until
             ``used <= comfort_level * capacity``.
-        on_demand: when ``True`` (hybrid mode) the underlying cache also
-            evicts on demand; when ``False`` (pure periodic) an incoming
-            document that does not fit is simply not cached — the paper's
+        on_demand: when ``True`` (hybrid mode) the cache also evicts on
+            demand; when ``False`` (pure periodic) an incoming document
+            that does not fit is simply not cached — the paper's
             "strictly speaking, the policy is just removing cached
             documents" reading.
     """
 
     def __init__(
         self,
-        cache: SimCache,
+        capacity: int,
+        policy: Optional[RemovalPolicy] = None,
+        seed: int = 0,
         period: float = 86400.0,
         comfort_level: float = 0.8,
         on_demand: bool = True,
     ) -> None:
-        if cache.capacity is None:
+        if capacity is None:
             raise ValueError("periodic removal requires a finite cache")
         if period <= 0:
             raise ValueError("period must be positive")
         if not 0.0 <= comfort_level < 1.0:
             raise ValueError("comfort_level must be in [0, 1)")
-        self.cache = cache
+        super().__init__(capacity, policy, seed)
         self.period = period
         self.comfort_level = comfort_level
         self.on_demand = on_demand
         self.sweep_count = 0
         self.swept_entries = 0
-        self._next_sweep = period
+        self._next_sweep: Optional[float] = None
 
-    @property
-    def policy(self):
-        return self.cache.policy
-
-    @property
-    def capacity(self) -> Optional[int]:
-        return self.cache.capacity
-
-    @property
-    def max_used_bytes(self) -> int:
-        return self.cache.max_used_bytes
-
-    @property
-    def eviction_count(self) -> int:
-        return self.cache.eviction_count
-
-    def access(self, request: Request, now: Optional[float] = None) -> AccessResult:
+    def access_code(
+        self, request: Request, now: Optional[float] = None,
+        evicted: Optional[List[CacheEntry]] = None,
+    ) -> int:
         """Process one request, running any due sweeps first."""
         if now is None:
             now = request.timestamp
+        if self._next_sweep is None:
+            self._next_sweep = (now // self.period + 1) * self.period
         while now >= self._next_sweep:
             self.sweep(self._next_sweep)
             self._next_sweep += self.period
-        if self.on_demand:
-            return self.cache.access(request, now=now)
-        return self._access_without_demand_eviction(request, now)
+        if not self.on_demand:
+            # Pure-periodic mode: misses that do not fit are not cached.
+            entry = self.get(request.url)
+            if entry is None or entry.size != request.size:
+                free = self.capacity - self.used_bytes
+                if entry is not None:
+                    free += entry.size  # replacing the stale copy frees its room
+                if request.size > free:
+                    if entry is not None:
+                        self.remove(request.url)
+                        return MISS_MODIFIED
+                    return MISS_TOO_LARGE
+        return super().access_code(request, now, evicted)
 
     def sweep(self, now: float) -> List[CacheEntry]:
         """Evict in policy order until occupancy reaches the comfort level."""
-        target = int(self.cache.capacity * self.comfort_level)
+        target = int(self.capacity * self.comfort_level)
         removed: List[CacheEntry] = []
-        while self.cache.used_bytes > target and len(self.cache):
-            removed.append(self.cache.evict_next(0, now))
+        while self.used_bytes > target and len(self):
+            removed.append(self.evict_next(0, now))
         self.sweep_count += 1
         self.swept_entries += len(removed)
         return removed
-
-    def _access_without_demand_eviction(
-        self, request: Request, now: float
-    ) -> AccessResult:
-        """Pure-periodic mode: misses that do not fit are not cached."""
-        entry = self.cache.get(request.url)
-        if entry is not None and entry.size == request.size:
-            return self.cache.access(request, now=now)  # plain hit path
-        free = self.cache.capacity - self.cache.used_bytes
-        if entry is not None:
-            free += entry.size  # replacing the stale copy frees its room
-        if request.size > free:
-            if entry is not None:
-                self.cache.remove(request.url)
-                return AccessResult(AccessOutcome.MISS_MODIFIED, request)
-            return AccessResult(AccessOutcome.MISS_TOO_LARGE, request)
-        return self.cache.access(request, now=now)

@@ -1,9 +1,9 @@
 """Trace-driven cache simulation (the paper's Appendix A simulator).
 
 :func:`simulate` drives a single cache over a valid trace and collects the
-response variables; richer configurations (two-level, partitioned, periodic
-removal) have their own drivers in their modules but produce the same
-:class:`SimulationResult` building blocks.
+response variables.  Its loop is :func:`replay`, the one replay loop: the
+other single-trace topologies (two-level, partitioned, periodic removal)
+are caches it drives too, and each is its own result.
 
 The Appendix A simulator also reported "location in sorted list of each
 URL hit" — how deep into the removal order the hits land.  Pass
@@ -16,15 +16,16 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.cache import HIT, OUTCOMES, SimCache
 from repro.core.metrics import MetricsCollector
 from repro.core.policy import KeyPolicy
 from repro.trace.record import Request
 
-__all__ = ["DayTicks", "SimulationResult", "simulate"]
+__all__ = ["SimulationResult", "replay", "simulate"]
 
 
 @dataclass
@@ -95,39 +96,93 @@ class SimulationResult:
         }
 
 
-class DayTicks:
-    """Day boundaries of the trace clock, for every replay driver.
+def replay(
+    trace: Iterable[Request],
+    access: Callable[[Request], int],
+    metrics: MetricsCollector,
+    streams: Sequence[Tuple[MetricsCollector, SimCache]],
+) -> Counter:
+    """The one replay loop: pass each request of a valid trace to
+    ``access`` and count the outcome code it returns.
 
-    A driver keeps the running day's ``[start, end)`` bounds in locals
-    and calls :meth:`roll` when a timestamp falls outside them, then
-    :meth:`close` after the last request.  Closing a day stamps each
-    cache's end-of-day occupancy into its collector, beside the day's
-    counters (a day the clock re-enters is stamped again: the last
-    close wins).
-
-    Args:
-        streams: ``(collector, cache)`` per cache whose occupancy is
-            recorded.
+    Codes and bytes are counted in locals and credited to ``metrics`` a
+    day at a time.  Closing a day (a timestamp outside the running day's
+    ``[start, end)``, or the end of the trace) also stamps each cache of
+    ``streams`` with its end-of-day occupancy, into its collector (a day
+    the clock re-enters is stamped again: the last close wins).  A
+    topology is whatever ``access`` routes the request through, and it
+    records its own inner collectors.  Returns the outcome counts.
     """
+    counts = [0] * len(OUTCOMES)
+    bytes_requested = bytes_hit = 0
+    day = None
+    day_start = day_end = 0.0  # empty, so the first request opens a day
+    for request in trace:
+        timestamp = request.timestamp
+        if not day_start <= timestamp < day_end:
+            _close_day(day, metrics, streams, counts, bytes_requested, bytes_hit)
+            day = int(timestamp // 86400)
+            day_start, day_end = day * 86400.0, (day + 1) * 86400.0
+        code = access(request)
+        counts[code] += 1
+        size = request.size
+        bytes_requested += size
+        if code == HIT:
+            bytes_hit += size
+    _close_day(day, metrics, streams, counts, bytes_requested, bytes_hit)
+    return Counter({
+        OUTCOMES[code]: count for code, count in enumerate(counts) if count
+    })
 
-    def __init__(
-        self, streams: Sequence[Tuple[MetricsCollector, SimCache]],
-    ) -> None:
-        self.day: Optional[int] = None
-        self._streams = streams
 
-    def roll(self, timestamp: float) -> Tuple[float, float]:
-        """Close the running day (if any) and open the day holding
-        ``timestamp``; returns the new day's bounds in seconds."""
-        self.close()
-        self.day = day = int(timestamp // 86400)
-        return day * 86400.0, (day + 1) * 86400.0
+def _close_day(day, metrics, streams, counts, bytes_requested, bytes_hit):
+    if day is None:  # no day is open before the first request
+        return
+    metrics.advance_to(
+        day, sum(counts), counts[HIT], bytes_requested, bytes_hit,
+    )
+    for collector, cache in streams:
+        collector.occupancy[day] = (cache.used_bytes, len(cache))
 
-    def close(self) -> None:
-        """Stamp the running day's end-of-day occupancy."""
-        if self.day is not None:
-            for collector, cache in self._streams:
-                collector.occupancy[self.day] = (cache.used_bytes, len(cache))
+
+def _access(
+    cache: SimCache, every: int, channel, hit_positions: List,
+) -> Callable[[Request], int]:
+    """``cache.access_code`` itself, unless it must also sample every
+    ``every``-th hit's position in the removal order into
+    ``hit_positions`` or stream each eviction to ``channel`` at debug
+    level: then a closure doing that work around it."""
+    plain = cache.access_code
+    # Victims are collected only when someone reads them.
+    evicted = (
+        [] if channel is not None and channel.enabled_for("debug") else None
+    )
+    if not every and evicted is None:
+        return plain
+    hit_count = 0
+
+    def access(request: Request) -> int:
+        nonlocal hit_count
+        code = plain(request, None, evicted)
+        if code == HIT:
+            if every:
+                hit_count += 1
+                if hit_count % every == 0:
+                    order = cache.removal_order()
+                    for position, entry in enumerate(order):
+                        if entry.url == request.url:
+                            hit_positions.append((position, len(order)))
+                            break
+        elif evicted:
+            for entry in evicted:
+                channel.debug(
+                    "evict", url=entry.url, size=entry.size,
+                    nref=entry.nref, for_url=request.url,
+                )
+            evicted.clear()
+        return code
+
+    return access
 
 
 def simulate(
@@ -168,16 +223,9 @@ def simulate(
     """
     metrics = MetricsCollector()
     hit_positions = []
-    track = (
-        track_positions_every > 0
-        and isinstance(cache.policy, KeyPolicy)
-    )
     channel = obs.channel("sim") if obs is not None else None
-    # Victims are collected only when someone reads them.
-    evicted = (
-        [] if channel is not None and channel.enabled_for("debug") else None
-    )
-    days = DayTicks([(metrics, cache)])
+    every = track_positions_every if isinstance(cache.policy, KeyPolicy) else 0
+    access = _access(cache, max(every, 0), channel, hit_positions)
     if profiler is None and obs is not None:
         profiler = obs.profiler
     if profiler is not None:
@@ -191,61 +239,15 @@ def simulate(
     start_evictions = cache.eviction_count
     start_evicted_bytes = cache.evicted_bytes
     start_seconds = time.perf_counter()
-    span_cm = (
+    span = (
         obs.span(
             "sim.replay", label=name, policy=cache.policy.name,
             capacity=cache.capacity,
         )
-        if obs is not None else None
+        if obs is not None else nullcontext()
     )
-    if span_cm is not None:
-        span_cm.__enter__()
-    # The flat loop: outcomes are counted per integer code and bytes in
-    # locals; ``metrics`` is brought up to date at each day boundary.
-    access = cache.access_code
-    counts = [0] * len(OUTCOMES)
-    bytes_requested = bytes_hit = hit_count = 0
-    day_start = day_end = 0.0  # empty, so the first request opens a day
-    for request in trace:
-        timestamp = request.timestamp
-        if not day_start <= timestamp < day_end:
-            if days.day is not None:
-                metrics.advance_to(
-                    days.day, sum(counts), counts[HIT],
-                    bytes_requested, bytes_hit,
-                )
-            day_start, day_end = days.roll(timestamp)
-        code = access(request, None, evicted)
-        counts[code] += 1
-        size = request.size
-        bytes_requested += size
-        if code == HIT:
-            bytes_hit += size
-            if track:
-                hit_count += 1
-                if hit_count % track_positions_every == 0:
-                    order = cache.removal_order()
-                    for position, entry in enumerate(order):
-                        if entry.url == request.url:
-                            hit_positions.append((position, len(order)))
-                            break
-        elif evicted:
-            for entry in evicted:
-                channel.debug(
-                    "evict", url=entry.url, size=entry.size,
-                    nref=entry.nref, for_url=request.url,
-                )
-            evicted.clear()
-    if days.day is not None:
-        metrics.advance_to(
-            days.day, sum(counts), counts[HIT], bytes_requested, bytes_hit,
-        )
-        days.close()
-    outcomes = Counter({
-        OUTCOMES[code]: count for code, count in enumerate(counts) if count
-    })
-    if span_cm is not None:
-        span_cm.__exit__(None, None, None)
+    with span:
+        outcomes = replay(trace, access, metrics, [(metrics, cache)])
     if profiler is not None:
         cache.set_phase_timer(None)
         profiler.record(

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import heapq
 import zlib
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from itertools import repeat
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.trace.record import DocumentType, Request
 
@@ -21,6 +22,7 @@ __all__ = [
     "filter_clients",
     "filter_servers",
     "filter_types",
+    "merge_tagged",
     "merge_traces",
     "split_by_type",
     "split_by_day",
@@ -77,14 +79,22 @@ def filter_types(
             yield request
 
 
-def merge_traces(*traces: Sequence[Request]) -> List[Request]:
-    """Merge traces into one, ordered by timestamp.
+def merge_tagged(
+    traces: Dict[Any, Iterable[Request]],
+) -> Iterator[Tuple[Any, Request]]:
+    """``(name, request)`` pairs of named traces, ordered by ``(timestamp,
+    name)``.  Each trace must itself be timestamp-ordered (as generated
+    traces and parsed logs are); its requests keep their own order."""
+    return heapq.merge(
+        *(zip(repeat(name), trace) for name, trace in traces.items()),
+        key=lambda pair: (pair[1].timestamp, pair[0]),
+    )
 
-    Each input must itself be timestamp-ordered (as generated traces and
-    parsed logs are).  Requests at the same timestamp keep input order:
-    an earlier trace's first, each trace's in its own order.
-    """
-    return list(heapq.merge(*traces, key=lambda request: request.timestamp))
+
+def merge_traces(*traces: Sequence[Request]) -> List[Request]:
+    """Merge traces into one, ordered by timestamp; requests at the same
+    timestamp keep input order (an earlier trace's first)."""
+    return [request for _, request in merge_tagged(dict(enumerate(traces)))]
 
 
 def split_by_type(

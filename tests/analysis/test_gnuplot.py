@@ -43,6 +43,13 @@ class TestWriteScript:
         script = write_script(figure(), dat, tmp_path / "f.gp")
         assert "f.png" in script.read_text()
 
+    def test_default_output_is_relative(self, tmp_path):
+        """The script names its PNG as it names its data file: by file
+        name, so ``gnuplot f.gp`` works wherever the pair is copied."""
+        dat = write_dat(figure(), tmp_path / "f.dat")
+        script = write_script(figure(), dat, tmp_path / "f.gp")
+        assert 'set output "f.png"' in script.read_text().splitlines()
+
 
 class TestExportFigure:
     def test_writes_both_files(self, tmp_path):

@@ -61,7 +61,7 @@ class TestGroup:
         group.access("a", req(0, "u", 100))
         group.access("b", req(1, "u", 100))
         group.access("b", req(2, "u", 100))
-        result = group.result()
+        result = group
         assert result.total_requests == 3
         assert result.sibling_hits == {"a": 0, "b": 1}
         assert result.origin_fetches == {"a": 1, "b": 0}
@@ -69,8 +69,7 @@ class TestGroup:
         assert result.sibling_hit_rate == pytest.approx(100 / 3)
 
     def test_empty_result_rates(self):
-        from repro.core.cooperative import CooperativeResult
-        empty = CooperativeResult({}, {}, {}, total_requests=0)
+        empty = make_group()
         assert empty.group_hit_rate == 0.0
         assert empty.sibling_hit_rate == 0.0
 

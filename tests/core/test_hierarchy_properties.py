@@ -9,6 +9,7 @@ from repro.core import (
     PartitionedCache,
     SIZE,
     SimCache,
+    replay,
     simulate,
     simulate_two_level,
 )
@@ -65,8 +66,7 @@ def test_partitioned_accounting(trace, capacity):
         partitions,
         classify=lambda r: "even" if len(r.url) % 2 == 0 else "odd",
     )
-    for request in trace:
-        cache.access(request)
+    replay(trace, cache.access_code, cache.overall, [])
     class_hits = sum(
         collector.total_hits for collector in cache.class_metrics.values()
     )
@@ -91,7 +91,7 @@ def test_cooperative_accounting(trace, capacity):
         member = "a" if index % 2 == 0 else "b"
         outcomes[group.access(member, request)] += 1
     assert sum(outcomes.values()) == len(trace)
-    result = group.result()
+    result = group
     assert result.total_requests == len(trace)
     assert sum(result.sibling_hits.values()) == outcomes["sibling"]
     assert sum(result.origin_fetches.values()) == outcomes["origin"]

@@ -64,6 +64,22 @@ class TestClairvoyant:
         result = simulate_clairvoyant(trace, capacity=100)
         assert result.metrics.total_hits == 0
 
+    @pytest.mark.parametrize("trace", [
+        # A modified copy that no longer fits, then an oversized document.
+        [req(0, "x", 500), req(1, "x", 50), req(2, "big", 5000),
+         req(3, "big", 5000)],
+        [req(0, "u", 100), req(1, "u", 150), req(2, "u", 150),
+         req(3, "huge", 2000), req(4, "u", 2000)],
+    ])
+    def test_one_outcome_per_request(self, trace):
+        """Each request has exactly one outcome, the one ``SimCache``
+        gives it (these traces evict nothing, so the two agree)."""
+        result = simulate_clairvoyant(trace, capacity=1000)
+        assert sum(result.outcomes.values()) == len(trace)
+        assert result.outcomes == simulate(
+            trace, SimCache(capacity=1000),
+        ).outcomes
+
     def test_hr_at_least_online_policies(self):
         """On a real workload the clairvoyant baseline dominates every
         online policy (it is a heuristic, not proven optimal for variable

@@ -8,6 +8,7 @@ from repro.core import (
     SIZE,
     SimCache,
     audio_partition,
+    replay,
     simulate_partitioned,
 )
 from repro.trace import DocumentType, Request
@@ -42,8 +43,8 @@ class TestPartitionedCache:
 
     def test_requests_routed_by_class(self):
         cache = self.make()
-        cache.access(req(0, AUDIO, 100))
-        cache.access(req(1, PAGE, 100))
+        cache.access_code(req(0, AUDIO, 100))
+        cache.access_code(req(1, PAGE, 100))
         assert AUDIO in cache.partitions["audio"]
         assert PAGE in cache.partitions["non-audio"]
         assert AUDIO not in cache.partitions["non-audio"]
@@ -52,19 +53,21 @@ class TestPartitionedCache:
         """The whole point of partitioning: a huge audio file cannot push
         pages out of the non-audio partition."""
         cache = self.make(audio_cap=500, other_cap=500)
-        cache.access(req(0, PAGE, 400))
-        cache.access(req(1, AUDIO, 450))
-        cache.access(req(2, "http://s/b.au", 400))  # evicts inside audio only
+        cache.access_code(req(0, PAGE, 400))
+        cache.access_code(req(1, AUDIO, 450))
+        cache.access_code(req(2, "http://s/b.au", 400))  # evicts inside audio only
         assert PAGE in cache.partitions["non-audio"]
 
     def test_rates_over_all_requests(self):
         """Audio HR divides audio hits by total references (paper's
         Figures 19-20 convention)."""
         cache = self.make()
-        cache.access(req(0, AUDIO, 100))
-        cache.access(req(1, AUDIO, 100))   # audio hit
-        cache.access(req(2, PAGE, 100))
-        cache.access(req(3, PAGE, 100))    # non-audio hit
+        replay([
+            req(0, AUDIO, 100),
+            req(1, AUDIO, 100),   # audio hit
+            req(2, PAGE, 100),
+            req(3, PAGE, 100),    # non-audio hit
+        ], cache.access_code, cache.overall, [])
         audio = cache.class_metrics["audio"]
         assert audio.total_requests == 4
         assert audio.total_hits == 1
@@ -76,7 +79,7 @@ class TestPartitionedCache:
             {"audio": SimCache(capacity=10)}, classify=lambda r: "video",
         )
         with pytest.raises(KeyError):
-            cache.access(req(0, AUDIO, 5))
+            cache.access_code(req(0, AUDIO, 5))
 
 
 class TestSimulatePartitioned:

@@ -18,7 +18,7 @@ def req(t, url, size):
 
 def make(capacity=1000, period=86400.0, comfort=0.5, on_demand=True):
     return PeriodicRemovalCache(
-        SimCache(capacity=capacity, policy=KeyPolicy([SIZE])),
+        capacity, KeyPolicy([SIZE]),
         period=period,
         comfort_level=comfort,
         on_demand=on_demand,
@@ -28,7 +28,7 @@ def make(capacity=1000, period=86400.0, comfort=0.5, on_demand=True):
 class TestValidation:
     def test_requires_finite_cache(self):
         with pytest.raises(ValueError):
-            PeriodicRemovalCache(SimCache(capacity=None))
+            PeriodicRemovalCache(None)
 
     def test_period_positive(self):
         with pytest.raises(ValueError):
@@ -46,9 +46,9 @@ class TestSweep:
         cache = make(capacity=1000, comfort=0.5)
         for i in range(9):
             cache.access(req(i, f"u{i}", 100))
-        assert cache.cache.used_bytes == 900
+        assert cache.used_bytes == 900
         removed = cache.sweep(now=100.0)
-        assert cache.cache.used_bytes <= 500
+        assert cache.used_bytes <= 500
         assert removed
 
     def test_sweep_removes_in_policy_order(self):
@@ -64,13 +64,24 @@ class TestSweep:
         assert cache.sweep_count == 0
         cache.access(req(86400.0 + 1, "b", 100))
         assert cache.sweep_count == 1
-        assert "a" not in cache.cache  # comfort 0: everything swept
+        assert "a" not in cache  # comfort 0: everything swept
 
     def test_multiple_missed_periods_all_run(self):
         cache = make(period=100.0, comfort=0.0)
         cache.access(req(0, "a", 10))
         cache.access(req(501, "b", 10))
         assert cache.sweep_count == 5
+
+    def test_first_sweep_ends_the_first_requests_period(self):
+        """A log read with Unix times starts decades after time zero:
+        its first request runs no sweep for the days before it."""
+        cache = make(period=86400.0)
+        start = 804_556_800.0  # 1995-07-01, inside one day
+        for i in range(3):
+            cache.access(req(start + i * 3600, f"u{i}", 10))
+        assert cache.sweep_count == 0
+        cache.access(req(start + 86400.0, "next-day", 10))
+        assert cache.sweep_count == 1
 
 
 class TestHybridVsPurePeriodic:
@@ -79,15 +90,15 @@ class TestHybridVsPurePeriodic:
         cache.access(req(0, "a", 150))
         result = cache.access(req(1, "b", 150))
         assert result.outcome == AccessOutcome.MISS
-        assert "b" in cache.cache
+        assert "b" in cache
 
     def test_pure_periodic_does_not_evict_on_demand(self):
         cache = make(capacity=200, on_demand=False)
         cache.access(req(0, "a", 150))
         result = cache.access(req(1, "b", 150))
         assert result.outcome == AccessOutcome.MISS_TOO_LARGE
-        assert "a" in cache.cache
-        assert "b" not in cache.cache
+        assert "a" in cache
+        assert "b" not in cache
 
     def test_pure_periodic_hits_still_work(self):
         cache = make(capacity=200, on_demand=False)
@@ -99,14 +110,14 @@ class TestHybridVsPurePeriodic:
         cache.access(req(0, "a", 150))
         result = cache.access(req(1, "b", 150))
         assert result.outcome == AccessOutcome.MISS
-        assert "b" in cache.cache
+        assert "b" in cache
 
     def test_pure_periodic_modified_replacement(self):
         cache = make(capacity=300, on_demand=False)
         cache.access(req(0, "a", 200))
         result = cache.access(req(1, "a", 250))  # fits once old copy freed
         assert result.outcome == AccessOutcome.MISS_MODIFIED
-        assert cache.cache.get("a").size == 250
+        assert cache.get("a").size == 250
 
     def test_pure_periodic_modified_too_big(self):
         cache = make(capacity=300, on_demand=False)
@@ -114,7 +125,7 @@ class TestHybridVsPurePeriodic:
         cache.access(req(1, "filler", 90))
         result = cache.access(req(2, "a", 280))  # 280 > 300-290+200
         assert result.outcome == AccessOutcome.MISS_MODIFIED
-        assert "a" not in cache.cache  # stale copy invalidated
+        assert "a" not in cache  # stale copy invalidated
 
 
 class TestHitRateCost:
@@ -131,15 +142,12 @@ class TestHitRateCost:
         return trace, capacity
 
     def run_periodic(self, trace, capacity, on_demand):
+        from repro.core import simulate
         periodic = PeriodicRemovalCache(
-            SimCache(capacity=capacity, policy=KeyPolicy([SIZE])),
+            capacity, KeyPolicy([SIZE]),
             period=86400.0, comfort_level=0.5, on_demand=on_demand,
         )
-        hits = total = 0
-        for request in trace:
-            hits += periodic.access(request).is_hit
-            total += 1
-        return 100.0 * hits / total, periodic
+        return simulate(trace, periodic).hit_rate, periodic
 
     def test_hybrid_close_to_on_demand_and_evicts_more(self, scenario):
         from repro.core import simulate

@@ -11,10 +11,13 @@ harness; ``repro.cli`` declares the one command line (its serve loop,
 the only signal handler besides the sweep's checkpointing drain);
 ``repro.proxy.fleet`` wires the one fleet from one shard spec; and
 ``repro.obs.telemetry`` renders the one fleet dashboard while
-``repro.obs.summarize`` formats the one fleet verdict line.  A new
-server, client, export, benchmark runner, flag, fleet or dashboard that
-grows its own fails here instead of drifting apart from the shared one
-(as the router's deadline-less head reader once did).
+``repro.obs.summarize`` formats the one fleet verdict line;
+``repro.core.simulator.replay`` is the one replay loop, each simulated
+topology is its own result, and ``repro.trace.tools`` owns the one
+timestamp merge.  A new server, client, export, benchmark runner, flag,
+fleet, dashboard or replay loop that grows its own fails here instead of
+drifting apart from the shared one (as the router's deadline-less head
+reader once did).
 """
 
 from pathlib import Path
@@ -108,3 +111,16 @@ def test_one_fleet_dashboard_and_verdict_line():
     assert files_containing("burn_rates") == ["obs/telemetry.py"]
     assert files_containing("restart(s)") == ["obs/summarize.py"]
     assert files_containing("<!DOCTYPE") == []
+
+
+def test_one_replay_loop():
+    """Only ``replay`` tests day boundaries, and no module replays
+    through the allocating ``SimCache.access``."""
+    assert files_containing("day_end") == ["core/simulator.py"]
+    assert files_containing(".access(request") == []
+    assert files_containing("AccessResult(") == ["core/cache.py"]
+
+
+def test_one_object_per_topology_and_one_merge():
+    assert files_containing("def result(self)") == []
+    assert files_containing("heapq.merge") == ["trace/tools.py"]

@@ -11,6 +11,7 @@ from repro.trace.tools import (
     filter_days,
     filter_servers,
     filter_types,
+    merge_tagged,
     merge_traces,
     rebase_timestamps,
     split_by_day,
@@ -72,6 +73,13 @@ class TestMergeSplit:
         b = [Request(5.0, "http://a/x", 1)]
         assert merge_traces(a, b) == a + b
         assert merge_traces(b, a) == b + a
+
+    def test_merge_tagged_orders_by_timestamp_then_name(self):
+        a = [Request(5.0, "http://a/x", 1), Request(7.0, "http://a/z", 1)]
+        b = [Request(5.0, "http://b/y", 2)]
+        assert list(merge_tagged({"b": b, "a": a})) == [
+            ("a", a[0]), ("b", b[0]), ("a", a[1]),
+        ]
 
     def test_split_by_type_covers_all_types(self):
         parts = split_by_type(TRACE)
