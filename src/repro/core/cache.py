@@ -23,9 +23,9 @@ reference that property tests compare against).
 from __future__ import annotations
 
 import enum
-import heapq
 import random
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.entry import CacheEntry
@@ -115,13 +115,15 @@ class NaiveIndex(EvictionIndex):
 class HeapIndex(EvictionIndex):
     """Heap with lazy invalidation and lazy revaluation.
 
-    Every admission pushes one record ``(sort value, seq, entry, nref)``
-    and stamps the entry with ``seq`` (:attr:`CacheEntry.heap_seq`); a
-    record is live iff its entry still carries its sequence number — a
-    newer push or a removal (which clears the stamp) makes it stale, and
-    stale records are dropped when they surface at the heap top.  The
-    unique sequence number also makes records totally ordered without
-    ever comparing entries themselves.
+    Every admission pushes one flat record ``(k1, ..., kn, seq, entry,
+    nref)`` — the policy's sort values, then the fields read at fixed
+    offsets from the end, built by one ``policy.record`` call — and stamps
+    the entry with ``seq`` (:attr:`CacheEntry.heap_seq`); a record is
+    live iff its entry still carries its sequence number — a newer push
+    or a removal (which clears the stamp) makes it stale, and stale
+    records are dropped when they surface at the heap top.  The unique
+    sequence number also makes records totally ordered without ever
+    comparing entries themselves.
 
     A hit pushes nothing: it can only *raise* a sort value (the
     :class:`~repro.core.keys.SortKey` contract), so each live record's
@@ -135,7 +137,7 @@ class HeapIndex(EvictionIndex):
 
     Records orphaned by removals and such pushes are compacted away when
     they outnumber the live ones (plus :attr:`SLACK`) — amortised O(1)
-    per push; ``(value, seq)`` is a total order, so pop order holds.
+    per push; ``(values, seq)`` is a total order, so pop order holds.
     """
 
     #: Stale records tolerated beyond one per live entry.
@@ -143,33 +145,33 @@ class HeapIndex(EvictionIndex):
 
     def __init__(self, policy: KeyPolicy, entries: Dict[str, CacheEntry]) -> None:
         super().__init__(policy, entries)
-        self._heap: List[Tuple[Tuple[float, ...], int, CacheEntry, int]] = []
+        self._heap: List[tuple] = []
         self._seq = 0
+        self._record = policy.record
         self.tracks_hits = policy.mutable
 
     def add(self, entry: CacheEntry) -> None:
         self._seq = entry.heap_seq = seq = self._seq + 1
         heap = self._heap
-        heapq.heappush(heap, (self.policy.sort_value(entry), seq, entry, entry.nref))
+        heappush(heap, self._record(entry, seq, entry.nref))
         if len(heap) > 2 * len(self._entries) + self.SLACK:
-            heap[:] = [record for record in heap if record[2].heap_seq == record[1]]
-            heapq.heapify(heap)
+            heap[:] = [record for record in heap if record[-2].heap_seq == record[-3]]
+            heapify(heap)
 
     on_touch = add
 
     def pop_head(self) -> CacheEntry:
         heap = self._heap
         while heap:
-            _, seq, entry, nref = heap[0]
-            if entry.heap_seq != seq:
-                heapq.heappop(heap)
-            elif entry.nref == nref or not self.tracks_hits:
-                heapq.heappop(heap)
+            record = heap[0]
+            entry = record[-2]
+            if entry.heap_seq != record[-3]:
+                heappop(heap)
+            elif entry.nref == record[-1] or not self.tracks_hits:
+                heappop(heap)
                 return entry
             else:
-                heapq.heapreplace(
-                    heap, (self.policy.sort_value(entry), seq, entry, entry.nref)
-                )
+                heapreplace(heap, self._record(entry, record[-3], entry.nref))
         raise LookupError("cannot evict from an empty cache")
 
 
@@ -346,16 +348,8 @@ class SimCache:
             return MISS_TOO_LARGE if code == MISS else code
         if timer is not None:
             start = clock()
-        if capacity is not None:
-            # Section 1.2: "removes zero or more documents from the head
-            # of the sorted list until the amount of free cache space
-            # equals or exceeds the incoming document size".
-            while capacity - self.used_bytes < size:
-                victim = self.evict_next(size, now)
-                if evicted is not None:
-                    evicted.append(victim)
-                if self._on_evict is not None:
-                    self._on_evict(victim)
+        if capacity is not None and capacity - self.used_bytes < size:
+            self._make_room(size, now, evicted)
         if timer is not None:
             admit_start = clock()
             timer.observe("evict", admit_start - start)
@@ -386,25 +380,37 @@ class SimCache:
             self._remove_entry(entry)
         return entry
 
-    def evict_next(self, incoming_size: int, now: float) -> CacheEntry:
-        """Remove, count as an eviction and return the entry the policy
-        ranks first for removal."""
-        if self._index is not None:
-            victim = self._index.pop_head()
-        elif isinstance(self.policy, DynamicPolicy):
-            if not self._entries:
-                raise LookupError("cannot evict from an empty cache")
-            victim = self.policy.choose_victim(
-                list(self._entries.values()), incoming_size, now
-            )
-        else:
-            raise TypeError("finite cache requires an eviction mechanism")
-        self._remove_entry(victim)
-        self.eviction_count += 1
-        self.evicted_bytes += victim.size
-        return victim
-
     # -- internals -------------------------------------------------------------
+
+    def _make_room(
+        self, size: int, now: float, evicted: Optional[List[CacheEntry]],
+    ) -> None:
+        """Section 1.2: "removes zero or more documents from the head of
+        the sorted list until the amount of free cache space equals or
+        exceeds the incoming document size" — the one eviction loop.  A
+        dynamic policy picks each victim for an incoming ``size``."""
+        entries = self._entries
+        index = self._index
+        on_remove = self._on_remove
+        on_evict = self._on_evict
+        while self.capacity - self.used_bytes < size:
+            if index is not None:
+                victim = index.pop_head()
+            else:
+                victim = self.policy.choose_victim(
+                    list(entries.values()), size, now
+                )
+            del entries[victim.url]
+            victim.heap_seq = 0  # its heap records are stale from here on
+            self.used_bytes -= victim.size
+            self.eviction_count += 1
+            self.evicted_bytes += victim.size
+            if on_remove is not None:
+                on_remove(victim)
+            if evicted is not None:
+                evicted.append(victim)
+            if on_evict is not None:
+                on_evict(victim)
 
     def _remove_entry(self, entry: CacheEntry) -> None:
         del self._entries[entry.url]

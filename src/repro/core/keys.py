@@ -25,8 +25,9 @@ as in the Harvest cache).
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict
+import functools
+from math import floor, inf, log2
+from typing import Callable, Dict, Tuple
 
 from repro.core.entry import CacheEntry
 
@@ -44,6 +45,7 @@ __all__ = [
     "TTL",
     "TAXONOMY_KEYS",
     "ALL_KEYS",
+    "compile_keys",
     "key_by_name",
 ]
 
@@ -57,9 +59,9 @@ class SortKey:
 
     Args:
         name: the paper's name for the key (e.g. ``"SIZE"``).
-        extract: function from entry to an orderable float — the entry's
-            removal-order value (smaller = removed sooner); kept as
-            :attr:`value`.
+        expression: the removal-order value (smaller = removed sooner) as
+            one Python expression over the entry ``e``, e.g. ``"-e.size"``;
+            :attr:`value` and :func:`compile_keys` both compile it.
         description: Table 1 definition, for reports.
         mutable: whether the value can change while the entry is cached
             (ATIME-family and NREF change on every hit; SIZE and ETIME are
@@ -73,12 +75,13 @@ class SortKey:
     def __init__(
         self,
         name: str,
-        extract: Callable[[CacheEntry], float],
+        expression: str,
         description: str,
         mutable: bool,
     ) -> None:
         self.name = name
-        self.value = extract
+        self.expression = expression
+        self.value: Callable[[CacheEntry], float] = eval(f"lambda e: {expression}")
         self.description = description
         self.mutable = mutable
 
@@ -92,51 +95,65 @@ class SortKey:
         return hash(self.name)
 
 
+@functools.lru_cache(maxsize=None)  # one entry per key sequence in use
+def compile_keys(expressions: Tuple[str, ...]) -> Tuple[Callable, Callable]:
+    """``(sort_value, record)`` for a sequence of key expressions, each
+    inlined: ``sort_value(e)`` is ``(k1, ..., kn)`` and ``record(e, seq,
+    nref)`` the flat heap record ``(k1, ..., kn, seq, e, nref)``.  They
+    are evaluated here, where ``floor``, ``log2``, ``inf`` and
+    ``_TYPE_RANK`` are in scope."""
+    values = "".join(f"({expression}), " for expression in expressions)
+    return (
+        eval(f"lambda e: ({values})"),
+        eval(f"lambda e, seq, nref: ({values}seq, e, nref)"),
+    )
+
+
 SIZE = SortKey(
     "SIZE",
-    lambda e: -float(e.size),
+    "-e.size",
     "size of a cached document; largest file removed first",
     mutable=False,
 )
 
 LOG2SIZE = SortKey(
     "LOG2SIZE",
-    lambda e: -float(math.floor(math.log2(e.size))),
+    "-floor(log2(e.size))",
     "floor of log2 of SIZE; one of the largest files removed first",
     mutable=False,
 )
 
 ETIME = SortKey(
     "ETIME",
-    lambda e: e.etime,
+    "e.etime",
     "time document entered the cache; oldest removed first (FIFO)",
     mutable=False,
 )
 
 ATIME = SortKey(
     "ATIME",
-    lambda e: e.atime,
+    "e.atime",
     "time of last access; least recently used removed first (LRU)",
     mutable=True,
 )
 
 DAY_ATIME = SortKey(
     "DAY(ATIME)",
-    lambda e: float(e.atime_day),
+    "e.atime // 86400",
     "day of last access; last accessed the most days ago removed first",
     mutable=True,
 )
 
 NREF = SortKey(
     "NREF",
-    lambda e: float(e.nref),
+    "e.nref",
     "number of references; least referenced removed first (LFU)",
     mutable=True,
 )
 
 RANDOM = SortKey(
     "RANDOM",
-    lambda e: e.random_stamp,
+    "e.random_stamp",
     "uniform random order (stable per cached copy)",
     mutable=False,
 )
@@ -155,21 +172,21 @@ _TYPE_RANK: Dict[str, float] = {
 
 TYPE_PRIORITY = SortKey(
     "TYPE",
-    lambda e: _TYPE_RANK.get(e.doc_type.value, 2.0),
+    "_TYPE_RANK.get(e.doc_type.value, 2.0)",
     "media-type priority; bulky media removed before text (extension)",
     mutable=False,
 )
 
 LATENCY = SortKey(
     "LATENCY",
-    lambda e: e.latency,
+    "e.latency",
     "estimated refetch latency; cheapest-to-refetch removed first (extension)",
     mutable=False,
 )
 
 TTL = SortKey(
     "TTL",
-    lambda e: e.expires_at if e.expires_at is not None else math.inf,
+    "e.expires_at if e.expires_at is not None else inf",
     "expiry time; expired/soonest-to-expire removed first (Harvest-style)",
     mutable=False,
 )

@@ -103,8 +103,7 @@ class PeriodicRemovalCache(SimCache):
         """Evict in policy order until occupancy reaches the comfort level."""
         target = int(self.capacity * self.comfort_level)
         removed: List[CacheEntry] = []
-        while self.used_bytes > target and len(self):
-            removed.append(self.evict_next(0, now))
+        self._make_room(self.capacity - target, now, removed)
         self.sweep_count += 1
         self.swept_entries += len(removed)
         return removed

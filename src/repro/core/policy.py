@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import abc
 import itertools
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.entry import CacheEntry
 from repro.core.keys import (
     RANDOM,
     TAXONOMY_KEYS,
     SortKey,
+    compile_keys,
     key_by_name,
 )
 
@@ -98,10 +99,14 @@ class KeyPolicy(RemovalPolicy):
         #: True when any key's value can change while an entry is cached
         #: (the sorted index must then tolerate stale records).
         self.mutable = any(key.mutable for key in self.keys)
-        #: ``sort_value(entry)`` is the entry's full sort tuple; ascending
-        #: order = removal order.  Built once here, for the index calls it
-        #: on every admission and every hit of a mutable-key policy.
-        self.sort_value = _sort_tuple([key.value for key in self.keys])
+        #: ``sort_value(entry)`` is the entry's full sort tuple (ascending
+        #: order = removal order); ``record(entry, seq, nref)`` is the flat
+        #: heap record ``(k1, ..., kn, seq, entry, nref)`` of
+        #: :class:`~repro.core.cache.HeapIndex`.  Both inline the keys'
+        #: expressions and are compiled once per key sequence.
+        self.sort_value, self.record = compile_keys(
+            tuple(key.expression for key in self.keys)
+        )
 
     @property
     def primary(self) -> SortKey:
@@ -114,19 +119,6 @@ class KeyPolicy(RemovalPolicy):
     def describe(self) -> str:
         parts = " then ".join(k.name for k in self.keys)
         return f"sort by {parts}; remove from head until the document fits"
-
-
-def _sort_tuple(
-    extractors: Sequence[Callable[[CacheEntry], float]],
-) -> Callable[[CacheEntry], Tuple[float, ...]]:
-    """One function returning the tuple of every extractor's value."""
-    if len(extractors) == 2:
-        first, second = extractors
-        return lambda entry: (first(entry), second(entry))
-    if len(extractors) == 3:
-        first, second, third = extractors
-        return lambda entry: (first(entry), second(entry), third(entry))
-    return lambda entry: tuple(extract(entry) for extract in extractors)
 
 
 class DynamicPolicy(RemovalPolicy):

@@ -65,7 +65,8 @@ def _receive(
         raise NoResponse(str(error)) from error
     if not data:
         raise NoResponse("peer closed the connection with no response")
-    while b"\r\n\r\n" not in data:
+    # Either terminator ends the head, as for ``HttpResponse.parse``.
+    while b"\r\n\r\n" not in data and b"\n\n" not in data:
         chunk = read()
         if not chunk:
             break

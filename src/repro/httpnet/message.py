@@ -181,7 +181,7 @@ class HttpResponse:
         head, body = _split_head(data)
         status_line, _, header_block = head.partition(b"\r\n")
         parts = status_line.decode("latin-1").split(None, 2)
-        if len(parts) < 2 or not parts[1].isdigit():
+        if len(parts) < 2 or not (parts[1].isascii() and parts[1].isdigit()):
             raise HttpMessageError(f"malformed status line {status_line!r}")
         version = parts[0]
         status = int(parts[1])
@@ -213,7 +213,8 @@ class HttpResponse:
     def content_length(self) -> Optional[int]:
         """Declared body length, when present and well-formed."""
         value = get_header(self.headers, "content-length")
-        if value is None or not value.isdigit():
+        # isascii: str.isdigit() also accepts "²", which int() refuses.
+        if value is None or not (value.isascii() and value.isdigit()):
             return None
         return int(value)
 

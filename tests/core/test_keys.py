@@ -20,6 +20,7 @@ from repro.core import (
     TTL,
     TYPE_PRIORITY,
     CacheEntry,
+    KeyPolicy,
     key_by_name,
 )
 from repro.trace import DocumentType
@@ -180,3 +181,20 @@ def test_no_key_falls_on_a_hit_under_a_forward_clock(key, e, ahead):
     before = key.value(e)
     e.touch(e.atime + ahead)
     assert key.value(e) >= before
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [[key] for key in ALL_KEYS] + [list(ALL_KEYS)],
+    ids=[key.name for key in ALL_KEYS] + ["ALL"],
+)
+@given(e=entries, seq=st.integers(min_value=1, max_value=2**40))
+def test_a_heap_record_is_the_sort_value_then_seq_entry_nref(keys, e, seq):
+    """``record`` and ``sort_value`` are compiled from the same key
+    expressions, and both agree with each key's own ``value``."""
+    policy = KeyPolicy(keys)
+    width = len(policy.keys)
+    record = policy.record(e, seq, e.nref)
+    assert record[:width] == policy.sort_value(e)
+    assert record[width:] == (seq, e, e.nref)
+    assert policy.sort_value(e) == tuple(key.value(e) for key in policy.keys)

@@ -247,6 +247,17 @@ class TestUpstreamClient:
             assert peer.accepted == 2
             assert client.idle_count(peer.address) == 0
 
+    def test_a_bare_lf_head_is_read_without_waiting_for_crlf(self):
+        bare = b"HTTP/1.0 200 OK\nContent-Length: 2\nConnection: keep-alive\n\nok"
+        with ScriptedPeer([bare, bare]) as peer:
+            client = UpstreamClient()
+            started = time.monotonic()
+            for _ in range(2):
+                assert client.request(peer.address, get(), timeout=1.0).body == b"ok"
+            assert time.monotonic() - started < 1.0
+            assert peer.accepted == 1
+            client.close()
+
     def test_one_shot_request_hands_a_short_body_back_as_it_came(self):
         with ScriptedPeer([reply(b"four", extra=b"", length=10)]) as peer:
             response = request(peer.address, get())

@@ -128,6 +128,18 @@ class TestResponseParse:
         )
         assert response.content_length is None
 
+    def test_non_ascii_digit_content_length_ignored(self):
+        # "\xb2" decodes to a superscript two: str.isdigit() says yes,
+        # int() says no.
+        response = HttpResponse.parse(
+            b"HTTP/1.0 200 OK\r\nContent-Length: \xb2\r\n\r\nab"
+        )
+        assert response.content_length is None
+
+    def test_non_ascii_digit_status_rejected(self):
+        with pytest.raises(HttpMessageError):
+            HttpResponse.parse(b"HTTP/1.0 \xb200 OK\r\n\r\n")
+
 
 class TestHttpDate:
     def test_known_value(self):

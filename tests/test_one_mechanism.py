@@ -14,7 +14,10 @@ the only signal handler besides the sweep's checkpointing drain);
 ``repro.obs.summarize`` formats the one fleet verdict line;
 ``repro.core.simulator.replay`` is the one replay loop, each simulated
 topology is its own result, and ``repro.trace.tools`` owns the one
-timestamp merge.  A new server, client, export, benchmark runner, flag,
+timestamp merge; ``SimCache._make_room`` is the one eviction loop and
+``HeapIndex.pop_head`` is reached from it alone, while each sort key's
+value is one expression that ``KeyPolicy`` compiles into its sort value
+and heap record.  A new server, client, export, benchmark runner, flag,
 fleet, dashboard or replay loop that grows its own fails here instead of
 drifting apart from the shared one (as the router's deadline-less head
 reader once did).
@@ -124,3 +127,14 @@ def test_one_replay_loop():
 def test_one_object_per_topology_and_one_merge():
     assert files_containing("def result(self)") == []
     assert files_containing("heapq.merge") == ["trace/tools.py"]
+
+
+def test_one_eviction_loop():
+    assert files_containing("def evict_next") == []
+    assert files_containing("pop_head(") == ["core/cache.py"]
+    assert files_containing("_make_room(") == ["core/cache.py", "core/periodic.py"]
+
+
+def test_each_sort_key_is_one_expression():
+    assert files_containing("_sort_tuple") == []
+    assert files_containing("def compile_keys(") == ["core/keys.py"]
