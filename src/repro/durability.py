@@ -9,13 +9,13 @@ state, the result and snapshot caches):
   sequence.  A reader never observes a half-written file: either the
   old content or the new content exists, all the way through a crash
   (including one injected mid-write by the disk-fault rules below).
-* :class:`Journal` — a checksummed, append-only JSONL log.  Every
-  record is one line carrying a SHA-256 of its canonical payload;
-  :func:`read_journal` replays records up to the first line that fails
-  to parse or verify and *discards the tail* from that point on — the
-  torn-tail tolerance a crash mid-append requires.  Appends fsync by
-  default, so a record returned from :meth:`Journal.append` survives
-  SIGKILL.
+* :class:`Journal` — a checksummed, append-only log.  Every record is
+  one canonical-JSON line carrying a SHA-256 of its payload, which pins
+  the length and SHA-256 of any raw blob (a body) written after the
+  line; :func:`read_journal` replays up to the first record that fails
+  and *discards the tail* from there on — the torn-tail tolerance a
+  crash mid-append requires.  Appends fsync by default, so a record
+  returned from :meth:`Journal.append` survives SIGKILL.
 * :func:`write_manifest` / :func:`read_manifest` — a checkpoint
   manifest: one atomic, checksummed JSON document describing a state
   directory (format version, fingerprints, completion status).  A
@@ -49,7 +49,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, List, Optional, Type, Union
+from typing import IO, Iterable, Iterator, List, Optional, Type, Union
 
 __all__ = [
     "JOURNAL_FORMAT",
@@ -71,8 +71,9 @@ __all__ = [
     "write_manifest",
 ]
 
-#: On-disk journal line format; bumped only when the envelope changes.
-JOURNAL_FORMAT = 1
+#: On-disk journal format; bumped only when the envelope changes (2 put
+#: raw blobs after a record's line; format-1 files still replay).
+JOURNAL_FORMAT = 2
 
 #: Manifest envelope format.
 MANIFEST_FORMAT = 1
@@ -210,12 +211,16 @@ def atomic_write_json(
 # -- the append-only journal --------------------------------------------------
 
 
-def _journal_line(payload: dict) -> str:
-    """One journal line: the payload wrapped with its checksum."""
-    return canonical_json({"sha": checksum(payload), "rec": payload})
+def _journal_line(payload: dict) -> bytes:
+    """One journal line, without its newline: the payload wrapped with
+    its checksum.  The payload is encoded once; the bytes equal
+    ``canonical_json({"sha": checksum(payload), "rec": payload})``."""
+    canon = canonical_json(payload).encode("utf-8")
+    digest = hashlib.sha256(canon).hexdigest().encode("ascii")
+    return b'{"rec":' + canon + b',"sha":"' + digest + b'"}'
 
 
-def _decode_journal_line(line: str) -> dict:
+def _decode_journal_line(line: bytes) -> dict:
     """Parse and verify one journal line; raises ``ValueError`` on any
     truncation, corruption, or tampering."""
     envelope = json.loads(line)
@@ -228,12 +233,13 @@ def _decode_journal_line(line: str) -> dict:
 
 
 class Journal:
-    """A checksummed append-only journal, one JSON record per line.
+    """A checksummed append-only journal, one JSON line per record.
 
     The first line is a header naming the format and the journal's
     ``kind`` (what subsystem's records it holds); every subsequent line
-    is a record envelope.  Appends are flushed — and by default fsynced
-    — before returning, so a returned append survives SIGKILL.
+    is a record envelope, followed by the record's raw blob and a
+    newline when it has one.  Appends are flushed — and by default
+    fsynced — before returning, so a returned append survives SIGKILL.
 
     A write fault (torn write, failed fsync, ENOSPC) marks the journal
     *broken*: later appends fail fast instead of writing records after
@@ -258,30 +264,35 @@ class Journal:
         fresh = truncate or not self.path.exists() or (
             self.path.stat().st_size == 0
         )
-        self._handle = open(
-            self.path, "w" if fresh else "a", encoding="utf-8",
-        )
+        self._handle = open(self.path, "wb" if fresh else "ab")
         if fresh:
             header = {
                 "magic": _JOURNAL_MAGIC,
                 "format": JOURNAL_FORMAT,
                 "kind": kind,
             }
-            self._handle.write(_journal_line(header) + "\n")
+            self._handle.write(_journal_line(header) + b"\n")
             _apply_fsync(None, self._handle, self.path, fsync)
 
-    def append(self, payload: dict) -> None:
-        """Durably append one record (fsynced before returning)."""
+    def append(self, payload: dict, blob: Optional[bytes] = None) -> None:
+        """Durably append one record (fsynced before returning); a
+        ``blob`` follows the line raw, pinned by a reserved ``"blob"`` key
+        holding ``[length, SHA-256 hex]``."""
         if self._broken:
             raise OSError(
                 errno.EIO, f"journal {self.path} broken by an earlier fault",
             )
-        line = _journal_line(payload) + "\n"
+        tail = b"\n"
+        if blob is not None:
+            digest = hashlib.sha256(blob).hexdigest()
+            payload = dict(payload, blob=[len(blob), digest])
+            tail = b"\n" + blob + b"\n"
+        data = _journal_line(payload) + tail
         rule = _next_disk_fault(self.faults, self.path)
         try:
             if rule is not None and rule.kind == _ENOSPC:
                 raise OSError(errno.ENOSPC, f"injected ENOSPC ({self.path})")
-            _apply_write_faults(rule, self._handle, line, self.path)
+            _apply_write_faults(rule, self._handle, data, self.path)
             _apply_fsync(rule, self._handle, self.path, self.fsync)
         except OSError:
             self._broken = True
@@ -310,9 +321,10 @@ class Journal:
 class JournalRecovery:
     """What replaying a journal found.
 
-    ``records`` is the verified prefix; ``discarded`` counts the lines
-    dropped from the first bad line onward (``truncated`` says whether
-    any were) — the torn tail a crash mid-append leaves behind.
+    ``records`` is the verified prefix (a blob record's ``"blob"`` holds
+    the bytes); ``discarded`` counts the records dropped from the first
+    bad one onward (``truncated`` says whether any were) — the torn tail
+    a crash mid-append leaves behind.
     """
 
     records: List[dict] = field(default_factory=list)
@@ -326,50 +338,73 @@ class JournalRecovery:
         return len(self.records)
 
 
+def _journal_records(data: bytes, pos: int) -> Iterator[Optional[dict]]:
+    """Each record from offset ``pos`` on: its verified payload, or
+    ``None`` when its line, blob length or blob digest fails."""
+    while pos < len(data):
+        end = data.find(b"\n", pos)
+        if end < 0:
+            yield None  # torn before its newline
+            return
+        line, pos = data[pos:end], end + 1
+        try:
+            payload = _decode_journal_line(line)
+            if "blob" in payload:
+                length, digest = payload["blob"]
+                payload["blob"] = blob = data[pos:pos + max(0, length)]
+                pos += max(0, length) + 1
+                if (data[pos - 1:pos] != b"\n"
+                        or hashlib.sha256(blob).hexdigest() != digest):
+                    raise ValueError("torn or corrupt journal blob")
+        except (ValueError, TypeError):
+            payload = None
+        yield payload
+
+
 def read_journal(
     path: Union[str, Path], kind: Optional[str] = None,
 ) -> JournalRecovery:
-    """Replay a journal, tolerating a torn or corrupt tail.
+    """Replay a journal (format 1 or 2), tolerating a torn tail.
 
     Verifies the header (magic, format, and ``kind`` when given) and
-    each record's checksum.  The first line that fails to parse or
-    verify ends the replay: it and everything after it are counted in
-    ``discarded``.  A missing file is an empty journal with
-    ``missing=True``; a journal whose *header* fails is entirely
+    each record's checksum, plus a blob record's length and digest.  The
+    first record that fails ends the replay: it and everything after it
+    are counted in ``discarded``.  A missing file is an empty journal
+    with ``missing=True``; a journal whose *header* fails is entirely
     discarded (it is not a journal we wrote).
     """
     path = Path(path)
     recovery = JournalRecovery(kind=kind or "")
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError:
         recovery.missing = True
         return recovery
-    lines = text.splitlines()
-    if not lines:
+    if not data:
         return recovery
+    end = data.find(b"\n")
     try:
-        header = _decode_journal_line(lines[0])
+        header = _decode_journal_line(data[:end] if end >= 0 else b"")
         if header.get("magic") != _JOURNAL_MAGIC:
             raise ValueError("bad journal magic")
-        if header.get("format") != JOURNAL_FORMAT:
+        if header.get("format") not in (1, JOURNAL_FORMAT):
             raise ValueError("unknown journal format")
         if kind is not None and header.get("kind") != kind:
             raise ValueError(
                 f"journal kind {header.get('kind')!r}, wanted {kind!r}"
             )
         recovery.kind = str(header.get("kind", ""))
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, AttributeError):
         recovery.truncated = True
-        recovery.discarded = len(lines)
+        recovery.discarded = len(data.splitlines())
         return recovery
-    for index, line in enumerate(lines[1:], start=1):
-        try:
-            recovery.records.append(_decode_journal_line(line))
-        except (ValueError, TypeError):
+    records = _journal_records(data, end + 1)
+    for record in records:
+        if record is None:
             recovery.truncated = True
-            recovery.discarded = len(lines) - index
+            recovery.discarded = 1 + sum(1 for _ in records)
             break
+        recovery.records.append(record)
     return recovery
 
 
@@ -391,7 +426,8 @@ def rewrite_journal(
         path, kind=kind, fsync=fsync, faults=faults, truncate=True,
     )
     for record in records:
-        journal.append(record)
+        payload = dict(record)
+        journal.append(payload, payload.pop("blob", None))
     journal.appends = 0  # rewrites are recovery, not new appends
     return journal
 

@@ -10,6 +10,7 @@ RFC 1123 format.  Used by both the passive sniffer
 from __future__ import annotations
 
 import calendar
+import re
 import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -59,18 +60,29 @@ def format_http_date(epoch: float) -> str:
     )
 
 
+_FIXDATE = re.compile(
+    rf"(?:{'|'.join(_WEEKDAYS)}), ([0-9]{{2}}) ({'|'.join(_MONTHS)}) "
+    r"([0-9]{4}) ([0-9]{2}):([0-9]{2}):([0-9]{2}) GMT"
+)
+
+
 def parse_http_date(text: str) -> float:
-    """Parse an RFC 1123 date to a Unix epoch.
+    """Parse an RFC 1123 date (IMF-fixdate) to a Unix epoch, with the
+    field ranges ``time.strptime`` checks (year from 1, day within its
+    month, hour 0-23, minute 0-59, second 0-61).
 
     Raises:
         HttpMessageError: when the date is unparseable.
     """
-    try:
-        parsed = _time.strptime(text.strip(), "%a, %d %b %Y %H:%M:%S GMT")
-    except ValueError as error:
-        raise HttpMessageError(f"bad HTTP date {text!r}") from error
-    return float(calendar.timegm(parsed))
-
+    match = _FIXDATE.fullmatch(text.strip())
+    if match:
+        day, year, hour, minute, second = map(int, match.group(1, 3, 4, 5, 6))
+        month = _MONTHS.index(match.group(2)) + 1
+        if (year >= 1 and 1 <= day <= calendar.monthrange(year, month)[1]
+                and hour < 24 and minute < 60 and second < 62):
+            return float(calendar.timegm(
+                (year, month, day, hour, minute, second)))
+    raise HttpMessageError(f"bad HTTP date {text!r}")
 
 
 def get_header(headers: Dict[str, str], name: str) -> Optional[str]:
@@ -87,6 +99,16 @@ def get_header(headers: Dict[str, str], name: str) -> Optional[str]:
         if key.lower() == lowered:
             return value
     return None
+
+
+def _header_date(headers: Dict[str, str], name: str) -> Optional[float]:
+    """A date header's epoch; ``None`` when it is absent or invalid (RFC
+    7232 §3.3: a recipient ignores an invalid date)."""
+    value = get_header(headers, name)
+    try:
+        return None if value is None else parse_http_date(value)
+    except HttpMessageError:
+        return None
 
 
 def _parse_headers(block: bytes) -> Dict[str, str]:
@@ -158,11 +180,8 @@ class HttpRequest:
 
     @property
     def if_modified_since(self) -> Optional[float]:
-        """The conditional-GET timestamp, when present."""
-        value = get_header(self.headers, "if-modified-since")
-        if value is None:
-            return None
-        return parse_http_date(value)
+        """The conditional-GET timestamp, when present and valid."""
+        return _header_date(self.headers, "if-modified-since")
 
 
 @dataclass
@@ -220,14 +239,8 @@ class HttpResponse:
 
     @property
     def last_modified(self) -> Optional[float]:
-        """Parsed ``Last-Modified`` header, when present."""
-        value = get_header(self.headers, "last-modified")
-        if value is None:
-            return None
-        try:
-            return parse_http_date(value)
-        except HttpMessageError:
-            return None
+        """Parsed ``Last-Modified`` header, when present and valid."""
+        return _header_date(self.headers, "last-modified")
 
     @property
     def content_type(self) -> str:

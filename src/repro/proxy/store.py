@@ -14,11 +14,12 @@ Durability (``state_dir``): the store persists as a *snapshot* (one
 atomic, checksummed manifest of every document) plus an append-only
 *journal* of mutations since that snapshot — the classic pairing from
 :mod:`repro.durability`.  Every ``put``/``invalidate``/eviction is
-fsynced into the journal before the call returns; a warm restart loads
-the snapshot, folds the journal over it (discarding a torn tail, the
-at-most-one mutation a crash can lose), re-admits the surviving
-documents through the normal policy machinery, then starts a fresh
-snapshot+journal generation.  Replay is idempotent — puts are upserts
+fsynced into the journal before the call returns (a put as one metadata
+line with its body raw behind it); a warm restart loads the snapshot,
+folds the journal over it (discarding a torn tail, the at-most-one
+mutation a crash can lose), re-admits the surviving documents through
+the normal policy machinery, then starts a fresh snapshot+journal
+generation.  Replay is idempotent — puts are upserts
 and removes of absent URLs are no-ops — so a crash *between* writing the
 new snapshot and truncating the journal merely re-applies ops the
 snapshot already contains.  Lookups are deliberately not journaled:
@@ -114,10 +115,10 @@ class StoreRecovery:
     snapshot_ok: bool = True
 
 
-def _document_to_record(document: CachedDocument, stamp: float) -> dict:
+def _document_meta(document: CachedDocument, stamp: float) -> dict:
+    """What a journaled put carries in JSON: all but the body."""
     return {
         "url": document.url,
-        "body": base64.b64encode(document.body).decode("ascii"),
         "status": document.status,
         "content_type": document.content_type,
         "fetched_at": document.fetched_at,
@@ -127,10 +128,21 @@ def _document_to_record(document: CachedDocument, stamp: float) -> dict:
     }
 
 
-def _record_to_document(record: dict) -> "tuple[CachedDocument, float]":
+def _snapshot_record(document: CachedDocument, stamp: float) -> dict:
+    """A snapshot manifest's document: the metadata plus a base64 body."""
+    record = _document_meta(document, stamp)
+    record["body"] = base64.b64encode(document.body).decode("ascii")
+    return record
+
+
+def _record_to_document(
+    record: dict, body: Optional[bytes] = None,
+) -> "tuple[CachedDocument, float]":
+    """A document from its metadata and raw ``body``, or from a record's
+    base64 ``body`` (a snapshot document or a format-1 journal put)."""
     document = CachedDocument(
         url=record["url"],
-        body=base64.b64decode(record["body"]),
+        body=base64.b64decode(record["body"]) if body is None else body,
         status=int(record.get("status", 200)),
         content_type=str(
             record.get("content_type", "application/octet-stream")
@@ -201,13 +213,14 @@ class ProxyStore:
         self.stats.evictions += 1
         self._journal_append({"op": "remove", "url": entry.url})
 
-    def _journal_append(self, op: dict) -> None:
-        """Durably record one mutation; a write failure degrades to an
-        unjournaled store (counted) rather than failing the request."""
+    def _journal_append(self, op: dict, body: Optional[bytes] = None) -> None:
+        """Durably record one mutation (a put's body as the raw blob); a
+        write failure degrades to an unjournaled store (counted) rather
+        than failing the request."""
         if self._journal is None:
             return
         try:
-            self._journal.append(op)
+            self._journal.append(op, body)
             self.stats.journal_appends += 1
         except OSError:
             self.stats.journal_errors += 1
@@ -280,29 +293,25 @@ class ProxyStore:
         """
         if not document.body:
             return False
+        url = document.url
         with self._lock:
-            now = self._clock() if now is None else now
-            existing = self._bodies.get(document.url)
+            stamp = max(0.0, self._clock() if now is None else now)
+            existing = self._bodies.pop(url, None)
             if existing is not None:
-                self._cache.remove(document.url)
-                self._bodies.pop(document.url, None)
-            self._cache.access_code(
-                Request(
-                    timestamp=max(0.0, now),
-                    url=document.url,
-                    size=document.size,
-                )
-            )
-            if document.url not in self._cache:
-                return False  # larger than the whole store
-            self._bodies[document.url] = document
-            stamp = max(0.0, now)
-            self._stamps[document.url] = stamp
+                self._cache.remove(url)
+            self._cache.access_code(Request(stamp, url, document.size))
+            if url not in self._cache:  # larger than the whole store
+                if existing is not None:  # and its old copy is gone too
+                    self._stamps.pop(url, None)
+                    self._journal_append({"op": "remove", "url": url})
+                return False
+            self._bodies[url] = document
+            self._stamps[url] = stamp
             self.stats.insertions += 1
-            self._journal_append({
-                "op": "put",
-                "doc": _document_to_record(document, stamp),
-            })
+            self._journal_append(
+                {"op": "put", "doc": _document_meta(document, stamp)},
+                document.body,
+            )
             return True
 
     def invalidate(self, url: str) -> bool:
@@ -331,7 +340,7 @@ class ProxyStore:
     def _recover(self) -> None:
         """Warm-restart: snapshot + journal fold -> live store state."""
         recovery = StoreRecovery()
-        documents: Dict[str, dict] = {}
+        documents: Dict[str, tuple] = {}  # url -> (record, raw body or None)
         snapshot_path = self.state_dir / SNAPSHOT_NAME
         try:
             payload = read_manifest(self.state_dir, name=SNAPSHOT_NAME)
@@ -339,7 +348,7 @@ class ProxyStore:
                 raise ManifestError(f"{snapshot_path}: not a store snapshot")
             for record in payload.get("documents", []):
                 if isinstance(record, dict) and "url" in record:
-                    documents[record["url"]] = record
+                    documents[record["url"]] = (record, None)
             recovery.snapshot_documents = len(documents)
         except ManifestError:
             # Missing is a cold start; corrupt is moved aside for the
@@ -361,15 +370,15 @@ class ProxyStore:
                 url = op["doc"].get("url")
                 if url:
                     documents.pop(url, None)  # re-append in journal order
-                    documents[url] = op["doc"]
+                    documents[url] = (op["doc"], op.get("blob"))
             elif op.get("op") == "remove":
                 documents.pop(op.get("url"), None)
         # Re-admit through the normal put path (self._journal is still
         # None, so replay is never re-journaled) with each document's
         # recorded stamp, so policy metadata survives the restart.
-        for record in documents.values():
+        for record, body in documents.values():
             try:
-                document, stamp = _record_to_document(record)
+                document, stamp = _record_to_document(record, body)
             except (KeyError, TypeError, ValueError):
                 continue  # one bad record never blocks the rest
             self.put(document, now=stamp)
@@ -398,9 +407,7 @@ class ProxyStore:
                 "kind": STATE_KIND,
                 "capacity": self._cache.capacity,
                 "documents": [
-                    _document_to_record(
-                        document, self._stamps.get(url, 0.0),
-                    )
+                    _snapshot_record(document, self._stamps.get(url, 0.0))
                     for url, document in self._bodies.items()
                 ],
             }

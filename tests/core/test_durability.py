@@ -256,3 +256,70 @@ class TestManifest:
         assert read_manifest(tmp_path, name="snapshot.json") == {
             "kind": "proxy-store",
         }
+
+
+class TestBlobRecords:
+    """Format 2: a record's line pins its blob's length and SHA-256 and
+    the raw bytes follow the line."""
+
+    BODY = b"raw\nbody\r\n\xff\x00 not utf-8\n"
+
+    def write(self, path):
+        with Journal(path, kind="test") as journal:
+            journal.append({"n": 1})
+            journal.append({"n": 2}, self.BODY)
+        return path.read_bytes()
+
+    def test_round_trip_carries_the_blob(self, tmp_path):
+        data = self.write(tmp_path / "journal.jsonl")
+        assert data.endswith(b"\n" + self.BODY + b"\n")
+        recovery = read_journal(tmp_path / "journal.jsonl", kind="test")
+        assert recovery.records == [{"n": 1}, {"n": 2, "blob": self.BODY}]
+        assert not recovery.truncated
+
+    def test_torn_at_every_offset_discards_one(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        data = self.write(path)
+        record_start = data.index(b'{"rec":{"blob"')
+        for cut in range(record_start, len(data)):  # line, body, final \n
+            path.write_bytes(data[:cut])
+            recovery = read_journal(path, kind="test")
+            assert recovery.records == [{"n": 1}], cut
+            assert recovery.discarded == (1 if cut > record_start else 0), cut
+
+    def test_flipped_body_byte_ends_replay(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        with Journal(path, kind="test") as journal:
+            journal.append({"n": 1}, b"first body")
+            journal.append({"n": 2}, self.BODY)
+            journal.append({"n": 3}, b"third body")
+        data = bytearray(path.read_bytes())
+        data[data.index(self.BODY) + 5] ^= 0x01
+        path.write_bytes(bytes(data))
+        recovery = read_journal(path, kind="test")
+        assert recovery.records == [{"n": 1, "blob": b"first body"}]
+        assert recovery.truncated
+        assert recovery.discarded == 2
+
+    def test_rewrite_keeps_blobs(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        self.write(path)
+        records = read_journal(path, kind="test").records
+        rewrite_journal(path, records, kind="test").close()
+        assert read_journal(path, kind="test").records == records
+
+    @pytest.mark.parametrize("payload", [
+        {},
+        {"n": 1},
+        {"op": "put", "doc": {"url": "http://a/1", "stamp": 1.5,
+                              "expires": None, "status": 200}},
+        {"op": "remove", "url": "http://a/é\"\\\n"},
+        {"z": [1, 2.25, {"b": True, "a": False}], "a": "x" * 300},
+        {"magic": "repro-journal", "format": 1, "kind": "proxy-store"},
+    ])
+    def test_journal_line_bytes_match_the_format_1_envelope(self, payload):
+        from repro.durability import _journal_line
+
+        assert _journal_line(payload) == canonical_json(
+            {"sha": checksum(payload), "rec": payload},
+        ).encode("utf-8")

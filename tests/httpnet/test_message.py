@@ -168,3 +168,57 @@ def test_response_roundtrip_property(body, status):
     parsed = HttpResponse.parse(response.serialize())
     assert parsed.status == status
     assert parsed.body == body
+
+
+def test_malformed_if_modified_since_is_ignored():
+    request = HttpRequest.parse(
+        b"GET /x HTTP/1.0\r\nIf-Modified-Since: yesterday\r\n\r\n",
+    )
+    assert request.if_modified_since is None
+
+
+def strptime_epoch(text):
+    """The parser ``parse_http_date`` replaced, kept as the oracle."""
+    import calendar
+    import time
+
+    try:
+        parsed = time.strptime(text.strip(), "%a, %d %b %Y %H:%M:%S GMT")
+    except ValueError:
+        return None
+    return float(calendar.timegm(parsed))
+
+
+def two_digits(low, high):
+    """A two-digit field, in ``low..high`` two draws in three and
+    anywhere in ``00..99`` otherwise."""
+    in_range = st.integers(min_value=low, max_value=high)
+    return st.one_of(
+        in_range, in_range, st.integers(min_value=0, max_value=99),
+    ).map("{:02d}".format)
+
+
+@given(
+    weekday=st.sampled_from(["Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun"]),
+    day=two_digits(1, 31),
+    month=st.sampled_from(["Jan", "Feb", "Mar", "Apr", "May", "Jun",
+                           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"]),
+    year=st.one_of(
+        st.integers(min_value=0, max_value=9999),
+        st.sampled_from([0, 1, 1900, 1996, 2000, 2024, 2100]),
+    ).map("{:04d}".format),
+    hour=two_digits(0, 23),
+    minute=two_digits(0, 59),
+    second=two_digits(0, 61),
+)
+@settings(max_examples=1000, deadline=None)
+def test_http_date_matches_strptime(weekday, day, month, year, hour, minute,
+                                    second):
+    """Fixdate-shaped input, in-range and out-of-range fields: the
+    regex parser and ``strptime`` give the same epoch or both reject."""
+    text = f"{weekday}, {day} {month} {year} {hour}:{minute}:{second} GMT"
+    try:
+        mine = parse_http_date(text)
+    except HttpMessageError:
+        mine = None
+    assert mine == strptime_epoch(text)

@@ -134,3 +134,16 @@ class TestLiveServer:
             with concurrent.futures.ThreadPoolExecutor(8) as pool:
                 statuses = list(pool.map(one, range(16)))
             assert statuses == [200] * 16
+
+
+def test_malformed_if_modified_since_is_ignored_over_socket():
+    """RFC 7232 §3.3: an invalid date is ignored, so the client gets the
+    full document instead of an empty reply from a dead handler."""
+    with OriginServer() as origin:
+        response = TestLiveServer().fetch(
+            origin.address,
+            b"GET /x HTTP/1.0\r\nIf-Modified-Since: yesterday\r\n\r\n",
+        )
+        assert response.status == 200
+        assert response.body == origin.site.document("/x")[0]
+        assert response.content_length == len(response.body)

@@ -7,6 +7,8 @@ snapshot degrades to journal-only replay instead of refusing to start.
 """
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -220,3 +222,48 @@ class TestMetricsWiring:
             assert events[0]["documents"] == 1
         finally:
             store.close()
+
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
+
+
+class TestJournalFormats:
+    def test_format_1_journal_revives_the_parent_state(self, tmp_path):
+        """A format-1 journal (base64 bodies inside the JSON) holding
+        bodies with \\n, \\r\\n and non-UTF-8 bytes, a replacement, an
+        invalidate and an eviction revives exactly the state the format-1
+        reader revived from it."""
+        recorded = json.loads(
+            (FIXTURES / "store_journal_v1_parent.json").read_text(),
+        )
+        shutil.copy(
+            FIXTURES / "store_journal_v1_parent.jsonl", tmp_path / JOURNAL_NAME,
+        )
+        store = make_store(tmp_path, capacity=recorded["capacity"])
+        assert {
+            "documents": store.recovery.documents,
+            "journal_replayed": store.recovery.journal_replayed,
+            "tail_discarded": store.recovery.tail_discarded,
+        } == recorded["recovery"]
+        # Recovery wrote the revived state as a fresh snapshot.
+        assert read_manifest(tmp_path, name=SNAPSHOT_NAME) == recorded["snapshot"]
+
+    def test_a_put_journals_its_body_raw(self, tmp_path):
+        body = b"\x00\xff raw\r\n\n"
+        store = make_store(tmp_path)
+        store.put(doc("http://a/1", body), now=1.0)
+        data = (tmp_path / JOURNAL_NAME).read_bytes()
+        assert data.endswith(b"\n" + body + b"\n")
+        assert b'"body"' not in data
+        revived = make_store(tmp_path)
+        assert revived.get("http://a/1").body == body
+
+    def test_a_replacement_that_does_not_fit_stays_dropped(self, tmp_path):
+        store = make_store(tmp_path, capacity=100)
+        assert store.put(doc("http://a/1", b"x" * 50), now=1.0)
+        assert not store.put(doc("http://a/1", b"y" * 500), now=2.0)
+        assert "http://a/1" not in store
+        assert store._stamps == {}
+        revived = make_store(tmp_path, capacity=100)
+        assert "http://a/1" not in revived
+        assert revived.recovery.documents == 0

@@ -17,10 +17,12 @@ topology is its own result, and ``repro.trace.tools`` owns the one
 timestamp merge; ``SimCache._make_room`` is the one eviction loop and
 ``HeapIndex.pop_head`` is reached from it alone, while each sort key's
 value is one expression that ``KeyPolicy`` compiles into its sort value
-and heap record.  A new server, client, export, benchmark runner, flag,
-fleet, dashboard or replay loop that grows its own fails here instead of
-drifting apart from the shared one (as the router's deadline-less head
-reader once did).
+and heap record; ``repro.durability`` encodes each journal line once
+and a journaled put carries its body raw, never in base64.  A new
+server, client, export, benchmark runner, flag, fleet, dashboard or
+replay loop that grows its own fails here instead of drifting apart
+from the shared one (as the router's deadline-less head reader once
+did).
 """
 
 from pathlib import Path
@@ -138,3 +140,29 @@ def test_one_eviction_loop():
 def test_each_sort_key_is_one_expression():
     assert files_containing("_sort_tuple") == []
     assert files_containing("def compile_keys(") == ["core/keys.py"]
+
+
+def test_a_journaled_put_carries_no_base64():
+    """Only the snapshot helper base64s a body; the put path hands the
+    journal raw bytes."""
+    import inspect
+
+    from repro.proxy import store
+
+    assert files_containing("b64encode") == ["proxy/store.py"]
+    assert inspect.getsource(store).count("b64encode") == 1
+    assert "b64encode" in inspect.getsource(store._snapshot_record)
+    for function in (store.ProxyStore.put, store._document_meta,
+                     store.ProxyStore._journal_append):
+        assert "base64" not in inspect.getsource(function)
+
+
+def test_each_journal_line_is_encoded_once():
+    import inspect
+
+    from repro.durability import Journal, _journal_line
+
+    source = inspect.getsource(_journal_line).split('"""')[-1]
+    assert source.count("canonical_json(") == 1
+    assert "checksum(" not in source
+    assert "canonical_json(" not in inspect.getsource(Journal)
