@@ -14,14 +14,15 @@ Figure 1.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.trace.record import DocumentType
 from repro.workloads.sizes import SizeModel
 from repro.workloads.zipf import ZipfSampler
 
-__all__ = ["Document", "Catalog", "build_catalog"]
+__all__ = ["Document", "Column", "Catalog", "build_catalog"]
 
 #: Representative filename extension per media type.
 _EXTENSION_FOR_TYPE = {
@@ -54,23 +55,58 @@ class Document:
 
 
 @dataclass
-class Catalog:
-    """The document universe, grouped by media type in popularity order."""
+class Column:
+    """One media type of one generation, in popularity order: each rank's
+    drawn size and server, and a document made only when first looked up
+    (a trace references a small share of its catalog), then kept so
+    ``modify()`` acts on one object."""
 
-    by_type: Dict[DocumentType, List[Document]] = field(default_factory=dict)
+    doc_type: DocumentType
+    generation: int
+    stem: str
+    sizes: List[int]
+    servers: List[str]
+    made: Dict[int, Document] = field(default_factory=dict)
+
+    def document(self, rank: int) -> Document:
+        """The document at popularity ``rank``."""
+        doc = self.made.get(rank)
+        if doc is None:
+            server = self.servers[rank]
+            doc = self.made[rank] = Document(
+                f"http://{server}/{self.stem}{rank}.{_EXTENSION_FOR_TYPE[self.doc_type]}",
+                server, self.doc_type, self.sizes[rank], self.generation,
+            )
+        return doc
+
+
+@dataclass
+class Catalog:
+    """The document universe: one column per media type and generation."""
+
+    columns: List[Column] = field(default_factory=list)
     servers: List[str] = field(default_factory=list)
+
+    @property
+    def by_type(self) -> Dict[DocumentType, List[Document]]:
+        """Every document per media type in popularity order, generation 0
+        first; made here if no request has referenced it."""
+        grouped: Dict[DocumentType, List[Document]] = {}
+        for column in self.columns:
+            grouped.setdefault(column.doc_type, []).extend(
+                map(column.document, range(len(column.sizes)))
+            )
+        return grouped
 
     @property
     def size(self) -> int:
         """Total number of documents across all types."""
-        return sum(len(docs) for docs in self.by_type.values())
+        return sum(len(column.sizes) for column in self.columns)
 
     @property
     def total_bytes(self) -> int:
         """Sum of current document sizes (upper bound on MaxNeeded)."""
-        return sum(
-            doc.size for docs in self.by_type.values() for doc in docs
-        )
+        return sum(doc.size for doc in self.documents())
 
     def documents(self) -> List[Document]:
         """All documents, in no particular order."""
@@ -147,27 +183,20 @@ def build_catalog(
     if server_count <= 0:
         raise ValueError("server_count must be positive")
     servers = _server_names(server_count, domain)
-    sample_server = ZipfSampler(server_count, server_zipf_exponent, rng=rng).sample
-    by_type: Dict[DocumentType, List[Document]] = {}
+    server_cdf = ZipfSampler(server_count, server_zipf_exponent, rng=rng)
+    cumulative, total, uniform = server_cdf.cumulative, server_cdf.total, rng.random
+    columns = []
     for doc_type, count in type_counts.items():
         if count < 0:
             raise ValueError(f"negative document count for {doc_type}")
         if count == 0:
             continue
-        sample_size = size_models[doc_type].sample
-        sizes = [sample_size(rng) for _ in range(count)]
         sizes = _correlated_size_assignment(
-            sizes, size_rank_correlation, rng
+            size_models[doc_type].draw(rng, count), size_rank_correlation, rng
         )
-        # Each URL is http://<server>/<stem><index><suffix>.
-        stem = f"{url_prefix}{doc_type.value}/doc{generation}_"
-        suffix = f".{_EXTENSION_FOR_TYPE[doc_type]}"
-        documents = []
-        for index, size in enumerate(sizes):
-            server = servers[sample_server(rng)]
-            documents.append(Document(
-                f"http://{server}/{stem}{index}{suffix}",
-                server, doc_type, size, generation,
-            ))
-        by_type[doc_type] = documents
-    return Catalog(by_type=by_type, servers=servers)
+        # Rank r's URL is http://<server>/<stem><r>.<extension>.
+        columns.append(Column(
+            doc_type, generation, f"{url_prefix}{doc_type.value}/doc{generation}_",
+            sizes, [servers[bisect_left(cumulative, uniform() * total)] for _ in sizes],
+        ))
+    return Catalog(columns, servers)

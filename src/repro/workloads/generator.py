@@ -21,15 +21,16 @@ from __future__ import annotations
 
 import random
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.trace.record import DocumentType, Request, TraceMetadata
 from repro.trace.validation import TraceValidator
 from repro.workloads.calendars import diurnal_offset
-from repro.workloads.catalog import Catalog, Document, build_catalog
+from repro.workloads.catalog import Catalog, Column, Document, build_catalog
 from repro.workloads.profiles import PROFILES, WorkloadProfile, profile as lookup_profile
 from repro.workloads.sizes import SizeModel, model_for_mean
 from repro.workloads.zipf import ZipfSampler
@@ -45,6 +46,7 @@ class GeneratedTrace:
     seed: int
     scale: float
     raw: List[Request]
+    #: Every document the generator could reference, all generations.
     catalog: Catalog
     metadata: TraceMetadata
 
@@ -110,41 +112,31 @@ class WorkloadGenerator:
 
     def _build_catalogs(
         self, models: Dict[DocumentType, SizeModel]
-    ) -> Tuple[Catalog, Optional[Catalog]]:
-        budget = (
-            self.profile.max_needed_bytes
-            * self.scale
-            * self.profile.catalog_inflation
-        )
-        primary = build_catalog(
-            self._type_counts(budget),
-            models,
-            rng=self._rng,
-            server_count=self.profile.server_count,
-            server_zipf_exponent=self.profile.server_zipf_exponent,
-            domain=self.profile.domain,
-            generation=0,
-            # Namespace URLs by workload so distinct workloads never emit
-            # the same URL with different sizes (which would fake
-            # cross-workload document sharing in multi-cache experiments).
-            url_prefix=f"{self.profile.key.lower()}/",
-            size_rank_correlation=self.profile.size_rank_correlation,
-        )
-        secondary = None
-        if self.profile.new_generation_day is not None:
-            secondary_budget = budget * self.profile.new_generation_scale
-            secondary = build_catalog(
-                self._type_counts(secondary_budget),
+    ) -> List[Catalog]:
+        """One catalog per generation, generation 0 first."""
+        prof = self.profile
+        budget = prof.max_needed_bytes * self.scale * prof.catalog_inflation
+        shares = [1.0]
+        if prof.new_generation_day is not None:
+            shares.append(prof.new_generation_scale)
+        return [
+            build_catalog(
+                self._type_counts(budget * share),
                 models,
                 rng=self._rng,
-                server_count=self.profile.server_count,
-                server_zipf_exponent=self.profile.server_zipf_exponent,
-                domain=self.profile.domain,
-                generation=1,
-                url_prefix=f"{self.profile.key.lower()}/fall/",
-                size_rank_correlation=self.profile.size_rank_correlation,
+                server_count=prof.server_count,
+                server_zipf_exponent=prof.server_zipf_exponent,
+                domain=prof.domain,
+                generation=generation,
+                # Namespace URLs by workload so distinct workloads never
+                # emit the same URL with different sizes (which would fake
+                # cross-workload document sharing in multi-cache
+                # experiments), and generations by a path component.
+                url_prefix=f"{prof.key.lower()}/{'fall/' * generation}",
+                size_rank_correlation=prof.size_rank_correlation,
             )
-        return primary, secondary
+            for generation, share in enumerate(shares)
+        ]
 
     # -- request synthesis ---------------------------------------------------
 
@@ -158,7 +150,7 @@ class WorkloadGenerator:
         rng = self._rng
         prof = self.profile
         models = self._size_models()
-        primary, secondary = self._build_catalogs(models)
+        catalogs = self._build_catalogs(models)
         request_target = max(1, round(prof.requests * self.scale))
         calendar = prof.calendar_factory(prof.duration_days, rng)
         per_day = calendar.allocate(request_target)
@@ -167,14 +159,21 @@ class WorkloadGenerator:
         type_population = [t.doc_type for t in mix]
         # What ``rng.choices(weights=...)`` would accumulate on every call.
         cum_weights = list(accumulate(t.pct_refs for t in mix))
-        picks = [self._type_picks(primary, type_population, rng)]
-        if secondary is not None:
-            picks.append(self._type_picks(secondary, type_population, rng))
+        # One Zipf CDF serves every column: a shorter column's CDF is its
+        # prefix, and ``random() * total`` never passes the column's total.
+        rank_cdf = ZipfSampler(
+            max(len(c.sizes) for catalog in catalogs for c in catalog.columns),
+            prof.zipf_exponent, rng=rng,
+        ).cumulative
+        picks = [
+            self._type_picks(catalog, type_population, rank_cdf)
+            for catalog in catalogs
+        ]
 
         review_start_day: Optional[int] = None
         if prof.review_start_frac is not None:
             review_start_day = int(prof.review_start_frac * prof.duration_days)
-        # ``secondary`` exists exactly when the profile names this day.
+        # A second catalog exists exactly when the profile names this day.
         fall_start_day = prof.new_generation_day
 
         seen_urls: set = set()
@@ -211,10 +210,12 @@ class WorkloadGenerator:
                     generation = (
                         1 if in_fall and draw() < new_generation_share else 0
                     )
-                    sample_rank, documents = choices(
+                    total, column = choices(
                         picks[generation], cum_weights=cum_weights
                     )[0]
-                    doc = documents[sample_rank(rng)]
+                    doc = column.document(
+                        bisect_left(rank_cdf, draw() * total)
+                    )
                 url = doc.url
                 if url in seen_urls and draw() < modification_rate:
                     doc.modify(models[doc.doc_type].sample(rng))
@@ -247,35 +248,30 @@ class WorkloadGenerator:
             seed=self.seed,
             scale=self.scale,
             raw=raw,
-            catalog=primary,
+            catalog=Catalog(
+                [column for catalog in catalogs for column in catalog.columns],
+                catalogs[0].servers,
+            ),
             metadata=metadata,
         )
 
     # -- helpers -------------------------------------------------------------
 
+    @staticmethod
     def _type_picks(
-        self,
         catalog: Catalog,
         type_population: Sequence[DocumentType],
-        rng: random.Random,
-    ) -> List[Tuple[Callable[[random.Random], int], List[Document]]]:
-        """For each media type of the mix, in order: the rank sampler over
-        the catalog's documents of that type, and those documents.  A type
-        the catalog lacks stands in the catalog's first type."""
-        by_type = catalog.by_type
-        samplers = {
-            doc_type: ZipfSampler(
-                len(docs), exponent=self.profile.zipf_exponent, rng=rng
-            )
-            for doc_type, docs in by_type.items()
-        }
-        fallback = next(iter(by_type))
-        picks = []
-        for doc_type in type_population:
-            if doc_type not in by_type:
-                doc_type = fallback
-            picks.append((samplers[doc_type].sample, by_type[doc_type]))
-        return picks
+        rank_cdf: List[float],
+    ) -> List[Tuple[float, Column]]:
+        """For each media type of the mix, in order: the total of
+        ``rank_cdf`` over the catalog's column of that type, and the
+        column.  A type the catalog lacks stands in the catalog's first."""
+        columns = {column.doc_type: column for column in catalog.columns}
+        fallback = catalog.columns[0]
+        return [
+            (rank_cdf[len(column.sizes) - 1], column)
+            for column in (columns.get(t, fallback) for t in type_population)
+        ]
 
     def _client_pool(self) -> List[str]:
         prof = self.profile

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import List
 
 __all__ = ["SizeModel", "DEFAULT_SHAPES", "model_for_mean"]
 
@@ -66,13 +66,19 @@ class SizeModel:
 
     def sample(self, rng: random.Random) -> int:
         """Draw one document size in bytes."""
-        if self.tail_probability and rng.random() < self.tail_probability:
-            # Inverse-CDF Pareto draw.
-            u = 1.0 - rng.random()
-            size = self.tail_scale / (u ** (1.0 / self.tail_alpha))
-        else:
-            size = rng.lognormvariate(self.mu, self.sigma)
-        return max(self.min_size, min(self.max_size, int(round(size))))
+        return self.draw(rng, 1)[0]
+
+    def draw(self, rng: random.Random, count: int) -> List[int]:
+        """Draw ``count`` document sizes in bytes, in order: an inverse-CDF
+        Pareto draw with probability ``tail_probability``, otherwise a
+        lognormal one (``exp(normalvariate)`` is ``lognormvariate``)."""
+        uniform, normal, exp = rng.random, rng.normalvariate, math.exp
+        p, scale, power = self.tail_probability, self.tail_scale, 1.0 / self.tail_alpha
+        mu, sigma, low, high = self.mu, self.sigma, self.min_size, self.max_size
+        return [low if (size := round(
+            scale / ((1.0 - uniform()) ** power) if p and uniform() < p
+            else exp(normal(mu, sigma))
+        )) < low else high if size > high else size for _ in range(count)]
 
     def scaled_to_mean(self, target_mean: float) -> "SizeModel":
         """Return a copy whose analytic mean equals ``target_mean``.

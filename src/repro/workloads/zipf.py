@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from itertools import accumulate
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 __all__ = ["ZipfSampler", "zipf_weights"]
 
@@ -40,6 +40,8 @@ class ZipfSampler:
             ``0.0`` degenerates to the uniform distribution.
         rng: source of randomness; a fresh seeded :class:`random.Random` is
             created when omitted.
+
+    ``cumulative`` and ``total`` are the unnormalised CDF :meth:`sample` bisects.
     """
 
     def __init__(
@@ -51,23 +53,17 @@ class ZipfSampler:
         self.n = n
         self.exponent = exponent
         self._rng = rng if rng is not None else random.Random(0)
-        self._cumulative = list(accumulate(zipf_weights(n, exponent)))
-        self._total = self._cumulative[-1]
+        self.cumulative = list(accumulate(zipf_weights(n, exponent)))
+        self.total = self.cumulative[-1]
 
     def sample(self, rng: Optional[random.Random] = None) -> int:
         """Draw one index in ``[0, n)``; smaller indices are more likely."""
         source = rng if rng is not None else self._rng
-        return bisect_left(self._cumulative, source.random() * self._total)
-
-    def sample_many(
-        self, count: int, rng: Optional[random.Random] = None
-    ) -> List[int]:
-        """Draw ``count`` independent indices."""
-        return [self.sample(rng) for _ in range(count)]
+        return bisect_left(self.cumulative, source.random() * self.total)
 
     def probability(self, index: int) -> float:
         """Exact probability of drawing ``index``."""
         if not 0 <= index < self.n:
             raise IndexError(f"index {index} out of range [0, {self.n})")
-        previous = self._cumulative[index - 1] if index else 0.0
-        return (self._cumulative[index] - previous) / self._total
+        previous = self.cumulative[index - 1] if index else 0.0
+        return (self.cumulative[index] - previous) / self.total

@@ -18,7 +18,9 @@ timestamp merge; ``SimCache._make_room`` is the one eviction loop and
 ``HeapIndex.pop_head`` is reached from it alone, while each sort key's
 value is one expression that ``KeyPolicy`` compiles into its sort value
 and heap record; ``repro.durability`` encodes each journal line once
-and a journaled put carries its body raw, never in base64.  A new
+and a journaled put carries its body raw, never in base64;
+``SizeModel.draw`` writes the one size draw, and the workload generator
+draws only through the public ``random`` API.  A new
 server, client, export, benchmark runner, flag, fleet, dashboard or
 replay loop that grows its own fails here instead of drifting apart
 from the shared one (as the router's deadline-less head reader once
@@ -166,3 +168,27 @@ def test_each_journal_line_is_encoded_once():
     assert source.count("canonical_json(") == 1
     assert "checksum(" not in source
     assert "canonical_json(" not in inspect.getsource(Journal)
+
+
+def test_the_size_draw_is_written_once():
+    """``SizeModel.draw`` is the one lognormal/Pareto routine: the catalog
+    draws a type's sizes through it in one batch, ``sample`` one size."""
+    import inspect
+
+    from repro.workloads import sizes
+
+    assert files_containing(".normalvariate") == ["workloads/sizes.py"]
+    assert files_containing(".lognormvariate") == []
+    assert inspect.getsource(sizes).count(".normalvariate") == 1
+    assert inspect.getsource(sizes).count("** power") == 1
+    assert "self.draw(rng, 1)" in inspect.getsource(sizes.SizeModel.sample)
+
+
+def test_workloads_draw_through_the_public_random_api():
+    """DESIGN §6.2: the generator's draws are a contract with the stdlib's
+    public ``random`` API, so no workload module reaches inside it."""
+    for internal in ("gauss_next", "NV_MAGICCONST", "_randbelow", "getrandbits"):
+        assert [
+            path for path in files_containing(internal)
+            if path.startswith("workloads/")
+        ] == [], internal

@@ -36,12 +36,12 @@ class TestSampler:
     def test_rank_ordering(self):
         """More popular ranks are sampled more often."""
         sampler = ZipfSampler(50, exponent=1.0, rng=random.Random(0))
-        counts = Counter(sampler.sample_many(20000))
+        counts = Counter(sampler.sample() for _ in range(20000))
         assert counts[0] > counts[10] > counts[40]
 
     def test_frequencies_match_probabilities(self):
         sampler = ZipfSampler(5, exponent=1.0, rng=random.Random(7))
-        counts = Counter(sampler.sample_many(50000))
+        counts = Counter(sampler.sample() for _ in range(50000))
         for index in range(5):
             observed = counts[index] / 50000
             assert observed == pytest.approx(sampler.probability(index), abs=0.01)
@@ -56,13 +56,12 @@ class TestSampler:
             sampler.probability(3)
 
     def test_deterministic_given_seed(self):
-        a = ZipfSampler(20, rng=random.Random(5)).sample_many(100)
-        b = ZipfSampler(20, rng=random.Random(5)).sample_many(100)
-        assert a == b
+        a, b = (ZipfSampler(20, rng=random.Random(5)) for _ in range(2))
+        assert [a.sample() for _ in range(100)] == [b.sample() for _ in range(100)]
 
     def test_single_item(self):
         sampler = ZipfSampler(1, rng=random.Random(0))
-        assert sampler.sample_many(10) == [0] * 10
+        assert [sampler.sample() for _ in range(10)] == [0] * 10
 
 
 @given(
@@ -73,5 +72,5 @@ class TestSampler:
 @settings(max_examples=100, deadline=None)
 def test_sampler_always_in_range(n, exponent, seed):
     sampler = ZipfSampler(n, exponent=exponent, rng=random.Random(seed))
-    samples = sampler.sample_many(50)
+    samples = [sampler.sample() for _ in range(50)]
     assert all(0 <= s < n for s in samples)
