@@ -614,8 +614,7 @@ def cmd_proxy(args: argparse.Namespace) -> int:
     if store.recovery is not None:
         rec = store.recovery
         print(f"store recovered {rec.documents} document(s) from "
-              f"{args.state_dir} (snapshot {rec.snapshot_documents}, "
-              f"journal {rec.journal_replayed} replayed, "
+              f"{args.state_dir} (journal {rec.journal_replayed} replayed, "
               f"{rec.tail_discarded} torn tail record(s) discarded)")
     host, port = proxy.address
     print(f"caching proxy on {host}:{port} "
@@ -1153,7 +1152,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="route every request to this host:port")
     _retry_flags(proxy, timeout=5.0)
     proxy.add_argument("--state-dir", default="", metavar="DIR",
-                       help="persist the store (snapshot + journal) here "
+                       help="persist the store (one journal) here "
                             "for warm restarts")
     _obs_flags(proxy)
 

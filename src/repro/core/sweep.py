@@ -507,7 +507,8 @@ class SweepCheckpoint:
         the manifest against this sweep's identity, replays the journal
         (discarding a torn tail), and reopens it for appends — rewriting
         it first when a tail was discarded, because appending after a
-        torn line would corrupt the verified prefix.
+        torn line would corrupt the verified prefix.  A disk fault while
+        opening the journal latches ``broken`` like any other.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         self._identity = {
@@ -518,6 +519,7 @@ class SweepCheckpoint:
             "total": len(jobs),
         }
         records: List[dict] = []
+        recovery = None
         if resume and (self.root / "MANIFEST.json").exists():
             manifest = read_manifest(self.root)
             for key, wanted in self._identity.items():
@@ -537,7 +539,8 @@ class SweepCheckpoint:
                 ):
                     seen.add(index)
                     records.append(record)
-            if recovery.truncated:
+        try:
+            if recovery is not None and recovery.truncated:
                 self._journal = rewrite_journal(
                     self.journal_path, records, kind=CHECKPOINT_KIND,
                     fsync=self.fsync, faults=self.faults,
@@ -546,12 +549,10 @@ class SweepCheckpoint:
                 self._journal = Journal(
                     self.journal_path, kind=CHECKPOINT_KIND,
                     fsync=self.fsync, faults=self.faults,
+                    truncate=recovery is None,
                 )
-        else:
-            self._journal = Journal(
-                self.journal_path, kind=CHECKPOINT_KIND,
-                fsync=self.fsync, faults=self.faults, truncate=True,
-            )
+        except OSError:
+            self.broken = True
         self._write_manifest(status="running", completed=len(records))
         return records
 

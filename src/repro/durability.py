@@ -15,7 +15,8 @@ state, the result and snapshot caches):
   line; :func:`read_journal` replays up to the first record that fails
   and *discards the tail* from there on — the torn-tail tolerance a
   crash mid-append requires.  Appends fsync by default, so a record
-  returned from :meth:`Journal.append` survives SIGKILL.
+  returned from :meth:`Journal.append` survives SIGKILL;
+  :func:`rewrite_journal` compacts one in a single atomic write.
 * :func:`write_manifest` / :func:`read_manifest` — a checkpoint
   manifest: one atomic, checksummed JSON document describing a state
   directory (format version, fingerprints, completion status).  A
@@ -220,6 +221,21 @@ def _journal_line(payload: dict) -> bytes:
     return b'{"rec":' + canon + b',"sha":"' + digest + b'"}'
 
 
+def _journal_record(payload: dict, blob: Optional[bytes] = None) -> bytes:
+    """One record's bytes: its line, then a ``blob`` raw behind it, pinned
+    by a reserved ``"blob"`` key holding ``[length, SHA-256 hex]``."""
+    if blob is None:
+        return _journal_line(payload) + b"\n"
+    pin = [len(blob), hashlib.sha256(blob).hexdigest()]
+    return _journal_line(dict(payload, blob=pin)) + b"\n" + blob + b"\n"
+
+
+def _journal_header(kind: str) -> bytes:
+    return _journal_record(
+        {"magic": _JOURNAL_MAGIC, "format": JOURNAL_FORMAT, "kind": kind},
+    )
+
+
 def _decode_journal_line(line: bytes) -> dict:
     """Parse and verify one journal line; raises ``ValueError`` on any
     truncation, corruption, or tampering."""
@@ -266,12 +282,7 @@ class Journal:
         )
         self._handle = open(self.path, "wb" if fresh else "ab")
         if fresh:
-            header = {
-                "magic": _JOURNAL_MAGIC,
-                "format": JOURNAL_FORMAT,
-                "kind": kind,
-            }
-            self._handle.write(_journal_line(header) + b"\n")
+            self._handle.write(_journal_header(kind))
             _apply_fsync(None, self._handle, self.path, fsync)
 
     def append(self, payload: dict, blob: Optional[bytes] = None) -> None:
@@ -282,12 +293,7 @@ class Journal:
             raise OSError(
                 errno.EIO, f"journal {self.path} broken by an earlier fault",
             )
-        tail = b"\n"
-        if blob is not None:
-            digest = hashlib.sha256(blob).hexdigest()
-            payload = dict(payload, blob=[len(blob), digest])
-            tail = b"\n" + blob + b"\n"
-        data = _journal_line(payload) + tail
+        data = _journal_record(payload, blob)
         rule = _next_disk_fault(self.faults, self.path)
         try:
             if rule is not None and rule.kind == _ENOSPC:
@@ -415,21 +421,24 @@ def rewrite_journal(
     fsync: bool = True,
     faults=None,
 ) -> Journal:
-    """Open a fresh journal generation holding exactly ``records``.
+    """Replace a journal with a fresh generation holding exactly
+    ``records`` (a record's ``"blob"`` key, if any, as its raw blob).
 
-    Used after recovery found a torn tail: appending to a journal that
-    ends mid-line would corrupt the next record, so the verified prefix
-    is rewritten into a clean file first.  Returns the open journal,
-    positioned for further appends.
+    The one compaction step: the header and each record are encoded as
+    :meth:`Journal.append` encodes them and written in one
+    :func:`atomic_write_bytes` — one disk-fault event, and a fault or
+    crash leaves the previous file byte-identical.  The proxy store
+    compacts to one put per survivor; a resumed sweep rewrites the
+    verified prefix after a torn tail, since appending after a torn
+    record would corrupt the next one.  Returns the journal, open for
+    appends.
     """
-    journal = Journal(
-        path, kind=kind, fsync=fsync, faults=faults, truncate=True,
-    )
+    data = [_journal_header(kind)]
     for record in records:
         payload = dict(record)
-        journal.append(payload, payload.pop("blob", None))
-    journal.appends = 0  # rewrites are recovery, not new appends
-    return journal
+        data.append(_journal_record(payload, payload.pop("blob", None)))
+    atomic_write_bytes(path, b"".join(data), fsync=fsync, faults=faults)
+    return Journal(path, kind=kind, fsync=fsync, faults=faults)
 
 
 # -- checkpoint manifests -----------------------------------------------------

@@ -231,10 +231,8 @@ class CachingProxy(HttpServer):
             self._channel.info(
                 "store.recovered",
                 documents=recovery.documents,
-                snapshot_documents=recovery.snapshot_documents,
                 journal_replayed=recovery.journal_replayed,
                 tail_discarded=recovery.tail_discarded,
-                snapshot_ok=recovery.snapshot_ok,
             )
         super().__init__(
             host, port, timeout,

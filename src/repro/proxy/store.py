@@ -10,52 +10,39 @@ Internally the store *is* a ``SimCache`` (for metadata, occupancy and the
 sorted eviction index) plus a body table kept in lock-step through the
 cache's eviction callback.
 
-Durability (``state_dir``): the store persists as a *snapshot* (one
-atomic, checksummed manifest of every document) plus an append-only
-*journal* of mutations since that snapshot — the classic pairing from
-:mod:`repro.durability`.  Every ``put``/``invalidate``/eviction is
-fsynced into the journal before the call returns (a put as one metadata
-line with its body raw behind it); a warm restart loads the snapshot,
-folds the journal over it (discarding a torn tail, the at-most-one
-mutation a crash can lose), re-admits the surviving documents through
-the normal policy machinery, then starts a fresh snapshot+journal
-generation.  Replay is idempotent — puts are upserts
-and removes of absent URLs are no-ops — so a crash *between* writing the
-new snapshot and truncating the journal merely re-applies ops the
-snapshot already contains.  Lookups are deliberately not journaled:
-recency/frequency metadata survives restarts only as of each document's
-last journaled mutation (and the access stamps carried by the
-snapshot), a bounded staleness that buys an fsync-free read path.
+Durability (``state_dir``): the store persists as one append-only
+*journal* (:mod:`repro.durability`).  Every ``put``/``invalidate``/
+eviction is fsynced into it before the call returns (a put as one
+metadata line with its body raw behind it).  A warm restart folds the
+journal (discarding a torn tail, the at-most-one mutation a crash can
+lose), re-admits the surviving documents through the normal policy
+machinery, then compacts: one atomic rewrite of the journal holding one
+put per survivor, with its current stamp.  ``close()`` compacts the
+same way.  A crash mid-compaction leaves the previous journal whole.
+Lookups are deliberately not journaled: recency/frequency metadata
+survives restarts only as of each document's last journaled mutation
+(and the access stamps a compaction carries), a bounded staleness that
+buys an fsync-free read path.
 """
 
 from __future__ import annotations
 
 import base64
-import os
 import threading
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.core.cache import SimCache
 from repro.core.policy import RemovalPolicy
-from repro.durability import (
-    Journal,
-    ManifestError,
-    read_journal,
-    read_manifest,
-    write_manifest,
-)
+from repro.durability import Journal, read_journal, rewrite_journal
 from repro.trace.record import Request
 
 __all__ = ["CachedDocument", "StoreStats", "StoreRecovery", "ProxyStore"]
 
-#: Journal/manifest ``kind`` tag for proxy-store state.
+#: Journal ``kind`` tag for proxy-store state.
 STATE_KIND = "proxy-store"
-
-#: Snapshot manifest file name inside a state directory.
-SNAPSHOT_NAME = "snapshot.json"
 
 #: Journal file name inside a state directory.
 JOURNAL_NAME = "journal.jsonl"
@@ -105,14 +92,10 @@ class StoreRecovery:
 
     #: Documents alive in the store after replay.
     documents: int = 0
-    #: Documents the snapshot manifest contributed.
-    snapshot_documents: int = 0
-    #: Journal mutations folded over the snapshot.
+    #: Journal mutations folded into the store.
     journal_replayed: int = 0
-    #: Torn/corrupt journal lines discarded from the tail.
+    #: Torn/corrupt journal records discarded from the tail.
     tail_discarded: int = 0
-    #: False when the snapshot was missing/corrupt (journal-only replay).
-    snapshot_ok: bool = True
 
 
 def _document_meta(document: CachedDocument, stamp: float) -> dict:
@@ -128,18 +111,11 @@ def _document_meta(document: CachedDocument, stamp: float) -> dict:
     }
 
 
-def _snapshot_record(document: CachedDocument, stamp: float) -> dict:
-    """A snapshot manifest's document: the metadata plus a base64 body."""
-    record = _document_meta(document, stamp)
-    record["body"] = base64.b64encode(document.body).decode("ascii")
-    return record
-
-
 def _record_to_document(
     record: dict, body: Optional[bytes] = None,
 ) -> "tuple[CachedDocument, float]":
-    """A document from its metadata and raw ``body``, or from a record's
-    base64 ``body`` (a snapshot document or a format-1 journal put)."""
+    """A document from its metadata and raw ``body``, or from a format-1
+    journal put's base64 ``body``."""
     document = CachedDocument(
         url=record["url"],
         body=base64.b64decode(record["body"]) if body is None else body,
@@ -163,11 +139,11 @@ class ProxyStore:
             the paper's recommendation.
         seed: tie-break seed for the eviction order.
         clock: time source (injectable for tests).
-        state_dir: optional directory for crash-safe state (snapshot +
+        state_dir: optional directory for crash-safe state (one
             journal).  When set, the constructor warm-restarts from
             whatever the directory holds (``self.recovery`` reports what
             it found) and journals every mutation from then on.
-        fsync: fsync journal appends and snapshot writes (tests disable
+        fsync: fsync journal appends and compactions (tests disable
             it for speed; production leaves it on).
         disk_faults: optional disk-fault injector (see
             :meth:`repro.faults.FaultPlan.disk_injector`) threaded into
@@ -279,7 +255,7 @@ class ProxyStore:
                 Request(timestamp=max(0.0, now), url=url, size=document.size)
             )
             # Touches are not journaled (see module docstring); the
-            # stamp still feeds the next snapshot's recency metadata.
+            # stamp still feeds the next compaction's recency metadata.
             self._stamps[url] = max(0.0, now)
             self.stats.hits += 1
             self.stats.bytes_served_from_cache += document.size
@@ -338,33 +314,13 @@ class ProxyStore:
         return self.state_dir / JOURNAL_NAME
 
     def _recover(self) -> None:
-        """Warm-restart: snapshot + journal fold -> live store state."""
-        recovery = StoreRecovery()
-        documents: Dict[str, tuple] = {}  # url -> (record, raw body or None)
-        snapshot_path = self.state_dir / SNAPSHOT_NAME
-        try:
-            payload = read_manifest(self.state_dir, name=SNAPSHOT_NAME)
-            if payload.get("kind") != STATE_KIND:
-                raise ManifestError(f"{snapshot_path}: not a store snapshot")
-            for record in payload.get("documents", []):
-                if isinstance(record, dict) and "url" in record:
-                    documents[record["url"]] = (record, None)
-            recovery.snapshot_documents = len(documents)
-        except ManifestError:
-            # Missing is a cold start; corrupt is moved aside for the
-            # post-mortem and we fall back to journal-only replay.
-            if snapshot_path.exists():
-                recovery.snapshot_ok = False
-                try:
-                    os.replace(
-                        snapshot_path,
-                        snapshot_path.with_suffix(".corrupt"),
-                    )
-                except OSError:
-                    pass
+        """Warm-restart: journal fold -> live store state -> compaction."""
         replay = read_journal(self.journal_path, kind=STATE_KIND)
-        recovery.tail_discarded = replay.discarded
-        recovery.journal_replayed = replay.replayed
+        recovery = StoreRecovery(
+            journal_replayed=replay.replayed,
+            tail_discarded=replay.discarded,
+        )
+        documents: Dict[str, tuple] = {}  # url -> (record, raw body or None)
         for op in replay.records:
             if op.get("op") == "put" and isinstance(op.get("doc"), dict):
                 url = op["doc"].get("url")
@@ -384,56 +340,42 @@ class ProxyStore:
             self.put(document, now=stamp)
         recovery.documents = len(self._bodies)
         self.stats = StoreStats()  # replay is not live traffic
-        # New generation: snapshot what survived, then reset the
-        # journal.  Ops are idempotent, so a crash between the two
-        # writes only re-applies what the snapshot already holds.
+        self._journal = self._compact()
+        self.recovery = recovery
+
+    def _compact(self) -> Optional[Journal]:
+        """Atomically rewrite the journal as one put per survivor, with
+        its current stamp; returns it open for appends, or ``None``
+        (counted) when the disk refused and the previous file stands."""
+        records = [
+            {
+                "op": "put",
+                "doc": _document_meta(document, self._stamps.get(url, 0.0)),
+                "blob": document.body,
+            }
+            for url, document in self._bodies.items()
+        ]
         try:
-            self.write_snapshot()
-            self._journal = Journal(
-                self.journal_path, kind=STATE_KIND, fsync=self._fsync,
-                faults=self._disk_faults, truncate=True,
+            return rewrite_journal(
+                self.journal_path, records, kind=STATE_KIND,
+                fsync=self._fsync, faults=self._disk_faults,
             )
         except OSError:
             self.stats.journal_errors += 1
-            self._journal = None
-        self.recovery = recovery
-
-    def write_snapshot(self) -> None:
-        """Atomically persist the full current contents (checksummed)."""
-        if self.state_dir is None:
-            return
-        with self._lock:
-            payload = {
-                "kind": STATE_KIND,
-                "capacity": self._cache.capacity,
-                "documents": [
-                    _snapshot_record(document, self._stamps.get(url, 0.0))
-                    for url, document in self._bodies.items()
-                ],
-            }
-        write_manifest(
-            self.state_dir, payload, name=SNAPSHOT_NAME,
-            fsync=self._fsync, faults=self._disk_faults,
-        )
+            return None
 
     def close(self) -> None:
-        """Seal durable state: fresh snapshot, emptied journal.
+        """Seal durable state: compact the journal, then close it.
 
         Safe to skip (a crash instead of a close just means the next
-        start replays the journal); never raises.
+        start replays the longer journal); never raises.
         """
         if self.state_dir is None:
             return
-        try:
-            self.write_snapshot()
-            journal = Journal(
-                self.journal_path, kind=STATE_KIND, fsync=self._fsync,
-                truncate=True,
-            )
-            journal.close()
-        except OSError:
-            self.stats.journal_errors += 1
-        finally:
+        with self._lock:
             if self._journal is not None:
                 self._journal.close()
-                self._journal = None
+            sealed = self._compact()
+            if sealed is not None:
+                sealed.close()
+            self._journal = None

@@ -223,6 +223,50 @@ class TestJournal:
         assert not clean.truncated
 
 
+class TestRewrite:
+    """``rewrite_journal`` is one atomic step: one disk-fault event, and a
+    fault leaves the previous file byte-identical."""
+
+    def torn_journal(self, path):
+        with Journal(path, kind="test") as journal:
+            journal.append({"n": 1}, b"first body")
+            journal.append({"n": 2}, b"second body")
+        with open(path, "ab") as handle:
+            handle.write(b'{"rec":{"n":3')  # a crash mid-append
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("rule", [
+        FaultRule(kind=FaultKind.TORN_WRITE, at=(0,), truncate_to=150),
+        FaultRule(kind=FaultKind.ENOSPC, at=(0,)),
+    ], ids=["torn_write", "enospc"])
+    def test_a_failed_rewrite_keeps_the_previous_file(self, tmp_path, rule):
+        path = tmp_path / "journal.jsonl"
+        before = self.torn_journal(path)
+        records = read_journal(path, kind="test").records
+        assert len(records) == 2
+        faults = disk_faults(rule)
+        with pytest.raises(OSError):
+            rewrite_journal(path, records, kind="test", faults=faults)
+        assert path.read_bytes() == before
+        assert list(tmp_path.glob("*.tmp.*")) == []
+        assert faults.events == 1
+
+    def test_a_rewrite_is_one_fault_event(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        self.torn_journal(path)
+        records = read_journal(path, kind="test").records
+        faults = disk_faults(FaultRule(kind=FaultKind.ENOSPC, at=(1,)))
+        journal = rewrite_journal(path, records, kind="test", faults=faults)
+        assert faults.events == 1
+        with pytest.raises(OSError):  # event 1: the first append
+            journal.append({"n": 3})
+        journal.close()
+        clean = read_journal(path, kind="test")
+        assert clean.records == records
+        assert not clean.truncated
+        assert list(tmp_path.glob("*.tmp.*")) == []
+
+
 class TestManifest:
     def test_round_trip(self, tmp_path):
         payload = {"kind": "sweep-checkpoint", "total": 36}

@@ -279,6 +279,38 @@ class TestCheckpointBrokenLatch:
         assert recovery.replayed == 0
         assert recovery.truncated
 
+    def test_disk_fault_on_resume_rewrite_latches_broken(
+        self, trace, tmp_path,
+    ):
+        jobs = make_jobs()
+        baseline = run_sweep(trace, jobs)
+
+        def hook(index):
+            raise Killed(index)
+
+        with pytest.raises(Killed):
+            run_sweep(
+                trace, make_jobs(),
+                fault_plan=kill_plan(2),
+                checkpoint_dir=tmp_path / "ck",
+                kill_hook=hook,
+            )
+        journal = tmp_path / "ck" / "journal.jsonl"
+        journal.write_bytes(journal.read_bytes()[:-20])  # torn tail
+        torn = journal.read_bytes()
+        # Disk-fault event 0 is the rewrite of the verified prefix: it
+        # fails, the checkpoint latches broken, and the sweep carries on.
+        plan = FaultPlan(
+            rules=(FaultRule(kind=FaultKind.ENOSPC, at=(0,)),), seed=5,
+        )
+        resumed = run_sweep(
+            trace, make_jobs(), fault_plan=plan,
+            checkpoint_dir=tmp_path / "ck", resume=True,
+        )
+        assert resumed.resumed_jobs == 2
+        assert records_of(resumed) == records_of(baseline)
+        assert journal.read_bytes() == torn  # the rewrite left it whole
+
 
 class TestCheckpointUnit:
     def test_duplicate_and_rogue_indices_are_filtered(self, trace, tmp_path):

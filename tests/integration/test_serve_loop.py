@@ -2,8 +2,8 @@
 
 ``repro proxy`` and ``repro fleet shard`` run the CLI's one serve loop:
 on SIGTERM (what a supervisor, ``kill`` or a container runtime sends)
-they stop accepting, close the store — a fresh snapshot, an emptied
-journal — and exit 0, instead of dying mid-journal.
+they stop accepting, close the store — its journal compacted to one
+put per document — and exit 0, instead of dying mid-journal.
 """
 
 import json
@@ -14,9 +14,10 @@ import sys
 import time
 from pathlib import Path
 
+from repro.durability import read_journal
 from repro.httpnet.client import fetch
 from repro.proxy.fleet import ENDPOINT_FILE, ShardSpec
-from repro.proxy.store import SNAPSHOT_NAME
+from repro.proxy.store import JOURNAL_NAME, STATE_KIND
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -42,13 +43,20 @@ def terminate(process) -> int:
             process.wait(timeout=10)
 
 
+def assert_sealed(state_dir):
+    """The state dir holds a journal that replays with no torn tail."""
+    replay = read_journal(state_dir / JOURNAL_NAME, kind=STATE_KIND)
+    assert not replay.missing
+    assert not replay.truncated
+
+
 def test_proxy_seals_its_store_on_sigterm(tmp_path):
     state = tmp_path / "state"
     process = spawn("proxy", "--port", "0", "--state-dir", str(state))
     lines = [process.stdout.readline() for _ in range(3)]
     assert any(line.startswith("caching proxy on") for line in lines), lines
     assert terminate(process) == 0, process.stderr.read()
-    assert (state / SNAPSHOT_NAME).exists()
+    assert_sealed(state)
 
 
 def test_a_shard_serves_the_spec_in_its_state_dir(tmp_path):
@@ -71,4 +79,4 @@ def test_a_shard_serves_the_spec_in_its_state_dir(tmp_path):
     finally:
         code = terminate(process)
     assert code == 0, process.stderr.read()
-    assert (tmp_path / SNAPSHOT_NAME).exists()
+    assert_sealed(tmp_path)

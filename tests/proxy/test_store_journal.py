@@ -1,23 +1,24 @@
 """Warm-restart durability of :class:`repro.proxy.store.ProxyStore`.
 
 The journaled store's contract: every mutation that returned is
-recoverable after SIGKILL (snapshot + journal fold), a torn journal
-tail costs at most the one mutation that was mid-append, and a corrupt
-snapshot degrades to journal-only replay instead of refusing to start.
+recoverable after SIGKILL (one journal fold), a torn journal tail
+costs at most the one mutation that was mid-append, a corrupt journal
+degrades to its verified prefix instead of refusing to start, and
+recovery and ``close()`` compact the journal to one put per survivor.
 """
 
+import base64
 import json
 import shutil
 from pathlib import Path
 
 import pytest
 
-from repro.durability import read_journal, read_manifest
+from repro.durability import read_journal
 from repro.faults import FaultKind, FaultPlan, FaultRule
 from repro.proxy.server import CachingProxy
 from repro.proxy.store import (
     JOURNAL_NAME,
-    SNAPSHOT_NAME,
     STATE_KIND,
     CachedDocument,
     ProxyStore,
@@ -57,21 +58,32 @@ class TestWarmRestart:
         # Metadata survived: original fetch times, not replay-time ones.
         assert revived.get("http://a/2").fetched_at == 100.0
 
-    def test_clean_close_leaves_snapshot_only(self, tmp_path):
-        store = make_store(tmp_path)
-        store.put(doc("http://a/1", b"alpha"), now=1.0)
+    def test_clean_close_leaves_one_compacted_journal(self, tmp_path):
+        store = make_store(tmp_path, capacity=40_000)
+        for n in range(60):  # 60 x 1 kB through 40 kB: evictions
+            store.put(doc(f"http://a/{n}", bytes([n]) * 1000), now=float(n))
+        store.invalidate("http://a/59")
+        store.get("http://a/30", now=100.0)  # a touch moves the stamp
+        held = {url: (document.size, store._stamps[url])
+                for url, document in store._bodies.items()}
+        assert held["http://a/30"][1] == 100.0
+        bodies = {url: doc.body for url, doc in store._bodies.items()}
         store.close()
-        assert read_journal(
-            tmp_path / JOURNAL_NAME, kind=STATE_KIND,
-        ).replayed == 0
-        snapshot = read_manifest(tmp_path, name=SNAPSHOT_NAME)
-        assert snapshot["kind"] == STATE_KIND
-        assert [d["url"] for d in snapshot["documents"]] == ["http://a/1"]
+        # One file, one put per survivor (no removes), little overhead.
+        assert [path.name for path in tmp_path.iterdir()] == [JOURNAL_NAME]
+        replay = read_journal(tmp_path / JOURNAL_NAME, kind=STATE_KIND)
+        assert not replay.truncated
+        assert [op["op"] for op in replay.records] == ["put"] * len(held)
+        assert {op["doc"]["url"]: op["blob"]
+                for op in replay.records} == bodies
+        body_bytes = sum(len(body) for body in bodies.values())
+        size = (tmp_path / JOURNAL_NAME).stat().st_size
+        assert size <= body_bytes + 512 * len(held)
 
-        revived = make_store(tmp_path)
-        assert revived.recovery.snapshot_documents == 1
-        assert revived.recovery.journal_replayed == 0
-        assert revived.get("http://a/1").body == b"alpha"
+        revived = make_store(tmp_path, capacity=40_000)
+        assert revived.recovery.journal_replayed == len(held)
+        assert {url: (document.size, revived._stamps[url])
+                for url, document in revived._bodies.items()} == held
 
     def test_torn_tail_costs_at_most_one_mutation(self, tmp_path):
         store = make_store(tmp_path)
@@ -88,25 +100,30 @@ class TestWarmRestart:
         assert revived.get("http://a/1").body == b"alpha"
         assert "http://a/2" not in revived
 
-    def test_corrupt_snapshot_falls_back_to_journal(self, tmp_path):
+    def test_corrupt_blob_degrades_to_the_verified_prefix(self, tmp_path):
         store = make_store(tmp_path)
         store.put(doc("http://a/1", b"alpha"), now=1.0)
-        store.close()  # contents now live in the snapshot only
-        store = make_store(tmp_path)
-        store.put(doc("http://a/2", b"beta"), now=2.0)  # journaled
-        # SIGKILL, then the snapshot rots on disk.
-        snapshot = tmp_path / SNAPSHOT_NAME
-        snapshot.write_text(
-            snapshot.read_text().replace('"documents"', '"documentz"'),
-        )
+        store.put(doc("http://a/2", b"beta body"), now=2.0)
+        store.put(doc("http://a/3", b"gamma"), now=3.0)
+        # SIGKILL, then one byte of the middle put's body rots on disk.
+        journal = tmp_path / JOURNAL_NAME
+        data = bytearray(journal.read_bytes())
+        data[data.index(b"beta body") + 4] ^= 0x01
+        journal.write_bytes(bytes(data))
 
         revived = make_store(tmp_path)
-        assert revived.recovery.snapshot_ok is False
-        # Journal-only replay: the journaled put survives, the
-        # snapshot-only document is lost (and the corpse kept aside).
-        assert revived.get("http://a/2").body == b"beta"
-        assert "http://a/1" not in revived
-        assert (tmp_path / "snapshot.corrupt").exists()
+        # The prefix before the bad record survives; it and the record
+        # after it are discarded, and the start is not blocked.
+        assert revived.recovery.journal_replayed == 1
+        assert revived.recovery.tail_discarded == 2
+        assert revived.get("http://a/1").body == b"alpha"
+        assert "http://a/2" not in revived
+        assert "http://a/3" not in revived
+        compacted = read_journal(journal, kind=STATE_KIND)
+        assert not compacted.truncated
+        assert [op["doc"]["url"] for op in compacted.records] == [
+            "http://a/1",
+        ]
 
     def test_replacement_and_eviction_replay_correctly(self, tmp_path):
         store = make_store(tmp_path, capacity=1000)
@@ -133,14 +150,15 @@ class TestWarmRestart:
         store = make_store(tmp_path)
         assert store.recovery is not None
         assert store.recovery.documents == 0
-        assert store.recovery.snapshot_ok is True
         assert len(store) == 0
+        replay = read_journal(tmp_path / JOURNAL_NAME, kind=STATE_KIND)
+        assert (replay.missing, replay.replayed) == (False, 0)
 
 
 class TestDiskFaults:
     def test_torn_journal_write_degrades_not_fails(self, tmp_path):
-        # Event 0 is the recovery snapshot write; event 1 the first
-        # append (fine); event 2 tears, poisoning the journal generation.
+        # Event 0 is the recovery write (the compaction); event 1 the
+        # first append (fine); event 2 tears, poisoning the generation.
         plan = FaultPlan(
             rules=(
                 FaultRule(kind=FaultKind.TORN_WRITE, at=(2,), truncate_to=6),
@@ -162,15 +180,24 @@ class TestDiskFaults:
         assert revived.get("http://a/1").body == b"alpha"
 
     def test_enospc_on_recovery_snapshot_disables_journal(self, tmp_path):
+        # Disk-fault event 0 is the recovery write: the compaction.
+        make_store(tmp_path).put(doc("http://a/1", b"alpha"), now=1.0)
+        journal = tmp_path / JOURNAL_NAME
+        before = journal.read_bytes()  # SIGKILL after one journaled put
         plan = FaultPlan(
             rules=(FaultRule(kind=FaultKind.ENOSPC, at=(0,)),), seed=9,
         )
         store = make_store(tmp_path, disk_faults=plan.disk_injector())
         assert store.stats.journal_errors == 1
-        store.put(doc("http://a/1", b"alpha"), now=1.0)
-        # Journaling is off (counted), the store still works.
         assert store.get("http://a/1").body == b"alpha"
+        store.put(doc("http://a/2", b"beta"), now=2.0)
+        # Journaling is off (counted), the store still works, and the
+        # failed compaction left the previous journal whole.
+        assert store.get("http://a/2").body == b"beta"
         assert store.stats.journal_appends == 0
+        assert journal.read_bytes() == before
+        assert [path.name for path in tmp_path.iterdir()] == [JOURNAL_NAME]
+        assert make_store(tmp_path).get("http://a/1").body == b"alpha"
 
 
 class TestMetricsWiring:
@@ -245,8 +272,16 @@ class TestJournalFormats:
             "journal_replayed": store.recovery.journal_replayed,
             "tail_discarded": store.recovery.tail_discarded,
         } == recorded["recovery"]
-        # Recovery wrote the revived state as a fresh snapshot.
-        assert read_manifest(tmp_path, name=SNAPSHOT_NAME) == recorded["snapshot"]
+        # Recovery compacted the revived state into a format-2 journal:
+        # the puts the format-1 tree wrote into its snapshot, in order.
+        replay = read_journal(tmp_path / JOURNAL_NAME, kind=STATE_KIND)
+        assert not replay.truncated
+        assert [dict(op["doc"], body=op["blob"])
+                for op in replay.records if op["op"] == "put"] == [
+            dict(document, body=base64.b64decode(document["body"]))
+            for document in recorded["snapshot"]["documents"]
+        ]
+        assert len(replay.records) == store.recovery.documents
 
     def test_a_put_journals_its_body_raw(self, tmp_path):
         body = b"\x00\xff raw\r\n\n"

@@ -17,8 +17,9 @@ topology is its own result, and ``repro.trace.tools`` owns the one
 timestamp merge; ``SimCache._make_room`` is the one eviction loop and
 ``HeapIndex.pop_head`` is reached from it alone, while each sort key's
 value is one expression that ``KeyPolicy`` compiles into its sort value
-and heap record; ``repro.durability`` encodes each journal line once
-and a journaled put carries its body raw, never in base64;
+and heap record; ``repro.durability`` encodes each journal line once,
+no body is ever base64-encoded, and a proxy store's state is one
+journal that ``rewrite_journal`` compacts, with no manifest beside it;
 ``SizeModel.draw`` writes the one size draw, and the workload generator
 draws only through the public ``random`` API.  A new
 server, client, export, benchmark runner, flag, fleet, dashboard or
@@ -144,19 +145,31 @@ def test_each_sort_key_is_one_expression():
     assert files_containing("def compile_keys(") == ["core/keys.py"]
 
 
-def test_a_journaled_put_carries_no_base64():
-    """Only the snapshot helper base64s a body; the put path hands the
-    journal raw bytes."""
+def test_no_body_is_base64_encoded():
+    """A put journals its body raw and compaction rewrites the same raw
+    records; base64 survives only to decode a format-1 journal's puts."""
     import inspect
 
     from repro.proxy import store
 
-    assert files_containing("b64encode") == ["proxy/store.py"]
-    assert inspect.getsource(store).count("b64encode") == 1
-    assert "b64encode" in inspect.getsource(store._snapshot_record)
-    for function in (store.ProxyStore.put, store._document_meta,
-                     store.ProxyStore._journal_append):
-        assert "base64" not in inspect.getsource(function)
+    assert files_containing("b64encode") == []
+    assert files_containing("b64decode") == ["proxy/store.py"]
+    assert inspect.getsource(store).count("b64decode") == 1
+    assert "b64decode" in inspect.getsource(store._record_to_document)
+
+
+def test_a_store_generation_is_one_journal():
+    """The proxy keeps no manifest, and ``rewrite_journal`` is the
+    store's one compaction step."""
+    import inspect
+
+    from repro.proxy import store
+
+    for needle in ("write_manifest", "read_manifest"):
+        assert [path for path in files_containing(needle)
+                if path.startswith("proxy/")] == []
+    assert inspect.getsource(store).count("rewrite_journal(") == 1
+    assert "truncate=" not in inspect.getsource(store)
 
 
 def test_each_journal_line_is_encoded_once():
