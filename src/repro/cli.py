@@ -509,6 +509,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """Run the full 36-policy taxonomy grid through the sweep engine."""
     from repro.core.experiments import grid_jobs, taxonomy_specs
     from repro.core.sweep import SweepInterrupted, result_to_record, run_sweep
+    from repro.durability import ManifestError
 
     if args.resume and not os.path.isdir(args.resume):
         # A typo must not cost the whole grid: run_sweep would create
@@ -537,6 +538,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"resume with: repro sweep --resume {interrupt.checkpoint_dir}",
             code=130,
         ) from None
+    except ManifestError as mismatch:
+        raise CommandError(str(mismatch), code=2) from None
     ranked = sorted(
         report.results, key=lambda jr: jr.result.hit_rate, reverse=True,
     )

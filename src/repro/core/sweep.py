@@ -50,9 +50,7 @@ from repro.durability import (
     atomic_write_text,
     checksum as _checksum,
     read_journal,
-    read_manifest,
     rewrite_journal,
-    write_manifest,
     Journal,
 )
 from repro.obs import EventLog, Obs
@@ -408,7 +406,7 @@ class ResultCache:
 # -- crash-safe checkpoints ---------------------------------------------------
 
 
-#: Journal/manifest ``kind`` tag for sweep checkpoints.
+#: Journal ``kind`` tag for sweep checkpoints.
 CHECKPOINT_KIND = "sweep-checkpoint"
 
 
@@ -450,27 +448,24 @@ class SweepInterrupted(RuntimeError):
 
 
 class SweepCheckpoint:
-    """Crash-safe progress record of one sweep, in a state directory.
+    """Crash-safe progress record of one sweep: one journal,
+    ``<root>/journal.jsonl``, one record per finished job.
 
-    Layout::
-
-        <root>/MANIFEST.json   identity + status (atomic, checksummed)
-        <root>/journal.jsonl   one record per finished job (append-only)
-
-    The manifest pins the checkpoint to a specific sweep — engine
-    version, trace fingerprint, and the full job-grid fingerprint — so
-    ``--resume`` against a different trace, grid, or engine refuses
-    loudly instead of splicing mismatched results.  Each journal record
-    carries the job's flattened result, its timing, its provenance
-    (computed vs cached) and the worker's obs export; replaying them in
-    index order reproduces the original run's slots *and* event stream
-    byte-for-byte.
+    The journal's header pins the checkpoint to a specific sweep —
+    engine version, trace fingerprint, the full job-grid fingerprint
+    and the job count — so ``--resume`` against a different trace,
+    grid, or engine refuses loudly instead of splicing mismatched
+    results; the checkpoint is complete when it replays ``total``
+    jobs.  Each record carries the job's flattened result, its timing,
+    its provenance (computed vs cached) and the worker's obs export;
+    replaying them in index order reproduces the original run's slots
+    *and* event stream byte-for-byte.
 
     Crash semantics: a record is durable once :meth:`record` returns
     (the journal fsyncs per append).  A crash mid-append leaves a torn
-    tail; :meth:`open` discards it and rewrites the journal from the
-    verified prefix, so the at-most-one partially-journaled job is
-    simply recomputed.  A write fault (injected or real) latches the
+    tail; :meth:`open` discards it with the rest of what it does not
+    keep, so the at-most-one partially-journaled job is simply
+    recomputed.  A write fault (injected or real) latches the
     checkpoint ``broken``: the sweep carries on uncheckpointed rather
     than aborting — durability degrades, results never do.
     """
@@ -489,7 +484,6 @@ class SweepCheckpoint:
         self.broken = False
         self.tail_discarded = 0
         self._journal: Optional[Journal] = None
-        self._identity: Dict[str, object] = {}
 
     @property
     def journal_path(self) -> Path:
@@ -503,33 +497,35 @@ class SweepCheckpoint:
     ) -> List[dict]:
         """Start (or resume) checkpointing; returns replayable records.
 
-        A fresh open truncates any previous state.  A resume validates
-        the manifest against this sweep's identity, replays the journal
-        (discarding a torn tail), and reopens it for appends — rewriting
-        it first when a tail was discarded, because appending after a
-        torn line would corrupt the verified prefix.  A disk fault while
-        opening the journal latches ``broken`` like any other.
+        A resume reads the journal; when its header names a sweep, that
+        identity must be this one's (else :class:`ManifestError`) and
+        the first record of each valid job index is kept.  A journal
+        naming no sweep (missing, torn header, or written before the
+        header carried one) is a cold start.  Either way the journal is
+        replaced by one :func:`rewrite_journal` of this sweep's header
+        and the kept records — one disk-fault event that leaves the
+        previous file whole when it fails, latching ``broken``.
         """
         self.root.mkdir(parents=True, exist_ok=True)
-        self._identity = {
-            "kind": CHECKPOINT_KIND,
+        identity = {
             "engine": ENGINE_VERSION,
             "trace_hash": trace_hash,
             "jobs": jobs_fingerprint(jobs, trace_hash),
             "total": len(jobs),
         }
         records: List[dict] = []
-        recovery = None
-        if resume and (self.root / "MANIFEST.json").exists():
-            manifest = read_manifest(self.root)
-            for key, wanted in self._identity.items():
-                found = manifest.get(key)
+        recovery = (
+            read_journal(self.journal_path, kind=CHECKPOINT_KIND)
+            if resume else None
+        )
+        if recovery is not None and "jobs" in recovery.header:
+            for key, wanted in identity.items():
+                found = recovery.header.get(key)
                 if found != wanted:
                     raise ManifestError(
                         f"checkpoint {self.root} is for a different sweep: "
                         f"{key}={found!r}, this run has {key}={wanted!r}"
                     )
-            recovery = read_journal(self.journal_path, kind=CHECKPOINT_KIND)
             self.tail_discarded = recovery.discarded
             seen: Set[int] = set()
             for record in recovery.records:
@@ -540,31 +536,13 @@ class SweepCheckpoint:
                     seen.add(index)
                     records.append(record)
         try:
-            if recovery is not None and recovery.truncated:
-                self._journal = rewrite_journal(
-                    self.journal_path, records, kind=CHECKPOINT_KIND,
-                    fsync=self.fsync, faults=self.faults,
-                )
-            else:
-                self._journal = Journal(
-                    self.journal_path, kind=CHECKPOINT_KIND,
-                    fsync=self.fsync, faults=self.faults,
-                    truncate=recovery is None,
-                )
-        except OSError:
-            self.broken = True
-        self._write_manifest(status="running", completed=len(records))
-        return records
-
-    def _write_manifest(self, status: str, completed: int) -> None:
-        try:
-            write_manifest(
-                self.root,
-                dict(self._identity, status=status, completed=completed),
-                fsync=self.fsync, faults=self.faults,
+            self._journal = rewrite_journal(
+                self.journal_path, records, kind=CHECKPOINT_KIND,
+                fsync=self.fsync, faults=self.faults, header=identity,
             )
         except OSError:
             self.broken = True
+        return records
 
     def record(
         self,
@@ -587,11 +565,6 @@ class SweepCheckpoint:
             })
         except OSError:
             self.broken = True
-
-    def seal(self, status: str, completed: int) -> None:
-        """Finalise the manifest (``complete`` or ``interrupted``)."""
-        self._write_manifest(status=status, completed=completed)
-        self.close()
 
     def close(self) -> None:
         if self._journal is not None:
@@ -831,13 +804,12 @@ def run_sweep(
             looked up before simulating and stored after.
         trace_hash: precomputed :func:`trace_fingerprint`, for callers
             sweeping the same trace repeatedly.
-        fault_plan: optional :class:`~repro.faults.FaultPlan` (anything
-            with ``kill_indices()`` / ``coordinator_kill_indices()`` /
-            ``disk_injector()`` methods); a worker that picks up a job
-            whose index is listed dies mid-grid (one-shot: retries run
-            without kills).  Coordinator-kill indices fire ``kill_hook``
-            right after that job's result is journaled; disk-fault rules
-            are injected into every checkpoint write.
+        fault_plan: optional :class:`~repro.faults.FaultPlan`; a worker
+            that picks up a job whose index is listed dies mid-grid
+            (one-shot: retries run without kills).  Coordinator-kill
+            indices fire ``kill_hook`` right after that job's result is
+            journaled; disk-fault rules are injected into every
+            checkpoint write.
         max_pool_restarts: pool rebuilds before falling back to
             in-process execution for whatever is still unfinished.
         obs: optional :class:`repro.obs.Obs` context owned by the caller.
@@ -852,8 +824,7 @@ def run_sweep(
             finished job (computed or cache-served) is durably journaled
             there as it completes, and SIGINT/SIGTERM trigger a graceful
             drain: in-flight jobs finish and are journaled, queued jobs
-            are abandoned, the checkpoint is sealed ``interrupted``, and
-            :class:`SweepInterrupted` is raised.
+            are abandoned, and :class:`SweepInterrupted` is raised.
         resume: replay an existing checkpoint in ``checkpoint_dir``
             before running: journaled jobs are restored (results, obs
             exports, provenance) instead of recomputed, counted in the
@@ -888,10 +859,8 @@ def run_sweep(
         trace_hash = trace_fingerprint(trace)
 
     coordinator_kills: frozenset = (
-        frozenset(fault_plan.coordinator_kill_indices())
-        if fault_plan is not None
-        and hasattr(fault_plan, "coordinator_kill_indices")
-        else frozenset()
+        fault_plan.coordinator_kill_indices()
+        if fault_plan is not None else frozenset()
     )
     if kill_hook is None:
         def kill_hook(index: int) -> None:
@@ -901,10 +870,7 @@ def run_sweep(
     resumed_records: List[dict] = []
     if checkpoint_dir is not None:
         disk_faults = (
-            fault_plan.disk_injector()
-            if fault_plan is not None
-            and hasattr(fault_plan, "disk_injector")
-            else None
+            fault_plan.disk_injector() if fault_plan is not None else None
         )
         checkpoint = SweepCheckpoint(checkpoint_dir, faults=disk_faults)
         resumed_records = checkpoint.open(
@@ -946,8 +912,9 @@ def run_sweep(
         ) -> None:
             """Fill one job's slot from its record, count it, journal
             it — the one way a job finishes.  ``source`` is its
-            ``repro_sweep_jobs_total`` label; a record ``resumed`` from
-            the journal is neither stored nor journaled again."""
+            ``repro_sweep_jobs_total`` label; every computed record is
+            stored, and one ``resumed`` from the journal is not
+            journaled again."""
             job = jobs[index]
             computed = source == "computed"
             if result_cache is not None:
@@ -956,8 +923,7 @@ def run_sweep(
                 else:
                     if resumed:  # a fresh miss was counted at its lookup
                         m.result_cache.labels(event="miss").inc()
-                    else:
-                        result_cache.put(job, trace_hash, record)
+                    result_cache.put(job, trace_hash, record)
                     m.result_cache.labels(event="store").inc()
             if export is not None:
                 worker_exports[index] = export
@@ -1147,8 +1113,6 @@ def run_sweep(
                 "sweep.interrupted", signum=stop["signum"],
                 completed=completed_jobs, total=len(jobs),
             )
-            if checkpoint is not None:
-                checkpoint.seal("interrupted", completed=completed_jobs)
             if obs is not None:
                 obs.absorb(run_obs.export())
             raise SweepInterrupted(
@@ -1167,8 +1131,6 @@ def run_sweep(
                 source="cached" if slot.from_cache else "computed",
                 recovered=index in failed_once,
             )
-        if checkpoint is not None:
-            checkpoint.seal("complete", completed=len(jobs))
     finally:
         run_span.__exit__(None, None, None)
         for signum, previous in installed_handlers:

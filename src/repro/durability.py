@@ -1,6 +1,6 @@
 """repro.durability — crash-safe persistence primitives.
 
-Four building blocks, shared by every layer that must survive process
+Three building blocks, shared by every layer that must survive process
 death (the sweep coordinator's checkpoints, the proxy store's journaled
 state, the result and snapshot caches):
 
@@ -16,11 +16,8 @@ state, the result and snapshot caches):
   and *discards the tail* from there on — the torn-tail tolerance a
   crash mid-append requires.  Appends fsync by default, so a record
   returned from :meth:`Journal.append` survives SIGKILL;
-  :func:`rewrite_journal` compacts one in a single atomic write.
-* :func:`write_manifest` / :func:`read_manifest` — a checkpoint
-  manifest: one atomic, checksummed JSON document describing a state
-  directory (format version, fingerprints, completion status).  A
-  directory without a verifiable manifest is not a checkpoint.
+  :func:`rewrite_journal` compacts one in a single atomic write, and
+  its header may carry the state's identity (a sweep's fingerprints).
 * :func:`write_checksummed_jsonl` / :func:`read_checksummed_jsonl` —
   the export envelope: canonical JSONL followed by one trailer record
   pinning the record count and a SHA-256 of the body, so a truncated or
@@ -54,8 +51,6 @@ from typing import IO, Iterable, Iterator, List, Optional, Type, Union
 
 __all__ = [
     "JOURNAL_FORMAT",
-    "MANIFEST_FORMAT",
-    "MANIFEST_NAME",
     "ManifestError",
     "Journal",
     "JournalRecovery",
@@ -67,20 +62,13 @@ __all__ = [
     "jsonl_checksum",
     "read_checksummed_jsonl",
     "read_journal",
-    "read_manifest",
+    "rewrite_journal",
     "write_checksummed_jsonl",
-    "write_manifest",
 ]
 
 #: On-disk journal format; bumped only when the envelope changes (2 put
 #: raw blobs after a record's line; format-1 files still replay).
 JOURNAL_FORMAT = 2
-
-#: Manifest envelope format.
-MANIFEST_FORMAT = 1
-
-#: Conventional manifest file name inside a state directory.
-MANIFEST_NAME = "MANIFEST.json"
 
 #: Magic value opening every journal file (the header's first field).
 _JOURNAL_MAGIC = "repro-journal"
@@ -94,7 +82,8 @@ _FSYNC_FAIL = "fsync_fail"
 
 
 class ManifestError(ValueError):
-    """A manifest is missing, unparseable, or fails verification."""
+    """A journal header names a different state than the one opening it
+    (a sweep checkpoint written by another sweep)."""
 
 
 def canonical_json(record: object) -> str:
@@ -230,10 +219,11 @@ def _journal_record(payload: dict, blob: Optional[bytes] = None) -> bytes:
     return _journal_line(dict(payload, blob=pin)) + b"\n" + blob + b"\n"
 
 
-def _journal_header(kind: str) -> bytes:
-    return _journal_record(
-        {"magic": _JOURNAL_MAGIC, "format": JOURNAL_FORMAT, "kind": kind},
-    )
+def _journal_header(kind: str, extra: Optional[dict] = None) -> bytes:
+    """The header line; the journal's own fields win over ``extra``."""
+    return _journal_record(dict(
+        extra or {}, magic=_JOURNAL_MAGIC, format=JOURNAL_FORMAT, kind=kind,
+    ))
 
 
 def _decode_journal_line(line: bytes) -> dict:
@@ -330,7 +320,8 @@ class JournalRecovery:
     ``records`` is the verified prefix (a blob record's ``"blob"`` holds
     the bytes); ``discarded`` counts the records dropped from the first
     bad one onward (``truncated`` says whether any were) — the torn tail
-    a crash mid-append leaves behind.
+    a crash mid-append leaves behind.  ``header`` is the verified header
+    line (empty when the file is missing or its header fails).
     """
 
     records: List[dict] = field(default_factory=list)
@@ -338,6 +329,7 @@ class JournalRecovery:
     discarded: int = 0
     missing: bool = False
     kind: str = ""
+    header: dict = field(default_factory=dict)
 
     @property
     def replayed(self) -> int:
@@ -400,6 +392,7 @@ def read_journal(
                 f"journal kind {header.get('kind')!r}, wanted {kind!r}"
             )
         recovery.kind = str(header.get("kind", ""))
+        recovery.header = header
     except (ValueError, TypeError, AttributeError):
         recovery.truncated = True
         recovery.discarded = len(data.splitlines())
@@ -420,83 +413,27 @@ def rewrite_journal(
     kind: str = "journal",
     fsync: bool = True,
     faults=None,
+    header: Optional[dict] = None,
 ) -> Journal:
     """Replace a journal with a fresh generation holding exactly
-    ``records`` (a record's ``"blob"`` key, if any, as its raw blob).
+    ``records`` (a record's ``"blob"`` key, if any, as its raw blob),
+    under a header that also carries the ``header`` fields (the
+    journal's own ``magic``, ``format`` and ``kind`` win over them).
 
     The one compaction step: the header and each record are encoded as
     :meth:`Journal.append` encodes them and written in one
     :func:`atomic_write_bytes` — one disk-fault event, and a fault or
     crash leaves the previous file byte-identical.  The proxy store
-    compacts to one put per survivor; a resumed sweep rewrites the
-    verified prefix after a torn tail, since appending after a torn
-    record would corrupt the next one.  Returns the journal, open for
-    appends.
+    compacts to one put per survivor; every sweep checkpoint open
+    writes its identity and verified prefix this way.  Returns the
+    journal, open for appends.
     """
-    data = [_journal_header(kind)]
+    data = [_journal_header(kind, header)]
     for record in records:
         payload = dict(record)
         data.append(_journal_record(payload, payload.pop("blob", None)))
     atomic_write_bytes(path, b"".join(data), fsync=fsync, faults=faults)
     return Journal(path, kind=kind, fsync=fsync, faults=faults)
-
-
-# -- checkpoint manifests -----------------------------------------------------
-
-
-def write_manifest(
-    directory: Union[str, Path],
-    payload: dict,
-    name: str = MANIFEST_NAME,
-    fsync: bool = True,
-    faults=None,
-) -> Path:
-    """Atomically write a state directory's manifest.
-
-    The payload is wrapped in an envelope carrying the manifest format
-    version and a checksum, so :func:`read_manifest` can reject a
-    manifest that was torn, tampered with, or written by a different
-    format generation.
-    """
-    envelope = {
-        "format": MANIFEST_FORMAT,
-        "sha": checksum(payload),
-        "manifest": payload,
-    }
-    return atomic_write_json(
-        Path(directory) / name, envelope, fsync=fsync, faults=faults,
-        indent=1,
-    )
-
-
-def read_manifest(
-    directory: Union[str, Path], name: str = MANIFEST_NAME,
-) -> dict:
-    """Read and verify a state directory's manifest payload.
-
-    Raises:
-        ManifestError: missing file, unparseable JSON, unknown format
-            version, or checksum mismatch.
-    """
-    path = Path(directory) / name
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as error:
-        raise ManifestError(f"no manifest at {path}: {error}") from error
-    try:
-        envelope = json.loads(text)
-    except ValueError as error:
-        raise ManifestError(f"{path}: unparseable manifest") from error
-    if not isinstance(envelope, dict) or "manifest" not in envelope:
-        raise ManifestError(f"{path}: not a manifest envelope")
-    if envelope.get("format") != MANIFEST_FORMAT:
-        raise ManifestError(
-            f"{path}: unknown manifest format {envelope.get('format')!r}"
-        )
-    payload = envelope["manifest"]
-    if envelope.get("sha") != checksum(payload):
-        raise ManifestError(f"{path}: manifest checksum mismatch")
-    return payload
 
 
 # -- the checksummed JSONL export envelope ------------------------------------

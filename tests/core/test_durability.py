@@ -5,10 +5,8 @@ The crash-safety contract each primitive must hold:
 * atomic writes — readers only ever see the old content or the whole
   new content, even when a fault is injected mid-write;
 * journals — a verified prefix replays, a torn/corrupt tail is
-  discarded, and a write fault poisons the generation (no appends after
-  a tear);
-* manifests — missing/torn/tampered manifests are rejected loudly, a
-  clean one round-trips byte-exactly.
+  discarded, a write fault poisons the generation (no appends after
+  a tear), and a rewrite's header carries extra identity fields.
 """
 
 import json
@@ -18,16 +16,13 @@ import pytest
 from repro.durability import (
     JOURNAL_FORMAT,
     Journal,
-    ManifestError,
     atomic_write_bytes,
     atomic_write_json,
     atomic_write_text,
     canonical_json,
     checksum,
     read_journal,
-    read_manifest,
     rewrite_journal,
-    write_manifest,
 )
 from repro.faults import FaultKind, FaultPlan, FaultRule
 
@@ -266,40 +261,30 @@ class TestRewrite:
         assert not clean.truncated
         assert list(tmp_path.glob("*.tmp.*")) == []
 
+    def test_header_fields_round_trip(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        identity = {"trace_hash": "ab12", "total": 36}
+        rewrite_journal(
+            path, [{"n": 1}], kind="test", header=identity,
+        ).close()
+        recovery = read_journal(path, kind="test")
+        assert recovery.header == dict(
+            identity, magic="repro-journal", format=JOURNAL_FORMAT,
+            kind="test",
+        )
+        assert recovery.records == [{"n": 1}]
 
-class TestManifest:
-    def test_round_trip(self, tmp_path):
-        payload = {"kind": "sweep-checkpoint", "total": 36}
-        write_manifest(tmp_path, payload)
-        assert read_manifest(tmp_path) == payload
-
-    def test_missing_manifest_raises(self, tmp_path):
-        with pytest.raises(ManifestError):
-            read_manifest(tmp_path)
-
-    def test_unparseable_manifest_raises(self, tmp_path):
-        (tmp_path / "MANIFEST.json").write_text("{torn")
-        with pytest.raises(ManifestError):
-            read_manifest(tmp_path)
-
-    def test_tampered_manifest_raises(self, tmp_path):
-        write_manifest(tmp_path, {"total": 36})
-        path = tmp_path / "MANIFEST.json"
-        path.write_text(path.read_text().replace("36", "37"))
-        with pytest.raises(ManifestError):
-            read_manifest(tmp_path)
-
-    def test_unknown_format_raises(self, tmp_path):
-        envelope = {"format": 99, "sha": "", "manifest": {}}
-        (tmp_path / "MANIFEST.json").write_text(json.dumps(envelope))
-        with pytest.raises(ManifestError):
-            read_manifest(tmp_path)
-
-    def test_custom_name(self, tmp_path):
-        write_manifest(tmp_path, {"kind": "proxy-store"}, name="snapshot.json")
-        assert read_manifest(tmp_path, name="snapshot.json") == {
-            "kind": "proxy-store",
-        }
+    def test_the_journal_fields_win_over_header_fields(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        rewrite_journal(path, [], kind="test", header={
+            "kind": "other", "format": 99, "magic": "x", "total": 2,
+        }).close()
+        recovery = read_journal(path, kind="test")
+        assert (recovery.header["kind"], recovery.header["format"]) == (
+            "test", JOURNAL_FORMAT,
+        )
+        assert recovery.header["total"] == 2
+        assert read_journal(path, kind="other").header == {}
 
 
 class TestBlobRecords:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.sweep import (
     CHECKPOINT_KIND,
+    ENGINE_VERSION,
     PolicySpec,
     SimOptions,
     SweepCheckpoint,
@@ -22,7 +23,12 @@ from repro.core.sweep import (
     jobs_fingerprint,
     run_sweep,
 )
-from repro.durability import ManifestError, read_journal, read_manifest
+from repro.durability import (
+    ManifestError,
+    checksum,
+    read_journal,
+    rewrite_journal,
+)
 from repro.faults import FaultKind, FaultPlan, FaultRule
 from repro.workloads import generate_valid
 
@@ -80,19 +86,83 @@ def kill_plan(*indices, seed=3):
 
 class TestCheckpointLifecycle:
     def test_complete_run_seals_manifest(self, trace, tmp_path):
+        """The journal's header is the seal: it names the sweep, and a
+        complete checkpoint replays ``total`` jobs."""
         jobs = make_jobs()
         report = run_sweep(trace, jobs, checkpoint_dir=tmp_path / "ck")
-        manifest = read_manifest(tmp_path / "ck")
-        assert manifest["kind"] == CHECKPOINT_KIND
-        assert manifest["status"] == "complete"
-        assert manifest["completed"] == len(jobs)
-        assert manifest["trace_hash"] == report.trace_hash
-        assert manifest["jobs"] == jobs_fingerprint(jobs, report.trace_hash)
         recovery = read_journal(
             tmp_path / "ck" / "journal.jsonl", kind=CHECKPOINT_KIND,
         )
-        assert recovery.replayed == len(jobs)
+        header = recovery.header
+        assert header["kind"] == CHECKPOINT_KIND
+        assert header["total"] == len(jobs)
+        assert header["trace_hash"] == report.trace_hash
+        assert header["jobs"] == jobs_fingerprint(jobs, report.trace_hash)
+        assert recovery.replayed == header["total"]
         assert not recovery.truncated
+
+    def test_a_checkpoint_is_one_file(self, trace, tmp_path):
+        """A complete run, a SIGINT drain and a coordinator kill each
+        leave only the journal behind."""
+        run_sweep(trace, make_jobs(), checkpoint_dir=tmp_path / "done")
+
+        def interrupt(index):
+            os.kill(os.getpid(), signal.SIGINT)
+
+        with pytest.raises(SweepInterrupted):
+            run_sweep(
+                trace, make_jobs(), fault_plan=kill_plan(1),
+                checkpoint_dir=tmp_path / "drained", kill_hook=interrupt,
+            )
+
+        def kill(index):
+            raise Killed(index)
+
+        with pytest.raises(Killed):
+            run_sweep(
+                trace, make_jobs(), fault_plan=kill_plan(1),
+                checkpoint_dir=tmp_path / "killed", kill_hook=kill,
+            )
+        for name in ("done", "drained", "killed"):
+            assert [p.name for p in (tmp_path / name).iterdir()] == [
+                "journal.jsonl",
+            ]
+
+    def test_a_parent_format_checkpoint_is_a_cold_start(
+        self, trace, tmp_path,
+    ):
+        """A checkpoint written when the identity lived in a
+        ``MANIFEST.json`` beside a bare-header journal: the resume starts
+        cold, and the old manifest is neither read nor touched."""
+        jobs = make_jobs()
+        baseline = run_sweep(trace, jobs)
+        root = tmp_path / "ck"
+        trace_hash = run_sweep(trace, jobs, checkpoint_dir=root).trace_hash
+        journal = root / "journal.jsonl"
+        records = read_journal(journal, kind=CHECKPOINT_KIND).records
+        rewrite_journal(journal, records, kind=CHECKPOINT_KIND).close()
+        payload = {
+            "kind": CHECKPOINT_KIND, "engine": ENGINE_VERSION,
+            "trace_hash": trace_hash,
+            "jobs": jobs_fingerprint(jobs, trace_hash),
+            "total": len(jobs), "status": "complete",
+            "completed": len(jobs),
+        }
+        manifest = root / "MANIFEST.json"
+        manifest.write_text(json.dumps(
+            {"format": 1, "sha": checksum(payload), "manifest": payload},
+            sort_keys=True, indent=1,
+        ) + "\n")
+        before = manifest.read_bytes()
+        resumed = run_sweep(
+            trace, make_jobs(), checkpoint_dir=root, resume=True,
+        )
+        assert resumed.resumed_jobs == 0
+        assert records_of(resumed) == records_of(baseline)
+        assert manifest.read_bytes() == before
+        recovery = read_journal(journal, kind=CHECKPOINT_KIND)
+        assert recovery.header["total"] == len(jobs)
+        assert recovery.replayed == len(jobs)
 
     def test_resume_requires_checkpoint_dir(self, trace):
         with pytest.raises(ValueError):
@@ -209,11 +279,10 @@ class TestManifestGuards:
         run_sweep(trace, jobs, checkpoint_dir=tmp_path / "ck")
         # A non-resume run over the same dir starts a fresh generation.
         run_sweep(trace, jobs[:2], checkpoint_dir=tmp_path / "ck")
-        manifest = read_manifest(tmp_path / "ck")
-        assert manifest["total"] == 2
         recovery = read_journal(
             tmp_path / "ck" / "journal.jsonl", kind=CHECKPOINT_KIND,
         )
+        assert recovery.header["total"] == 2
         assert recovery.replayed == 2
 
 
@@ -239,9 +308,11 @@ class TestSigintDrain:
         assert interrupt.completed == 2
         assert interrupt.total == len(jobs)
         assert interrupt.checkpoint_dir == tmp_path / "ck"
-        manifest = read_manifest(tmp_path / "ck")
-        assert manifest["status"] == "interrupted"
-        assert manifest["completed"] == 2
+        recovery = read_journal(
+            tmp_path / "ck" / "journal.jsonl", kind=CHECKPOINT_KIND,
+        )
+        assert recovery.header["total"] == len(jobs)
+        assert recovery.replayed == 2
         # The default SIGINT disposition is restored after the sweep.
         assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
 
@@ -259,7 +330,7 @@ class TestCheckpointBrokenLatch:
     ):
         jobs = make_jobs()
         baseline = run_sweep(trace, jobs)
-        # Disk-fault event 0 is the "running" manifest write; event 1 is
+        # Disk-fault event 0 is the journal's opening rewrite; event 1 is
         # the first journal append.  Tearing it latches the checkpoint
         # broken for the rest of the run.
         plan = FaultPlan(
@@ -310,6 +381,29 @@ class TestCheckpointBrokenLatch:
         assert resumed.resumed_jobs == 2
         assert records_of(resumed) == records_of(baseline)
         assert journal.read_bytes() == torn  # the rewrite left it whole
+
+    def test_disk_fault_on_fresh_open_keeps_the_previous_checkpoint(
+        self, trace, tmp_path,
+    ):
+        jobs = make_jobs()
+        baseline = run_sweep(trace, jobs, checkpoint_dir=tmp_path / "ck")
+        journal = tmp_path / "ck" / "journal.jsonl"
+        complete = journal.read_bytes()
+        # A fresh 2-job sweep over the same directory: its opening
+        # rewrite is disk-fault event 0 and fails, so the old grid's
+        # journal stays whole and resumable.
+        plan = FaultPlan(
+            rules=(FaultRule(kind=FaultKind.ENOSPC, at=(0,)),), seed=5,
+        )
+        run_sweep(
+            trace, jobs[:2], fault_plan=plan, checkpoint_dir=tmp_path / "ck",
+        )
+        assert journal.read_bytes() == complete
+        resumed = run_sweep(
+            trace, make_jobs(), checkpoint_dir=tmp_path / "ck", resume=True,
+        )
+        assert resumed.resumed_jobs == len(jobs)
+        assert records_of(resumed) == records_of(baseline)
 
 
 class TestCheckpointUnit:

@@ -204,6 +204,39 @@ class TestSweepResume:
         assert main(self.SWEEP + ["--resume", str(checkpoint)]) == 0
         assert "36 resumed from checkpoint" in capsys.readouterr().out
 
+    def test_another_sweeps_checkpoint_is_one_line_error(
+        self, tmp_path, capsys,
+    ):
+        checkpoint = tmp_path / "ck"
+        assert main(
+            self.SWEEP + ["--seed", "7", "--checkpoint-dir", str(checkpoint)]
+        ) == 0
+        before = {p.name: p.read_bytes() for p in checkpoint.iterdir()}
+        capsys.readouterr()
+        assert main(
+            self.SWEEP + ["--seed", "8", "--resume", str(checkpoint)]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert str(checkpoint) in captured.err
+        assert "different sweep" in captured.err
+        assert {p.name: p.read_bytes() for p in checkpoint.iterdir()} == before
+
+    def test_resumed_jobs_are_stored_in_the_result_cache(
+        self, tmp_path, capsys,
+    ):
+        checkpoint, cache = tmp_path / "ck", tmp_path / "cache"
+        assert main(
+            self.SWEEP + ["--checkpoint-dir", str(checkpoint)]
+        ) == 0
+        assert main(self.SWEEP + [
+            "--resume", str(checkpoint), "--cache-dir", str(cache),
+        ]) == 0
+        capsys.readouterr()
+        assert main(self.SWEEP + ["--cache-dir", str(cache)]) == 0
+        assert "36 hits / 0 misses" in capsys.readouterr().out
+
 
 class TestObsTailCommand:
     def _write_events(self, path):

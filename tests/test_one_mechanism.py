@@ -19,7 +19,8 @@ timestamp merge; ``SimCache._make_room`` is the one eviction loop and
 value is one expression that ``KeyPolicy`` compiles into its sort value
 and heap record; ``repro.durability`` encodes each journal line once,
 no body is ever base64-encoded, and a proxy store's state is one
-journal that ``rewrite_journal`` compacts, with no manifest beside it;
+journal that ``rewrite_journal`` compacts, with no manifest beside it,
+as is a sweep checkpoint, whose journal header names its sweep;
 ``SizeModel.draw`` writes the one size draw, and the workload generator
 draws only through the public ``random`` API.  A new
 server, client, export, benchmark runner, flag, fleet, dashboard or
@@ -170,6 +171,21 @@ def test_a_store_generation_is_one_journal():
                 if path.startswith("proxy/")] == []
     assert inspect.getsource(store).count("rewrite_journal(") == 1
     assert "truncate=" not in inspect.getsource(store)
+
+
+def test_a_state_directory_is_one_journal():
+    """No module keeps a manifest: a sweep checkpoint's identity is its
+    journal's header, and every checkpoint open is one rewrite."""
+    import inspect
+
+    from repro.core import sweep
+
+    for needle in ("write_manifest", "read_manifest", "MANIFEST"):
+        assert files_containing(needle) == []
+    source = inspect.getsource(sweep)
+    assert source.count("rewrite_journal(") == 1
+    assert "Journal(" not in source
+    assert "truncate=" not in source
 
 
 def test_each_journal_line_is_encoded_once():
