@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -55,6 +56,7 @@ from repro.core.cache import HIT, SimCache
 from repro.core.keys import TAXONOMY_KEYS, SortKey, key_by_name
 from repro.core.policy import KeyPolicy
 from repro.durability import read_checksummed_jsonl, write_checksummed_jsonl
+from repro.trace.compiled import compile_trace
 from repro.trace.record import Request
 from repro.trace.sampling import url_sample_rate_hash
 
@@ -227,19 +229,15 @@ class _ShadowCell(_Tally):
             capacity=capacity, policy=KeyPolicy([key]), seed=seed,
         )
 
-    def replay(self, requests: Sequence[Request]) -> None:
-        access = self.cache.access_code
-        size_sum = hits = hit_bytes = 0
-        for request in requests:
-            size = request.size
-            size_sum += size
-            if access(request) == HIT:
-                hits += 1
-                hit_bytes += size
-        self.requests += len(requests)
+    def replay(self, urls, sizes, stamps, types) -> None:
+        """Answer the whole sample, given as columns, as one run."""
+        codes = bytearray()
+        self.cache.access_run(urls, sizes, stamps, types, codes)
+        size_sum = sum(sizes)
+        self.requests += len(codes)
         self.bytes += size_sum
-        self.hits += hits
-        self.hit_bytes += hit_bytes
+        self.hits += codes.count(HIT)
+        self.hit_bytes += size_sum - sum(compress(sizes, codes))
 
 
 def _mean_ci(
@@ -326,12 +324,10 @@ def single_pass_mrc(
     started = time.perf_counter()
 
     # The per-fraction rate floors need the largest request size before
-    # any shadow cache exists; this scan touches one attribute per
-    # request and is not a simulation pass.
-    largest = 0
-    for request in trace:
-        if request.size > largest:
-            largest = request.size
+    # any shadow cache exists; this scan of one column is not a
+    # simulation pass.
+    trace = compile_trace(trace)
+    largest = max(trace.sizes, default=0)
     scan_seconds = time.perf_counter() - started
 
     rates: Dict[float, float] = {}
@@ -375,8 +371,7 @@ def single_pass_mrc(
         for control in controls
     ]
     bank_started = time.perf_counter()
-    for request in trace:
-        url, size = request.url, request.size
+    for index, (url, size) in enumerate(zip(trace.urls, trace.sizes)):
         hit = last_size.get(url) == size
         if not hit:
             last_size[url] = size
@@ -387,15 +382,19 @@ def single_pass_mrc(
                 if position >= cell_rate:
                     break
                 control_tally.count(size, hit)
-                sample.append(request)
+                sample.append(index)
     # Each shadow cache then replays its rate's sample on its own, so
     # one cache's dict and heap stay hot at a time.
     shadow_accesses = 0
     for bank, salt_strata in zip(banks, strata):
-        samples = {cell_rate: sample for cell_rate, _, sample in salt_strata}
+        columns = (trace.urls, trace.sizes, trace.stamps, trace.types)
+        samples = {
+            cell_rate: [[column[i] for i in sample] for column in columns]
+            for cell_rate, _, sample in salt_strata
+        }
         for cell in bank.values():
-            cell.replay(samples[cell.rate])
-            shadow_accesses += len(samples[cell.rate])
+            cell.replay(*samples[cell.rate])
+            shadow_accesses += len(samples[cell.rate][0])
     bank_seconds = time.perf_counter() - bank_started
     if not reference.requests:
         raise ValueError("trace is empty")

@@ -567,12 +567,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         f", {report.resumed_jobs} resumed from checkpoint"
         if report.resumed_jobs else ""
     )
+    result_cache = (
+        f"result cache {report.cache_hits} hits / {report.cache_misses} misses"
+        if args.cache_dir else "result cache off"
+    )
     print(
         f"\nsweep engine: {len(jobs)} runs in {report.wall_seconds:.2f}s "
         f"({report.workers} workers, "
         f"{report.requests_per_second:,.0f} simulated requests/s, "
-        f"result cache {report.cache_hits} hits / "
-        f"{report.cache_misses} misses{resumed})"
+        f"{result_cache}{resumed})"
     )
     if args.results_out:
         import json

@@ -26,12 +26,12 @@ import enum
 import random
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.entry import CacheEntry
 from repro.core.keys import SIZE
 from repro.core.policy import DynamicPolicy, KeyPolicy, RemovalPolicy
-from repro.trace.record import Request
+from repro.trace.record import DocumentType, Request, classify_url
 
 __all__ = [
     "AccessOutcome",
@@ -60,7 +60,7 @@ class AccessOutcome(enum.Enum):
 
 
 #: ``OUTCOMES[code]`` is the :class:`AccessOutcome` of an integer outcome
-#: code, as :meth:`SimCache.access_code` returns them; ``HIT`` is 0, so
+#: code, as :meth:`SimCache.access_run` appends them; ``HIT`` is 0, so
 #: ``not code`` reads "was a hit".
 OUTCOMES: Tuple[AccessOutcome, ...] = tuple(AccessOutcome)
 HIT, MISS, MISS_MODIFIED, MISS_TOO_LARGE = range(len(OUTCOMES))
@@ -197,12 +197,17 @@ class SimCache:
         use_heap_index: select :class:`HeapIndex` (default) or
             :class:`NaiveIndex` for key policies.
         latency_estimator: optional ``f(request) -> seconds`` filled into
-            entries for the LATENCY extension key.
+            entries for the LATENCY extension key; ``request`` carries the
+            admitted row's timestamp, URL, size and type.
         ttl_assigner: optional ``f(request, now) -> expiry_time`` for the
-            TTL extension key.
+            TTL extension key (``request`` as above).
         on_evict: optional callback invoked with each evicted entry (used,
             e.g., to hand documents down a cache hierarchy).
     """
+
+    #: Removal on demand (Section 1.2); without it (pure periodic removal)
+    #: a document that does not fit the free space is served, not stored.
+    on_demand = True
 
     def __init__(
         self,
@@ -304,74 +309,97 @@ class SimCache:
         code = self.access_code(request, now, evicted)
         return AccessResult(OUTCOMES[code], request, evicted)
 
-    def access_code(
-        self,
-        request: Request,
-        now: Optional[float] = None,
-        evicted: Optional[List[CacheEntry]] = None,
-    ) -> int:
-        """Process one valid trace request; returns its integer outcome
-        code (``OUTCOMES[code]`` is the :class:`AccessOutcome`) and
-        appends any entries evicted to make room to ``evicted``, when a
-        list is passed.  This is the one access path; :meth:`access`
-        wraps it."""
+    def access_code(self, request: Request, now: Optional[float] = None,
+                    evicted: Optional[List[CacheEntry]] = None) -> int:
+        """One valid request (at ``now``, its own timestamp by default) as
+        a one-row :meth:`access_run`; returns its outcome code."""
+        codes = bytearray()
+        self.access_run((request.url,), (request.size,), (
+            request.timestamp if now is None else now,), (request.doc_type,),
+            codes, evicted)
+        return codes[0]
+
+    def access_run(self, urls: Sequence[str], sizes: Sequence[int],
+                   stamps: Sequence[float],
+                   types: Sequence[Optional[DocumentType]], codes: bytearray,
+                   evicted: Optional[List[CacheEntry]] = None) -> None:
+        """The one access path: process a run of valid requests given as
+        columns, appending each row's outcome code to ``codes`` (and the
+        entries evicted to make room to ``evicted``, when a list is
+        passed).  A ``None`` type is classified only on admission.  The
+        cache's state is bound to locals once a run, not once a row."""
+        entries = self._entries
+        lookup = entries.get
+        capacity = self.capacity
+        on_demand = self.on_demand
+        add = self._index.add if self._index is not None else None
+        touch = self._index_touch
+        on_hit = self._on_hit
+        on_admit = self._on_admit
+        draw = self._random
+        latency = self._latency_estimator
+        expires = self._ttl_assigner
         timer = self._phases
         if timer is not None:
             clock = timer.clock
-            start = clock()
-        if now is None:
-            now = request.timestamp
-        size = request.size
-        entry = self._entries.get(request.url)
-        code = MISS
-        if entry is not None:
-            if entry.size == size:
-                # Only a clock running backwards lowers a sort value (HeapIndex).
-                backwards = now < entry.atime
-                entry.atime = now
-                entry.nref += 1
-                if backwards and self._index_touch is not None:
-                    self._index_touch(entry)
-                if self._on_hit is not None:
-                    self._on_hit(entry)
-                if timer is not None:
-                    timer.observe("lookup", clock() - start)
-                return HIT
-            # Modified document: the cached copy is inconsistent.  The
-            # access stays MISS_MODIFIED even if the new copy cannot fit.
-            self._remove_entry(entry)
-            code = MISS_MODIFIED
-        if timer is not None:
-            timer.observe("lookup", clock() - start)
-        capacity = self.capacity
-        if capacity is not None and size > capacity:
-            return MISS_TOO_LARGE if code == MISS else code
-        if timer is not None:
-            start = clock()
-        if capacity is not None and capacity - self.used_bytes < size:
-            self._make_room(size, now, evicted)
-        if timer is not None:
-            admit_start = clock()
-            timer.observe("evict", admit_start - start)
-        latency = self._latency_estimator
-        expires = self._ttl_assigner
-        entry = CacheEntry(  # positionally: keywords cost ~0.4 us a miss
-            request.url, size, now, now, 1, request.media_type,
-            self._random(),
-            latency(request) if latency is not None else 0.0,
-            expires(request, now) if expires is not None else None,
-        )
-        self._entries[entry.url] = entry
-        self.used_bytes = used = self.used_bytes + size
-        if used > self.max_used_bytes:
-            self.max_used_bytes = used
-        if self._index is not None:
-            self._index.add(entry)
-        if self._on_admit is not None:
-            self._on_admit(entry)
-        if timer is not None:
-            timer.observe("admit", clock() - admit_start)
-        return code
+            observe = timer.observe
+        append = codes.append
+        for url, size, now, kind in zip(urls, sizes, stamps, types):
+            if timer is not None:
+                start = clock()
+            entry = lookup(url)
+            code = MISS
+            if entry is not None:
+                if entry.size == size:
+                    # Only a clock running backwards lowers a sort value (HeapIndex).
+                    backwards = now < entry.atime
+                    entry.atime = now
+                    entry.nref += 1
+                    if backwards and touch is not None:
+                        touch(entry)
+                    if on_hit is not None:
+                        on_hit(entry)
+                    if timer is not None:
+                        observe("lookup", clock() - start)
+                    append(HIT)
+                    continue
+                # Modified document: the cached copy is inconsistent.  The
+                # access stays MISS_MODIFIED even if the new copy cannot fit.
+                self._remove_entry(entry)
+                code = MISS_MODIFIED
+            if timer is not None:
+                observe("lookup", clock() - start)
+            if capacity is not None and size > (
+                capacity if on_demand else capacity - self.used_bytes
+            ):
+                append(MISS_TOO_LARGE if code == MISS else code)
+                continue
+            if timer is not None:
+                start = clock()
+            if capacity is not None and capacity - self.used_bytes < size:
+                self._make_room(size, now, evicted)
+            if timer is not None:
+                admit_start = clock()
+                observe("evict", admit_start - start)
+            if kind is None:
+                kind = classify_url(url)
+            # Positionally: keywords cost ~0.4 us a miss.
+            entry = CacheEntry(url, size, now, now, 1, kind, draw())
+            if latency is not None or expires is not None:  # see __init__
+                request = Request(now, url, size, doc_type=kind)
+                entry.latency = latency(request) if latency else 0.0
+                entry.expires_at = expires(request, now) if expires else None
+            entries[url] = entry
+            self.used_bytes = used = self.used_bytes + size
+            if used > self.max_used_bytes:
+                self.max_used_bytes = used
+            if add is not None:
+                add(entry)
+            if on_admit is not None:
+                on_admit(entry)
+            if timer is not None:
+                observe("admit", clock() - admit_start)
+            append(code)
 
     def remove(self, url: str) -> Optional[CacheEntry]:
         """Explicitly drop a URL (consistency invalidation, tests)."""

@@ -17,6 +17,7 @@ Figure 5 caption).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.trace.record import Request
@@ -77,32 +78,30 @@ class MetricsCollector:
     def record(self, request: Request, is_hit: bool) -> None:
         """Account one valid request and whether the cache served it."""
         size = request.size
-        self.advance_to(
-            request.day,
-            self.total_requests + 1,
-            self.total_hits + (1 if is_hit else 0),
-            self.total_bytes_requested + size,
-            self.total_bytes_hit + (size if is_hit else 0),
-        )
+        self.add(request.day, 1, int(is_hit), size, size if is_hit else 0)
 
-    def advance_to(
-        self, day: int, requests: int, hits: int,
-        bytes_requested: int, bytes_hit: int,
-    ) -> None:
-        """Raise the cumulative totals to the given values, crediting
-        the increase to ``day`` — how a replay loop that counts in
-        locals accounts a whole day of requests in one call."""
+    def credit(self, day: int, sizes: Sequence[int], codes: bytes) -> None:
+        """Account a run of requests on ``day`` from their sizes and their
+        outcome codes (``HIT`` is 0: ``compress`` picks the misses)."""
+        requested = sum(sizes)
+        self.add(day, len(codes), codes.count(0), requested,
+                 requested - sum(compress(sizes, codes)))
+
+    def add(self, day: int, requests: int, hits: int,
+            bytes_requested: int, bytes_hit: int) -> None:
+        """Credit ``day`` and the totals with these many more requests,
+        hits and bytes — how a replay accounts a whole day in one call."""
         stats = self.days.get(day)
         if stats is None:  # get-then-insert: no DayStats built per call
             stats = self.days[day] = DayStats()
-        stats.requests += requests - self.total_requests
-        stats.hits += hits - self.total_hits
-        stats.bytes_requested += bytes_requested - self.total_bytes_requested
-        stats.bytes_hit += bytes_hit - self.total_bytes_hit
-        self.total_requests = requests
-        self.total_hits = hits
-        self.total_bytes_requested = bytes_requested
-        self.total_bytes_hit = bytes_hit
+        stats.requests += requests
+        stats.hits += hits
+        stats.bytes_requested += bytes_requested
+        stats.bytes_hit += bytes_hit
+        self.total_requests += requests
+        self.total_hits += hits
+        self.total_bytes_requested += bytes_requested
+        self.total_bytes_hit += bytes_hit
 
     # -- cumulative measures ---------------------------------------------------
 

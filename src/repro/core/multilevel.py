@@ -15,6 +15,7 @@ cache, measuring cross-workload commonality.
 
 from __future__ import annotations
 
+from itertools import compress, groupby, islice
 from typing import Dict, Iterable, Optional, Sequence
 
 from repro.core.cache import HIT, SimCache
@@ -34,7 +35,7 @@ __all__ = [
 class TwoLevelCache:
     """A first-level cache backed by a (typically infinite) second level.
 
-    The replay loop drives the hierarchy through :meth:`access_code` and
+    The replay loop drives the hierarchy through :meth:`access_run` and
     counts ``l1_metrics``; the hierarchy records the second level.
     ``l2_metrics`` counts every client request, so the second level's
     HR/WHR are fractions of *total* client traffic (how the paper reports
@@ -50,15 +51,24 @@ class TwoLevelCache:
         self.l2_metrics = MetricsCollector()
         self.l2_local_metrics = MetricsCollector()
 
-    def access_code(self, request: Request) -> int:
-        """Process one request; returns L1's outcome code.  Only L1's
-        misses reach L2."""
-        code = self.l1_cache.access_code(request)
-        l2_hit = code != HIT and self.l2_cache.access_code(request) == HIT
-        self.l2_metrics.record(request, l2_hit)
-        if code != HIT:
-            self.l2_local_metrics.record(request, l2_hit)
-        return code
+    def access_run(self, urls, sizes, stamps, types, codes) -> None:
+        """Answer one day's run of rows (as :func:`replay` passes them),
+        appending L1's outcome codes; L2 then answers the run of L1's
+        misses, in order."""
+        mark = len(codes)
+        self.l1_cache.access_run(urls, sizes, stamps, types, codes)
+        missed = codes[mark:]  # nonzero where L1 missed the row
+        rows = [list(compress(column, missed))
+                for column in (urls, sizes, stamps, types)]
+        miss_sizes, l2_codes = rows[1], bytearray()
+        self.l2_cache.access_run(*rows, l2_codes)
+        day = int(stamps[0] // 86400)
+        if miss_sizes:
+            self.l2_local_metrics.credit(day, miss_sizes, l2_codes)
+        # L2's rates are over every client request; L1's hits are L2 misses.
+        hit_bytes = sum(miss_sizes) - sum(compress(miss_sizes, l2_codes))
+        self.l2_metrics.add(day, len(sizes), l2_codes.count(HIT), sum(sizes),
+                            hit_bytes)
 
     @property
     def timeseries(self):
@@ -87,7 +97,7 @@ def simulate_two_level(
     if l2 is None:
         l2 = SimCache(capacity=None)
     hierarchy = TwoLevelCache(l1, l2, name=name)
-    replay(trace, hierarchy.access_code, hierarchy.l1_metrics, [
+    replay(trace, hierarchy.access_run, hierarchy.l1_metrics, [
         (hierarchy.l1_metrics, l1), (hierarchy.l2_metrics, l2),
     ])
     return hierarchy
@@ -140,8 +150,21 @@ def simulate_shared_second_level(
     if l2 is None:
         l2 = SimCache(capacity=None)
     shared = SharedSecondLevel({key: l1_factory(key) for key in traces}, l2)
-    # Several traces, so no replay: this loop counts each L1 itself.
-    for key, request in merge_tagged(traces):
-        hierarchy = shared.hierarchies[key]
-        hierarchy.l1_metrics.record(request, hierarchy.access_code(request) == HIT)
+    merged = list(merge_tagged(traces))
+    keys = iter([key for key, _ in merged])
+
+    def run(urls, sizes, stamps, types, codes) -> None:
+        # Each stretch of one workload's rows goes through its hierarchy,
+        # so the shared L2 sees every L1's misses in merged order.
+        day, start = int(stamps[0] // 86400), 0
+        for key, stretch in groupby(islice(keys, len(urls))):
+            rows = slice(start, start + len(list(stretch)))
+            hierarchy, mark = shared.hierarchies[key], len(codes)
+            hierarchy.access_run(
+                urls[rows], sizes[rows], stamps[rows], types[rows], codes,
+            )
+            hierarchy.l1_metrics.credit(day, sizes[rows], codes[mark:])
+            start = rows.stop
+
+    replay([request for _, request in merged], run, MetricsCollector(), [])
     return shared

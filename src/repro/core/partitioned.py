@@ -13,7 +13,8 @@ directly comparable to the unpartitioned WHR.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable
+from itertools import compress
+from typing import Callable, Dict, Iterable, List
 
 from repro.core.cache import HIT, SimCache
 from repro.core.metrics import MetricsCollector, Series, moving_average
@@ -38,7 +39,7 @@ def audio_partition(request: Request) -> str:
 class PartitionedCache:
     """A cache split into independent fixed-size partitions.
 
-    The replay loop drives it through :meth:`access_code` and counts
+    The replay loop drives it through :meth:`access_run` and counts
     ``overall``.  ``class_metrics[name]`` holds hits for that class; it
     is fed *every* request (hits only possible for the class's own
     requests), so HR/WHR are fractions of total traffic, as the paper
@@ -46,7 +47,8 @@ class PartitionedCache:
 
     Args:
         partitions: partition name -> its cache.
-        classify: maps a request to a partition name.
+        classify: maps a request to a partition name; called once per
+            distinct (URL, size, type), with its first row's timestamp.
         name: label for reports.
     """
 
@@ -63,22 +65,45 @@ class PartitionedCache:
         self.name = name
         self.class_metrics = {part: MetricsCollector() for part in partitions}
         self.overall = MetricsCollector()
+        self._classified: Dict[tuple, str] = {}  # (url, size, type) -> name
 
-    def access_code(self, request: Request) -> int:
-        """Route a request to its partition; returns its outcome code."""
-        name = self.classify(request)
-        try:
-            cache = self.partitions[name]
-        except KeyError:
-            raise KeyError(
-                f"classifier produced unknown partition {name!r}"
-            ) from None
-        code = cache.access_code(request)
-        # Every class's collector sees every request, so rates are over
-        # total traffic (the Figures 19-20 convention).
-        for metric_name, collector in self.class_metrics.items():
-            collector.record(request, code == HIT and metric_name == name)
-        return code
+    #: One request, as a one-row run (as for a single cache).
+    access_code = SimCache.access_code
+
+    def access_run(self, urls, sizes, stamps, types, codes, evicted=None):
+        """Answer one day's run of rows (as :func:`replay` passes them):
+        each partition answers the run of the rows classified into it,
+        and each row's code is appended in row order."""
+        picked: Dict[str, List[int]] = {name: [] for name in self.partitions}
+        classified = self._classified
+        for index, row in enumerate(zip(urls, sizes, types)):
+            name = classified.get(row)
+            if name is None:
+                name = self.classify(Request(stamps[index], *row[:2], doc_type=row[2]))
+                if name not in picked:
+                    raise KeyError(f"classifier produced unknown partition {name!r}")
+                classified[row] = name
+            picked[name].append(index)
+        mark = len(codes)
+        codes += bytes(len(urls))
+        day = int(stamps[0] // 86400)
+        requested = sum(sizes)
+        for name, rows in picked.items():
+            part_sizes = [sizes[i] for i in rows]
+            part_codes = bytearray()
+            self.partitions[name].access_run(
+                [urls[i] for i in rows], part_sizes,
+                [stamps[i] for i in rows], [types[i] for i in rows],
+                part_codes, evicted,
+            )
+            for index, code in zip(rows, part_codes):
+                codes[mark + index] = code
+            # Every class's collector sees every request, so rates are
+            # over total traffic (the Figures 19-20 convention).
+            self.class_metrics[name].add(
+                day, len(urls), part_codes.count(HIT), requested,
+                sum(part_sizes) - sum(compress(part_sizes, part_codes)),
+            )
 
     @property
     def timeseries(self):
@@ -133,7 +158,7 @@ def simulate_partitioned(
             capacity=capacity, policy=policy_factory(), seed=seed + index,
         )
     cache = PartitionedCache(partitions, classify, name=name)
-    replay(trace, cache.access_code, cache.overall, [
+    replay(trace, cache.access_run, cache.overall, [
         (cache.class_metrics[part_name], partition)
         for part_name, partition in partitions.items()
     ])

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core.cache import MISS_MODIFIED, MISS_TOO_LARGE, SimCache
+from repro.core.cache import SimCache
 from repro.core.entry import CacheEntry
 from repro.core.policy import RemovalPolicy
-from repro.trace.record import Request
 
 __all__ = ["PeriodicRemovalCache"]
 
@@ -73,31 +72,23 @@ class PeriodicRemovalCache(SimCache):
         self.swept_entries = 0
         self._next_sweep: Optional[float] = None
 
-    def access_code(
-        self, request: Request, now: Optional[float] = None,
-        evicted: Optional[List[CacheEntry]] = None,
-    ) -> int:
-        """Process one request, running any due sweeps first."""
-        if now is None:
-            now = request.timestamp
-        if self._next_sweep is None:
-            self._next_sweep = (now // self.period + 1) * self.period
-        while now >= self._next_sweep:
-            self.sweep(self._next_sweep)
-            self._next_sweep += self.period
-        if not self.on_demand:
-            # Pure-periodic mode: misses that do not fit are not cached.
-            entry = self.get(request.url)
-            if entry is None or entry.size != request.size:
-                free = self.capacity - self.used_bytes
-                if entry is not None:
-                    free += entry.size  # replacing the stale copy frees its room
-                if request.size > free:
-                    if entry is not None:
-                        self.remove(request.url)
-                        return MISS_MODIFIED
-                    return MISS_TOO_LARGE
-        return super().access_code(request, now, evicted)
+    def access_run(self, urls, sizes, stamps, types, codes, evicted=None):
+        """Process a run of rows, split where sweeps fall due: each due
+        sweep runs before the first row stamped at or after its time."""
+        start = 0
+        for index, now in enumerate(stamps):
+            if self._next_sweep is None:
+                self._next_sweep = (now // self.period + 1) * self.period
+            if now >= self._next_sweep:
+                super().access_run(urls[start:index], sizes[start:index],
+                                   stamps[start:index], types[start:index],
+                                   codes, evicted)
+                start = index
+                while now >= self._next_sweep:
+                    self.sweep(self._next_sweep)
+                    self._next_sweep += self.period
+        super().access_run(urls[start:], sizes[start:], stamps[start:],
+                           types[start:], codes, evicted)
 
     def sweep(self, now: float) -> List[CacheEntry]:
         """Evict in policy order until occupancy reaches the comfort level."""

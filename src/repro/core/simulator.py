@@ -23,6 +23,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 from repro.core.cache import HIT, OUTCOMES, SimCache
 from repro.core.metrics import MetricsCollector
 from repro.core.policy import KeyPolicy
+from repro.trace.compiled import compile_trace
 from repro.trace.record import Request
 
 __all__ = ["SimulationResult", "replay", "simulate"]
@@ -96,63 +97,48 @@ class SimulationResult:
         }
 
 
+#: ``run(urls, sizes, stamps, types, codes)`` answers a run of rows, as
+#: :meth:`SimCache.access_run` does, or a topology over its caches.
+Run = Callable[[list, list, list, list, bytearray], None]
+
+
 def replay(
     trace: Iterable[Request],
-    access: Callable[[Request], int],
+    run: Run,
     metrics: MetricsCollector,
     streams: Sequence[Tuple[MetricsCollector, SimCache]],
 ) -> Counter:
-    """The one replay loop: pass each request of a valid trace to
-    ``access`` and count the outcome code it returns.
-
-    Codes and bytes are counted in locals and credited to ``metrics`` a
-    day at a time.  Closing a day (a timestamp outside the running day's
-    ``[start, end)``, or the end of the trace) also stamps each cache of
+    """The one replay loop: pass each day slice of a valid trace (a
+    :class:`~repro.trace.compiled.CompiledTrace`; anything else is
+    compiled first) to ``run`` as one run of rows, credit the day to
+    ``metrics`` from the outcome codes, and stamp each cache of
     ``streams`` with its end-of-day occupancy, into its collector (a day
     the clock re-enters is stamped again: the last close wins).  A
-    topology is whatever ``access`` routes the request through, and it
-    records its own inner collectors.  Returns the outcome counts.
-    """
+    topology is whatever ``run`` routes the rows through, and it records
+    its own inner collectors.  Returns the outcome counts."""
+    trace = compile_trace(trace)
     counts = [0] * len(OUTCOMES)
-    bytes_requested = bytes_hit = 0
-    day = None
-    day_start = day_end = 0.0  # empty, so the first request opens a day
-    for request in trace:
-        timestamp = request.timestamp
-        if not day_start <= timestamp < day_end:
-            _close_day(day, metrics, streams, counts, bytes_requested, bytes_hit)
-            day = int(timestamp // 86400)
-            day_start, day_end = day * 86400.0, (day + 1) * 86400.0
-        code = access(request)
-        counts[code] += 1
-        size = request.size
-        bytes_requested += size
-        if code == HIT:
-            bytes_hit += size
-    _close_day(day, metrics, streams, counts, bytes_requested, bytes_hit)
+    codes = bytearray()
+    for day, start, stop in trace.day_slices:
+        sizes = trace.sizes[start:stop]
+        run(trace.urls[start:stop], sizes, trace.stamps[start:stop],
+            trace.types[start:stop], codes)
+        metrics.credit(day, sizes, codes)
+        counts = [count + codes.count(code) for code, count in enumerate(counts)]
+        for collector, cache in streams:
+            collector.occupancy[day] = (cache.used_bytes, len(cache))
+        codes.clear()
     return Counter({
         OUTCOMES[code]: count for code, count in enumerate(counts) if count
     })
 
 
-def _close_day(day, metrics, streams, counts, bytes_requested, bytes_hit):
-    if day is None:  # no day is open before the first request
-        return
-    metrics.advance_to(
-        day, sum(counts), counts[HIT], bytes_requested, bytes_hit,
-    )
-    for collector, cache in streams:
-        collector.occupancy[day] = (cache.used_bytes, len(cache))
-
-
-def _access(
-    cache: SimCache, every: int, channel, hit_positions: List,
-) -> Callable[[Request], int]:
-    """``cache.access_code`` itself, unless it must also sample every
+def _run(cache: SimCache, every: int, channel, hit_positions: List) -> Run:
+    """``cache.access_run`` itself, unless it must also sample every
     ``every``-th hit's position in the removal order into
     ``hit_positions`` or stream each eviction to ``channel`` at debug
-    level: then a closure doing that work around it."""
-    plain = cache.access_code
+    level: then a run doing that work around it, a row at a time."""
+    plain = cache.access_run
     # Victims are collected only when someone reads them.
     evicted = (
         [] if channel is not None and channel.enabled_for("debug") else None
@@ -161,28 +147,23 @@ def _access(
         return plain
     hit_count = 0
 
-    def access(request: Request) -> int:
+    def run(urls, sizes, stamps, types, codes) -> None:
         nonlocal hit_count
-        code = plain(request, None, evicted)
-        if code == HIT:
-            if every:
-                hit_count += 1
-                if hit_count % every == 0:
-                    order = cache.removal_order()
-                    for position, entry in enumerate(order):
-                        if entry.url == request.url:
-                            hit_positions.append((position, len(order)))
-                            break
-        elif evicted:
-            for entry in evicted:
-                channel.debug(
-                    "evict", url=entry.url, size=entry.size,
-                    nref=entry.nref, for_url=request.url,
-                )
-            evicted.clear()
-        return code
+        for url, size, now, kind in zip(urls, sizes, stamps, types):
+            plain((url,), (size,), (now,), (kind,), codes, evicted)
+            if codes[-1] == HIT:
+                if every:
+                    hit_count += 1
+                    if hit_count % every == 0:
+                        order = [entry.url for entry in cache.removal_order()]
+                        hit_positions.append((order.index(url), len(order)))
+            elif evicted:
+                for entry in evicted:
+                    channel.debug("evict", url=entry.url, size=entry.size,
+                                  nref=entry.nref, for_url=url)
+                evicted.clear()
 
-    return access
+    return run
 
 
 def simulate(
@@ -225,7 +206,7 @@ def simulate(
     hit_positions = []
     channel = obs.channel("sim") if obs is not None else None
     every = track_positions_every if isinstance(cache.policy, KeyPolicy) else 0
-    access = _access(cache, max(every, 0), channel, hit_positions)
+    run = _run(cache, max(every, 0), channel, hit_positions)
     if profiler is None and obs is not None:
         profiler = obs.profiler
     if profiler is not None:
@@ -247,7 +228,7 @@ def simulate(
         if obs is not None else nullcontext()
     )
     with span:
-        outcomes = replay(trace, access, metrics, [(metrics, cache)])
+        outcomes = replay(trace, run, metrics, [(metrics, cache)])
     if profiler is not None:
         cache.set_phase_timer(None)
         profiler.record(

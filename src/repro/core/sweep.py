@@ -37,7 +37,7 @@ from concurrent.futures import (
     as_completed,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -134,11 +134,7 @@ class SimOptions:
     track_positions_every: int = 0
 
     def cache_fields(self) -> Dict[str, object]:
-        return {
-            "seed": self.seed,
-            "use_heap_index": self.use_heap_index,
-            "track_positions_every": self.track_positions_every,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -155,15 +151,14 @@ class SweepJob:
     name: str = ""
 
     def cache_fields(self, trace_hash: str) -> Dict[str, object]:
-        fields: Dict[str, object] = {
+        return {
             "engine": ENGINE_VERSION,
             "trace": trace_hash,
             "keys": list(self.spec.keys),
             "policy_name": self.spec.name,
             "capacity": self.capacity,
+            **self.options.cache_fields(),
         }
-        fields.update(self.options.cache_fields())
-        return fields
 
 
 def trace_fingerprint(trace: Sequence[Request]) -> str:
@@ -260,13 +255,10 @@ def record_to_result(record: dict) -> SimulationResult:
     written before the ``occupancy`` map existed rebuilds without stamps.
     """
     metrics = MetricsCollector()
-    for day, (requests, hits, bytes_requested, bytes_hit) in sorted(
+    for day, counts in sorted(
         record["days"].items(), key=lambda item: int(item[0]),
     ):
-        metrics.days[int(day)] = DayStats(
-            requests=requests, hits=hits,
-            bytes_requested=bytes_requested, bytes_hit=bytes_hit,
-        )
+        metrics.days[int(day)] = DayStats(*counts)
     for day, pair in record.get("occupancy", {}).items():
         metrics.occupancy[int(day)] = tuple(pair)
     (metrics.total_requests, metrics.total_hits,
@@ -725,10 +717,6 @@ class SweepReport:
         """Jobs finished on the in-process fallback path after the
         pool-retry budget was exhausted."""
         return self._count("repro_sweep_fallback_jobs_total")
-
-    def by_name(self) -> Dict[str, SimulationResult]:
-        """Results keyed by job display name (order-preserving)."""
-        return {jr.result.name: jr.result for jr in self.results}
 
     @property
     def simulated_requests(self) -> int:

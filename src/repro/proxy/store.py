@@ -37,7 +37,6 @@ from typing import Dict, Optional, Union
 from repro.core.cache import SimCache
 from repro.core.policy import RemovalPolicy
 from repro.durability import Journal, read_journal, rewrite_journal
-from repro.trace.record import Request
 
 __all__ = ["CachedDocument", "StoreStats", "StoreRecovery", "ProxyStore"]
 
@@ -248,15 +247,15 @@ class ProxyStore:
             if document is None:
                 self.stats.misses += 1
                 return None
-            now = self._clock() if now is None else now
-            # Drive the metadata cache through its hit path so ATIME/NREF
-            # (and any mutable-key index) stay correct.
-            self._cache.access_code(
-                Request(timestamp=max(0.0, now), url=url, size=document.size)
+            stamp = max(0.0, self._clock() if now is None else now)
+            # Drive the metadata cache through its hit path, as a one-row
+            # run, so ATIME/NREF (and any mutable-key index) stay correct.
+            self._cache.access_run(
+                (url,), (document.size,), (stamp,), (None,), bytearray(),
             )
             # Touches are not journaled (see module docstring); the
             # stamp still feeds the next compaction's recency metadata.
-            self._stamps[url] = max(0.0, now)
+            self._stamps[url] = stamp
             self.stats.hits += 1
             self.stats.bytes_served_from_cache += document.size
             return document
@@ -275,7 +274,10 @@ class ProxyStore:
             existing = self._bodies.pop(url, None)
             if existing is not None:
                 self._cache.remove(url)
-            self._cache.access_code(Request(stamp, url, document.size))
+            # A one-row run; admission classifies the URL's type.
+            self._cache.access_run(
+                (url,), (document.size,), (stamp,), (None,), bytearray(),
+            )
             if url not in self._cache:  # larger than the whole store
                 if existing is not None:  # and its old copy is gone too
                     self._stamps.pop(url, None)

@@ -12,6 +12,8 @@ Content-Type).  This subpackage provides:
   format lines.
 * :mod:`repro.trace.validation` -- the paper's Section 1.1 rules deciding
   which raw requests form the *valid* trace driving the simulation.
+* :mod:`repro.trace.compiled` -- the valid trace compiled once: its rows,
+  the columns and day slices every replay reads.
 * :mod:`repro.trace.reader` / :mod:`repro.trace.writer` -- streaming file IO.
 * :mod:`repro.trace.stats` -- workload characterisation used by the paper's
   Section 2.2 (Table 4, Figures 1, 2, 13 and 14).
@@ -30,6 +32,7 @@ from repro.trace.clf import (
     parse_clf_line,
     parse_clf_time,
 )
+from repro.trace.compiled import CompiledTrace, compile_trace
 from repro.trace.validation import TraceValidator, ValidationStats
 from repro.trace.reader import read_clf_file, read_clf_lines
 from repro.trace.writer import write_clf_file, write_clf_lines
@@ -65,6 +68,8 @@ __all__ = [
     "format_clf_line",
     "parse_clf_line",
     "parse_clf_time",
+    "CompiledTrace",
+    "compile_trace",
     "TraceValidator",
     "ValidationStats",
     "read_clf_file",

@@ -22,8 +22,9 @@ use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, Optional
 
+from repro.trace.compiled import CompiledTrace
 from repro.trace.record import Request
 
 __all__ = ["ValidationStats", "TraceValidator"]
@@ -105,6 +106,7 @@ class TraceValidator:
             if valid is not None:
                 yield valid
 
-    def validate(self, requests: Iterable[Request]) -> List[Request]:
-        """Materialise the valid trace for a raw request sequence."""
-        return list(self.iter_valid(requests))
+    def validate(self, requests: Iterable[Request]) -> CompiledTrace:
+        """Materialise the valid trace for a raw request sequence,
+        compiled once for every replay over it."""
+        return CompiledTrace(self.iter_valid(requests))

@@ -28,6 +28,7 @@ from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.trace.record import DocumentType, Request, TraceMetadata
+from repro.trace.compiled import CompiledTrace
 from repro.trace.validation import TraceValidator
 from repro.workloads.calendars import diurnal_offset
 from repro.workloads.catalog import Catalog, Column, Document, build_catalog
@@ -50,7 +51,7 @@ class GeneratedTrace:
     catalog: Catalog
     metadata: TraceMetadata
 
-    def valid(self) -> List[Request]:
+    def valid(self) -> CompiledTrace:
         """The validated trace (Section 1.1 rules applied)."""
         return TraceValidator().validate(self.raw)
 
@@ -312,7 +313,7 @@ def generate_valid(
     profile: Union[WorkloadProfile, str],
     seed: int = 0,
     scale: float = 1.0,
-) -> List[Request]:
+) -> CompiledTrace:
     """Synthesise one workload and return the validated trace the
     simulator consumes."""
     return generate(profile, seed=seed, scale=scale).valid()

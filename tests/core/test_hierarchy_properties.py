@@ -66,7 +66,7 @@ def test_partitioned_accounting(trace, capacity):
         partitions,
         classify=lambda r: "even" if len(r.url) % 2 == 0 else "odd",
     )
-    replay(trace, cache.access_code, cache.overall, [])
+    replay(trace, cache.access_run, cache.overall, [])
     class_hits = sum(
         collector.total_hits for collector in cache.class_metrics.values()
     )

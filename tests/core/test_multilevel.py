@@ -99,9 +99,9 @@ class TestSharedSecondLevel:
     def test_interleaves_by_timestamp(self):
         seen = []
         class Spy(SimCache):
-            def access_code(self, request, now=None, evicted=None):
-                seen.append(request.timestamp)
-                return super().access_code(request, now, evicted)
+            def access_run(self, urls, sizes, stamps, types, codes, evicted=None):
+                seen.extend(stamps)
+                super().access_run(urls, sizes, stamps, types, codes, evicted)
         traces = {
             "a": [req(0, "x", 10), req(10, "y", 10)],
             "b": [req(5, "z", 10)],

@@ -67,7 +67,7 @@ class TestPartitionedCache:
             req(1, AUDIO, 100),   # audio hit
             req(2, PAGE, 100),
             req(3, PAGE, 100),    # non-audio hit
-        ], cache.access_code, cache.overall, [])
+        ], cache.access_run, cache.overall, [])
         audio = cache.class_metrics["audio"]
         assert audio.total_requests == 4
         assert audio.total_hits == 1

@@ -35,6 +35,29 @@ class TestBasics:
         store = ProxyStore(capacity=1000)
         assert not store.put(CachedDocument(url="u", body=b""))
 
+    def test_get_and_put_build_no_request(self, monkeypatch):
+        """The store drives its cache as one-row runs of (url, size,
+        stamp); the URL's type is classified once, when it is stored."""
+        import repro.core.cache as cache_module
+        from repro.trace import Request
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Request was built")
+
+        classified = []
+        classify = cache_module.classify_url
+        monkeypatch.setattr(Request, "__init__", refuse)
+        monkeypatch.setattr(
+            cache_module, "classify_url",
+            lambda url: classified.append(url) or classify(url),
+        )
+        store = ProxyStore(capacity=1000)
+        assert store.put(doc("http://s/a.gif", 100), now=1.0)
+        for now in (2.0, 3.0, 4.0):
+            assert store.get("http://s/a.gif", now=now) is not None
+        assert classified == ["http://s/a.gif"]
+        assert store._cache.get("http://s/a.gif").nref == 4
+
     def test_used_bytes_tracks_bodies(self):
         store = ProxyStore(capacity=1000)
         store.put(doc("a", 100))

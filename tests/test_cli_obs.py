@@ -192,8 +192,21 @@ class TestSweepResume:
         empty.mkdir()
         assert main(self.SWEEP + ["--resume", str(empty)]) == 0
         out = capsys.readouterr().out
-        assert "0 hits / 36 misses" in out
+        assert "result cache off" in out
         assert "resumed from checkpoint" not in out
+
+    def test_resume_without_a_result_cache_says_it_is_off(
+        self, tmp_path, capsys,
+    ):
+        checkpoint = tmp_path / "ck"
+        assert main(
+            self.SWEEP + ["--checkpoint-dir", str(checkpoint)]
+        ) == 0
+        capsys.readouterr()
+        assert main(self.SWEEP + ["--resume", str(checkpoint)]) == 0
+        out = capsys.readouterr().out
+        assert "result cache off, 36 resumed from checkpoint" in out
+        assert "misses" not in out
 
     def test_real_checkpoint_resumes_every_job(self, tmp_path, capsys):
         checkpoint = tmp_path / "ck"

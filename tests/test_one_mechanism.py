@@ -12,8 +12,9 @@ the only signal handler besides the sweep's checkpointing drain);
 ``repro.proxy.fleet`` wires the one fleet from one shard spec; and
 ``repro.obs.telemetry`` renders the one fleet dashboard while
 ``repro.obs.summarize`` formats the one fleet verdict line;
-``repro.core.simulator.replay`` is the one replay loop, each simulated
-topology is its own result, and ``repro.trace.tools`` owns the one
+``repro.core.simulator.replay`` is the one replay loop, over the day
+slices a ``CompiledTrace`` cuts once, ``SimCache.access_run`` the one
+access path, each simulated topology is its own result, and ``repro.trace.tools`` owns the one
 timestamp merge; ``SimCache._make_room`` is the one eviction loop and
 ``HeapIndex.pop_head`` is reached from it alone, while each sort key's
 value is one expression that ``KeyPolicy`` compiles into its sort value
@@ -29,6 +30,7 @@ from the shared one (as the router's deadline-less head reader once
 did).
 """
 
+import ast
 from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "repro"
@@ -123,11 +125,84 @@ def test_one_fleet_dashboard_and_verdict_line():
 
 
 def test_one_replay_loop():
-    """Only ``replay`` tests day boundaries, and no module replays
-    through the allocating ``SimCache.access``."""
-    assert files_containing("day_end") == ["core/simulator.py"]
+    """Only ``CompiledTrace`` tests day boundaries (once a trace, into
+    the day slices), only ``replay`` walks those slices, and no module
+    replays through the allocating ``SimCache.access``."""
+    assert files_containing("day_end") == ["trace/compiled.py"]
+    assert files_containing(".day_slices") == [
+        "core/simulator.py", "trace/compiled.py",
+    ]
     assert files_containing(".access(request") == []
     assert files_containing("AccessResult(") == ["core/cache.py"]
+
+
+def _functions_using(tree, names):
+    """``(function, name)`` for each read of one of ``names``, by the
+    innermost function around it (``None`` at module level)."""
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Name) and node.id in names
+            and isinstance(node.ctx, ast.Load)
+        ):
+            found.add((function, node.id))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def _parse(relative):
+    return ast.parse((SRC / relative).read_text(encoding="utf-8"))
+
+
+def test_the_section_1_1_rules_are_written_once():
+    """``SimCache.access_run`` is the one access path: the only code that
+    yields a modified or too-large miss code; ``access_code`` is a
+    one-row run and ``access`` wraps it; and no simulator or analysis
+    module calls ``access_code`` a request at a time in a loop."""
+    rules = {"MISS_MODIFIED", "MISS_TOO_LARGE"}
+    producers = {
+        (str(path.relative_to(SRC)), function)
+        for path in SRC.rglob("*.py")
+        for function, _ in _functions_using(
+            ast.parse(path.read_text(encoding="utf-8")), rules,
+        )
+    }
+    assert producers == {("core/cache.py", "access_run")}
+
+    methods = {
+        node.name: node for node in ast.walk(_parse("core/cache.py"))
+        if isinstance(node, ast.FunctionDef)
+    }
+
+    def calls(method):
+        return {
+            node.func.attr for node in ast.walk(methods[method])
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+        }
+
+    assert "access_run" in calls("access_code")
+    assert "access_code" in calls("access")
+
+    loops = (ast.For, ast.While, ast.ListComp, ast.GeneratorExp, ast.SetComp,
+             ast.DictComp)
+    per_request = [
+        str(path.relative_to(SRC))
+        for package in ("core", "analysis")
+        for path in sorted((SRC / package).rglob("*.py"))
+        for loop in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(loop, loops)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "access_code"
+    ]
+    assert per_request == []
 
 
 def test_one_object_per_topology_and_one_merge():
