@@ -12,43 +12,14 @@
   with error bars (all six primary keys in one trace pass).
 """
 
-from repro.analysis.figures import FigureSeries
-from repro.analysis.report import render_series_summary, render_table
-from repro.analysis.compare import Claim, ClaimCheck, check_claims
-from repro.analysis.gnuplot import export_figure, write_dat, write_script
-from repro.analysis.statistics import (
-    PairedComparison,
-    bootstrap_ci,
-    paired_daily_difference,
-)
-from repro.analysis.sweeps import (
-    capacity_sweep,
-    miss_ratio_curve,
-    sampled_miss_ratio_curve,
-)
-from repro.analysis.mrc import (
-    MRCPoint,
-    MRCResult,
-    single_pass_mrc,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FigureSeries",
-    "render_series_summary",
-    "render_table",
-    "Claim",
-    "ClaimCheck",
-    "check_claims",
-    "export_figure",
-    "write_dat",
-    "write_script",
-    "PairedComparison",
-    "bootstrap_ci",
-    "paired_daily_difference",
-    "capacity_sweep",
-    "miss_ratio_curve",
-    "sampled_miss_ratio_curve",
-    "MRCPoint",
-    "MRCResult",
-    "single_pass_mrc",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "figures": "FigureSeries",
+    "report": "render_series_summary render_table",
+    "compare": "Claim ClaimCheck check_claims",
+    "gnuplot": "export_figure write_dat write_script",
+    "statistics": "PairedComparison bootstrap_ci paired_daily_difference",
+    "sweeps": "capacity_sweep miss_ratio_curve sampled_miss_ratio_curve",
+    "mrc": "MRCPoint MRCResult single_pass_mrc",
+})

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import TYPE_CHECKING, Iterable, List, Sequence
 
-from repro.analysis.figures import FigureSeries
+if TYPE_CHECKING:  # a table renderer must not load the figure builders
+    from repro.analysis.figures import FigureSeries
 
 __all__ = ["render_table", "render_series_summary", "ascii_plot"]
 

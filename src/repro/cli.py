@@ -54,28 +54,9 @@ import threading
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Tuple
 
-from repro.analysis.report import render_table
-from repro.analysis.tables import render_policy_ranking, render_table4
-from repro.core.experiments import (
-    max_needed_for,
-    primary_key_sweep,
-    run_infinite_cache,
-    run_partitioned_sweep,
-    run_policy,
-    run_two_level,
-    secondary_key_sweep,
-)
 from repro.core.literature import literature_policies
 from repro.core.policy import RemovalPolicy, policy_from_names
 from repro.obs.events import LEVELS
-from repro.trace import (
-    TraceValidator,
-    read_clf_file,
-    summarize,
-    write_clf_file,
-)
-from repro.trace.stats import server_rank_series, zipf_slope
-from repro.workloads import PROFILES, generate, generate_valid
 
 __all__ = ["CommandError", "main", "parse_capacity", "parse_policy"]
 
@@ -201,7 +182,8 @@ def _load_trace(args: argparse.Namespace, validator=None,
     counters say why).
     """
     if args.trace:
-        from repro.trace.reader import IngestStats
+        from repro.trace.reader import IngestStats, read_clf_file
+        from repro.trace.validation import TraceValidator
 
         ingest = IngestStats()
         validator = validator if validator is not None else TraceValidator()
@@ -219,6 +201,8 @@ def _load_trace(args: argparse.Namespace, validator=None,
             )
         label = args.trace
     else:
+        from repro.workloads.generator import generate_valid
+
         valid = generate_valid(args.workload, seed=args.seed, scale=args.scale)
         label = f"workload {args.workload} at scale {args.scale}"
     if not valid and not allow_empty:
@@ -328,6 +312,9 @@ def _export_obs(obs, args: argparse.Namespace) -> None:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from repro.trace.writer import write_clf_file
+    from repro.workloads.generator import generate
+
     generated = generate(args.workload, seed=args.seed, scale=args.scale)
     count = write_clf_file(
         args.out, generated.raw, epoch=args.epoch, augmented=args.augmented,
@@ -338,6 +325,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_characterize(args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_table
+    from repro.analysis.tables import render_table4
+    from repro.trace.stats import server_rank_series, summarize, zipf_slope
+    from repro.trace.validation import TraceValidator
+
     validator = TraceValidator()
     valid, _ = _load_trace(args, validator=validator, allow_empty=True)
     print(render_table(
@@ -369,6 +361,9 @@ def cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_table
+    from repro.core.experiments import run_infinite_cache, run_policy
+
     valid, _ = _load_trace(args)
     infinite = run_infinite_cache(valid)
     if args.capacity is not None:
@@ -405,6 +400,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_table
+    from repro.analysis.tables import render_policy_ranking
+    from repro.core.experiments import (
+        primary_key_sweep,
+        run_infinite_cache,
+        run_partitioned_sweep,
+        run_two_level,
+        secondary_key_sweep,
+    )
+
     trace, label = _load_trace(args)
     infinite = run_infinite_cache(trace, args.workload)
     print(
@@ -507,7 +512,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run the full 36-policy taxonomy grid through the sweep engine."""
-    from repro.core.experiments import grid_jobs, taxonomy_specs
+    from repro.analysis.report import render_table
+    from repro.core.experiments import (
+        grid_jobs,
+        max_needed_for,
+        taxonomy_specs,
+    )
     from repro.core.sweep import SweepInterrupted, result_to_record, run_sweep
     from repro.durability import ManifestError
 
@@ -641,7 +651,9 @@ def cmd_proxy(args: argparse.Namespace) -> int:
 
 def cmd_mrc(args: argparse.Namespace) -> int:
     """Print miss-ratio curves for one or more policies over a trace."""
+    from repro.analysis.report import render_table
     from repro.analysis.sweeps import miss_ratio_curve
+    from repro.core.experiments import max_needed_for
 
     valid, _ = _load_trace(args)
     max_needed = max_needed_for(valid)
@@ -685,6 +697,7 @@ def _cmd_mrc_single_pass(args, valid, max_needed, fractions) -> int:
     one trace pass, with error bars, optionally exported as checksummed
     JSONL."""
     from repro.analysis.mrc import single_pass_mrc, write_curves
+    from repro.analysis.report import render_table
     from repro.core.keys import key_by_name
 
     keys = None
@@ -733,6 +746,7 @@ def _cmd_mrc_single_pass(args, valid, max_needed, fractions) -> int:
 
 def cmd_clone(args: argparse.Namespace) -> int:
     """Calibrate a profile from a real trace and synthesise a stand-in."""
+    from repro.trace.writer import write_clf_file
     from repro.workloads.calibrate import profile_from_trace
     from repro.workloads.generator import WorkloadGenerator
 
@@ -999,6 +1013,8 @@ def _trace_source(parser, seed: Optional[int] = None,
     given ``scale``, ``--workload`` at ``--scale`` is synthesised when
     the file is omitted, or always without ``file``.  ``--seed`` is
     declared only for a command that reads one."""
+    from repro.workloads.profiles import PROFILES
+
     if not file:
         parser.set_defaults(trace="")
     elif scale is None:
@@ -1090,6 +1106,8 @@ def _shard_flags(parser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the full ``python -m repro`` argument parser."""
+    from repro.workloads.profiles import PROFILES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(

@@ -14,181 +14,44 @@ See :mod:`repro.core.experiments` for runners matching the paper's four
 experiments.
 """
 
-from repro.core.entry import CacheEntry
-from repro.core.keys import (
-    ALL_KEYS,
-    ATIME,
-    DAY_ATIME,
-    ETIME,
-    LATENCY,
-    LOG2SIZE,
-    NREF,
-    RANDOM,
-    SIZE,
-    TAXONOMY_KEYS,
-    TTL,
-    TYPE_PRIORITY,
-    SortKey,
-    key_by_name,
-)
-from repro.core.policy import (
-    DynamicPolicy,
-    KeyPolicy,
-    RemovalPolicy,
-    policy_from_names,
-    taxonomy_policies,
-)
-from repro.core.literature import (
-    LRUMin,
-    PitkowRecker,
-    fifo,
-    hyper_g,
-    lfu,
-    literature_policies,
-    lru,
-    size_policy,
-)
-from repro.core.cache import (
-    AccessOutcome,
-    AccessResult,
-    HeapIndex,
-    NaiveIndex,
-    SimCache,
-)
-from repro.core.metrics import (
-    DayStats,
-    MetricsCollector,
-    moving_average,
-    ratio_series,
-    series_mean,
-)
-from repro.core.simulator import SimulationResult, replay, simulate
-from repro.core.sweep import (
-    ENGINE_VERSION,
-    PolicySpec,
-    ResultCache,
-    SimOptions,
-    SweepJob,
-    SweepReport,
-    run_sweep,
-    trace_fingerprint,
-)
-from repro.core.multilevel import (
-    SharedSecondLevel,
-    TwoLevelCache,
-    simulate_shared_second_level,
-    simulate_two_level,
-)
-from repro.core.partitioned import (
-    PartitionedCache,
-    audio_partition,
-    simulate_partitioned,
-)
-from repro.core.adaptive import (
-    GreedyDualSize,
-    gds_byte_cost,
-    gds_hit_cost,
-)
-from repro.core.offline import next_reference_indexes, simulate_clairvoyant
-from repro.core.consistency_sim import (
-    ConsistencyReport,
-    ConsistencyStrategy,
-    simulate_consistency,
-)
-from repro.core.cooperative import (
-    CooperativeGroup,
-    simulate_cooperative,
-)
-from repro.core.periodic import PeriodicRemovalCache
-from repro.core.persistence import (
-    load_cache,
-    restore_cache,
-    save_cache,
-    snapshot_cache,
-)
-from repro.core.ttl import (
-    DEFAULT_TYPE_TTLS,
-    expired_first_policy,
-    fixed_ttl,
-    type_based_ttl,
-)
-from repro.core import experiments
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CacheEntry",
-    "ALL_KEYS",
-    "ATIME",
-    "DAY_ATIME",
-    "ETIME",
-    "LATENCY",
-    "LOG2SIZE",
-    "NREF",
-    "RANDOM",
-    "SIZE",
-    "TAXONOMY_KEYS",
-    "TTL",
-    "TYPE_PRIORITY",
-    "SortKey",
-    "key_by_name",
-    "DynamicPolicy",
-    "KeyPolicy",
-    "RemovalPolicy",
-    "policy_from_names",
-    "taxonomy_policies",
-    "LRUMin",
-    "PitkowRecker",
-    "fifo",
-    "hyper_g",
-    "lfu",
-    "literature_policies",
-    "lru",
-    "size_policy",
-    "AccessOutcome",
-    "AccessResult",
-    "HeapIndex",
-    "NaiveIndex",
-    "SimCache",
-    "DayStats",
-    "MetricsCollector",
-    "moving_average",
-    "ratio_series",
-    "series_mean",
-    "SimulationResult",
-    "replay",
-    "simulate",
-    "ENGINE_VERSION",
-    "PolicySpec",
-    "ResultCache",
-    "SimOptions",
-    "SweepJob",
-    "SweepReport",
-    "run_sweep",
-    "trace_fingerprint",
-    "SharedSecondLevel",
-    "TwoLevelCache",
-    "simulate_shared_second_level",
-    "simulate_two_level",
-    "PartitionedCache",
-    "audio_partition",
-    "simulate_partitioned",
-    "GreedyDualSize",
-    "gds_byte_cost",
-    "gds_hit_cost",
-    "next_reference_indexes",
-    "simulate_clairvoyant",
-    "ConsistencyReport",
-    "ConsistencyStrategy",
-    "simulate_consistency",
-    "CooperativeGroup",
-    "simulate_cooperative",
-    "PeriodicRemovalCache",
-    "load_cache",
-    "restore_cache",
-    "save_cache",
-    "snapshot_cache",
-    "DEFAULT_TYPE_TTLS",
-    "expired_first_policy",
-    "fixed_ttl",
-    "type_based_ttl",
-    "experiments",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "entry": "CacheEntry",
+    "keys": (
+        "ALL_KEYS ATIME DAY_ATIME ETIME LATENCY LOG2SIZE NREF RANDOM SIZE "
+        "TAXONOMY_KEYS TTL TYPE_PRIORITY SortKey key_by_name"
+    ),
+    "policy": (
+        "DynamicPolicy KeyPolicy RemovalPolicy policy_from_names "
+        "taxonomy_policies"
+    ),
+    "literature": (
+        "LRUMin PitkowRecker fifo hyper_g lfu literature_policies lru "
+        "size_policy"
+    ),
+    "cache": "AccessOutcome AccessResult HeapIndex NaiveIndex SimCache",
+    "metrics": (
+        "DayStats MetricsCollector moving_average ratio_series series_mean"
+    ),
+    "simulator": "SimulationResult replay simulate",
+    "sweep": (
+        "ENGINE_VERSION PolicySpec ResultCache SimOptions SweepJob "
+        "SweepReport run_sweep trace_fingerprint"
+    ),
+    "multilevel": (
+        "SharedSecondLevel TwoLevelCache simulate_shared_second_level "
+        "simulate_two_level"
+    ),
+    "partitioned": "PartitionedCache audio_partition simulate_partitioned",
+    "adaptive": "GreedyDualSize gds_byte_cost gds_hit_cost",
+    "offline": "next_reference_indexes simulate_clairvoyant",
+    "consistency_sim": (
+        "ConsistencyReport ConsistencyStrategy simulate_consistency"
+    ),
+    "cooperative": "CooperativeGroup simulate_cooperative",
+    "periodic": "PeriodicRemovalCache",
+    "persistence": "load_cache restore_cache save_cache snapshot_cache",
+    "ttl": "DEFAULT_TYPE_TTLS expired_first_policy fixed_ttl type_based_ttl",
+    "experiments": "experiments",
+})

@@ -15,10 +15,12 @@ problem 3, answered here for the peer topology.
 
 from __future__ import annotations
 
+from itertools import compress, groupby, islice
 from typing import Callable, Dict, Sequence
 
 from repro.core.cache import HIT, SimCache
 from repro.core.metrics import MetricsCollector
+from repro.core.simulator import replay
 from repro.trace.record import Request
 from repro.trace.tools import merge_tagged
 
@@ -51,29 +53,45 @@ class CooperativeGroup:
         self.total_requests = 0
 
     def access(self, member: str, request: Request) -> str:
-        """Process one request; returns ``"local"``, ``"sibling"`` or
-        ``"origin"``."""
+        """Process one request, a one-row :meth:`access_run`; returns
+        ``"local"``, ``"sibling"`` or ``"origin"``."""
+        codes, found = bytearray(), self.sibling_hits.get(member)
+        self.access_run(member, (request.url,), (request.size,),
+                        (request.timestamp,), (request.doc_type,), codes)
+        if codes[0] == HIT:
+            return "local"
+        return "sibling" if self.sibling_hits[member] > found else "origin"
+
+    def access_run(self, member: str, urls, sizes, stamps, types,
+                   codes: bytearray) -> None:
+        """Process a stretch of ``member``'s requests on one day (as
+        columns), appending each row's local outcome code to ``codes``.
+
+        The siblings are only read, never touched, so the member's cache
+        answers the whole stretch as one run; each local miss then looks
+        for a sibling copy.  The local access already admitted the
+        document: what remains is *where the bytes came from*.
+        """
         try:
             cache = self.caches[member]
         except KeyError:
             raise KeyError(f"unknown group member {member!r}") from None
-        self.total_requests += 1
-        hit = cache.access_code(request) == HIT
-        self.local_metrics[member].record(request, hit)
-        if hit:
-            return "local"
-        # The local access above already admitted the document; what
-        # remains is deciding *where the bytes came from*: a sibling copy
-        # or the origin.
-        for name, sibling in self.caches.items():
-            if name == member:
-                continue
-            entry = sibling.get(request.url)
-            if entry is not None and entry.size == request.size:
-                self.sibling_hits[member] += 1
-                return "sibling"
-        self.origin_fetches[member] += 1
-        return "origin"
+        mark = len(codes)
+        cache.access_run(urls, sizes, stamps, types, codes)
+        missed = codes[mark:]
+        self.total_requests += len(missed)
+        self.local_metrics[member].credit(int(stamps[0] // 86400), sizes,
+                                          missed)
+        siblings = [c for name, c in self.caches.items() if name != member]
+        found = 0
+        for url, size in compress(zip(urls, sizes), missed):
+            for sibling in siblings:
+                entry = sibling.get(url)
+                if entry is not None and entry.size == size:
+                    found += 1
+                    break
+        self.sibling_hits[member] += found
+        self.origin_fetches[member] += len(missed) - missed.count(HIT) - found
 
     @property
     def group_hit_rate(self) -> float:
@@ -105,6 +123,18 @@ def simulate_cooperative(
     group = CooperativeGroup({
         name: cache_factory(name) for name in traces
     })
-    for name, request in merge_tagged(traces):
-        group.access(name, request)
+    merged = list(merge_tagged(traces))
+    names = iter([name for name, _ in merged])
+
+    def run(urls, sizes, stamps, types, codes) -> None:
+        # A stretch of one member's rows is one run: the siblings it
+        # reads do not change until another member's row.
+        start = 0
+        for name, stretch in groupby(islice(names, len(urls))):
+            rows = slice(start, start + len(list(stretch)))
+            group.access_run(name, urls[rows], sizes[rows], stamps[rows],
+                             types[rows], codes)
+            start = rows.stop
+
+    replay([request for _, request in merged], run, MetricsCollector(), [])
     return group

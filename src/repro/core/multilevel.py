@@ -15,7 +15,7 @@ cache, measuring cross-workload commonality.
 
 from __future__ import annotations
 
-from itertools import compress, groupby, islice
+from itertools import compress, islice
 from typing import Dict, Iterable, Optional, Sequence
 
 from repro.core.cache import HIT, SimCache
@@ -55,20 +55,14 @@ class TwoLevelCache:
         """Answer one day's run of rows (as :func:`replay` passes them),
         appending L1's outcome codes; L2 then answers the run of L1's
         misses, in order."""
-        mark = len(codes)
+        mark, day = len(codes), int(stamps[0] // 86400)
         self.l1_cache.access_run(urls, sizes, stamps, types, codes)
-        missed = codes[mark:]  # nonzero where L1 missed the row
-        rows = [list(compress(column, missed))
-                for column in (urls, sizes, stamps, types)]
-        miss_sizes, l2_codes = rows[1], bytearray()
-        self.l2_cache.access_run(*rows, l2_codes)
-        day = int(stamps[0] // 86400)
+        miss_sizes, l2_codes = _second_level(
+            self.l2_cache, self.l2_metrics, day,
+            (urls, sizes, stamps, types), codes[mark:],
+        )
         if miss_sizes:
             self.l2_local_metrics.credit(day, miss_sizes, l2_codes)
-        # L2's rates are over every client request; L1's hits are L2 misses.
-        hit_bytes = sum(miss_sizes) - sum(compress(miss_sizes, l2_codes))
-        self.l2_metrics.add(day, len(sizes), l2_codes.count(HIT), sum(sizes),
-                            hit_bytes)
 
     @property
     def timeseries(self):
@@ -80,6 +74,21 @@ class TwoLevelCache:
         return recorder_from_collectors(
             [("l1", self.l1_metrics), ("l2", self.l2_metrics)]
         )
+
+
+def _second_level(l2: SimCache, l2_metrics: MetricsCollector, day: int,
+                  columns, missed: bytes):
+    """L2 answers the run of ``columns`` rows that L1 missed (``missed``
+    nonzero), in order, and ``l2_metrics`` is credited over every row:
+    L2's rates are over every client request, and L1's hits are L2
+    misses.  Returns the missed rows' sizes and L2's codes for them."""
+    rows = [list(compress(column, missed)) for column in columns]
+    miss_sizes, l2_codes, sizes = rows[1], bytearray(), columns[1]
+    l2.access_run(*rows, l2_codes)
+    hit_bytes = sum(miss_sizes) - sum(compress(miss_sizes, l2_codes))
+    l2_metrics.add(day, len(sizes), l2_codes.count(HIT), sum(sizes),
+                   hit_bytes)
+    return miss_sizes, l2_codes
 
 
 def simulate_two_level(
@@ -106,9 +115,9 @@ def simulate_two_level(
 class SharedSecondLevel:
     """Several per-workload L1 caches sharing one L2 (open problem 3).
 
-    Each workload runs through its own :class:`TwoLevelCache` over the
-    one shared ``l2_cache``, and all of them count into the one
-    ``l2_metrics``.
+    Each workload has its own :class:`TwoLevelCache` (its L1 and its
+    collectors) over the one shared ``l2_cache``, and all of them count
+    into the one ``l2_metrics``.
     """
 
     def __init__(self, l1_caches: Dict[str, SimCache], l2_cache: SimCache) -> None:
@@ -154,17 +163,32 @@ def simulate_shared_second_level(
     keys = iter([key for key, _ in merged])
 
     def run(urls, sizes, stamps, types, codes) -> None:
-        # Each stretch of one workload's rows goes through its hierarchy,
-        # so the shared L2 sees every L1's misses in merged order.
-        day, start = int(stamps[0] // 86400), 0
-        for key, stretch in groupby(islice(keys, len(urls))):
-            rows = slice(start, start + len(list(stretch)))
-            hierarchy, mark = shared.hierarchies[key], len(codes)
-            hierarchy.access_run(
-                urls[rows], sizes[rows], stamps[rows], types[rows], codes,
+        # An L1 never consults L2, so each L1 answers its workload's rows
+        # of the day as one run; the shared L2 then answers every L1 miss
+        # in merged order.
+        day, tags = int(stamps[0] // 86400), list(islice(keys, len(urls)))
+        answers = {}
+        for key in dict.fromkeys(tags):
+            mine = [tag == key for tag in tags]
+            rows = [list(compress(column, mine))
+                    for column in (urls, sizes, stamps, types)]
+            hierarchy, own = shared.hierarchies[key], bytearray()
+            hierarchy.l1_cache.access_run(*rows, own)
+            hierarchy.l1_metrics.credit(day, rows[1], own)
+            answers[key] = iter(own)
+        mark = len(codes)
+        codes.extend(next(answers[tag]) for tag in tags)
+        missed = codes[mark:]
+        miss_sizes, l2_codes = _second_level(
+            l2, shared.l2_metrics, day, (urls, sizes, stamps, types), missed,
+        )
+        miss_tags = list(compress(tags, missed))
+        for key in dict.fromkeys(miss_tags):
+            mine = [tag == key for tag in miss_tags]
+            shared.hierarchies[key].l2_local_metrics.credit(
+                day, list(compress(miss_sizes, mine)),
+                bytes(compress(l2_codes, mine)),
             )
-            hierarchy.l1_metrics.credit(day, sizes[rows], codes[mark:])
-            start = rows.stop
 
     replay([request for _, request in merged], run, MetricsCollector(), [])
     return shared

@@ -31,12 +31,6 @@ import os
 import signal as _signal
 import time
 from collections import Counter
-from concurrent.futures import (
-    CancelledError,
-    ProcessPoolExecutor,
-    as_completed,
-)
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -990,6 +984,14 @@ def run_sweep(
 
         remaining = list(pending)
         if remaining and workers > 1:
+            # Only a parallel sweep pays for loading the process pool.
+            from concurrent.futures import (
+                CancelledError,
+                ProcessPoolExecutor,
+                as_completed,
+            )
+            from concurrent.futures.process import BrokenProcessPool
+
             kill_indices = (
                 frozenset(fault_plan.kill_indices())
                 if fault_plan is not None else frozenset()

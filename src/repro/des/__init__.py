@@ -11,13 +11,9 @@ This subpackage supplies the missing piece as an extension:
 slow origins to estimate the latency reduction a removal policy delivers.
 """
 
-from repro.des.engine import Event, EventLoop
-from repro.des.proxymodel import LatencyParameters, LatencyReport, estimate_latency
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Event",
-    "EventLoop",
-    "LatencyParameters",
-    "LatencyReport",
-    "estimate_latency",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "engine": "Event EventLoop",
+    "proxymodel": "LatencyParameters LatencyReport estimate_latency",
+})

@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
-from repro.core.cache import HIT, SimCache
+from repro.core.cache import HIT, MISS, SimCache
 from repro.des.engine import EventLoop
 from repro.obs.metrics import sample_quantile
+from repro.trace.compiled import compile_trace
 from repro.trace.record import Request
 
 __all__ = ["LatencyParameters", "LatencyReport", "estimate_latency"]
@@ -123,12 +124,17 @@ def estimate_latency(
     workers = [0.0] * parameters.servers
     heapq.heapify(workers)
 
-    for request in trace:
+    trace, codes = compile_trace(trace), bytearray()
+    if cache is not None:
+        # Arrivals reach the cache in trace order whatever the queueing,
+        # so the whole trace is one run.
+        cache.access_run(trace.urls, trace.sizes, trace.stamps, trace.types,
+                         codes)
+    else:
+        codes = bytes([MISS]) * len(trace)
+    for request, code in zip(trace, codes):
         arrival = request.timestamp / parameters.time_compression
-        if cache is not None:
-            hit = cache.access_code(request) == HIT
-        else:
-            hit = False
+        hit = code == HIT
         service = parameters.service_time(request.size, hit)
         report.requests += 1
         report.hits += hit

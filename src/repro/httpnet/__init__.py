@@ -25,40 +25,15 @@ This subpackage rebuilds that pipeline:
   and :class:`~repro.trace.record.Request` records (the filter side).
 """
 
-from repro.httpnet.message import (
-    HttpMessageError,
-    HttpRequest,
-    HttpResponse,
-    format_http_date,
-    parse_http_date,
-)
-from repro.httpnet.packets import (
-    Flow,
-    TcpSegment,
-    FlowAssembler,
-    packetize,
-)
-from repro.httpnet.sniffer import Sniffer, Transaction
-from repro.httpnet.logfilter import (
-    transaction_to_request,
-    transactions_to_clf,
-)
-from repro.httpnet.client import fetch, request
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HttpMessageError",
-    "HttpRequest",
-    "HttpResponse",
-    "format_http_date",
-    "parse_http_date",
-    "Flow",
-    "TcpSegment",
-    "FlowAssembler",
-    "packetize",
-    "Sniffer",
-    "Transaction",
-    "transaction_to_request",
-    "transactions_to_clf",
-    "fetch",
-    "request",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "message": (
+        "HttpMessageError HttpRequest HttpResponse format_http_date "
+        "parse_http_date"
+    ),
+    "packets": "Flow TcpSegment FlowAssembler packetize",
+    "sniffer": "Sniffer Transaction",
+    "logfilter": "transaction_to_request transactions_to_clf",
+    "client": "fetch request",
+})

@@ -1,15 +1,13 @@
-"""The fleet telemetry plane: trace propagation, rollups, SLO alerts.
+"""The fleet telemetry plane: span trees, rollups, SLO alerts.
 
 Three layers (DESIGN.md §13), all dependency-free:
 
-1. **Cross-process trace propagation** — a W3C-traceparent-style
-   ``X-Trace-Context`` header (:class:`TraceContext`) stamped by the
-   :class:`~repro.proxy.router.FleetRouter`, honoured by
-   :class:`~repro.proxy.server.CachingProxy` handlers and origin
-   fetches, so :class:`~repro.obs.tracing.Tracer` spans recorded in the
-   router, shard, and origin processes assemble into one tree
-   (:func:`assemble_span_tree`).  A malformed or missing header always
-   degrades to a fresh root span — propagation can never 500 a request.
+1. **Cross-process span trees** — the router, shard and origin carry a
+   W3C-traceparent-style ``X-Trace-Context`` header
+   (:class:`~repro.obs.tracing.TraceContext`, beside the
+   :class:`~repro.obs.tracing.Tracer` so a live tier loads neither this
+   module nor the aggregator's), and :func:`assemble_span_tree` joins
+   the spans the three processes record into one tree.
 
 2. **Rollup aggregation** — :class:`TelemetryAggregator` scrapes every
    shard's ``/metrics`` exposition on the supervisor's health cadence,
@@ -35,15 +33,12 @@ and stay out of every ``deterministic`` report section; the SLO
 
 from __future__ import annotations
 
-import os
-import re
 import threading
 import time as _time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.httpnet.message import get_header
 from repro.obs import Obs
 from repro.obs.catalog import fleet_metrics, telemetry_metrics
 from repro.obs.metrics import Registry, histogram_quantile
@@ -51,12 +46,6 @@ from repro.obs.summarize import parse_prometheus_text
 from repro.obs.timeseries import TimeSeriesRecorder
 
 __all__ = [
-    "TRACE_CONTEXT_HEADER",
-    "TRACE_ID_HEADER",
-    "TraceContext",
-    "continue_trace",
-    "extract_trace_context",
-    "set_trace_header",
     "assemble_span_tree",
     "snapshot_from_exposition",
     "SLOSpec",
@@ -68,110 +57,6 @@ __all__ = [
     "TelemetryAggregator",
     "render_dashboard_ascii",
 ]
-
-#: The propagation header: ``00-<32hex trace>-<16hex span>-<2hex hops>``
-#: (the W3C ``traceparent`` layout with the flags byte repurposed as a
-#: hop counter so a forwarding loop is self-evident in the header).
-TRACE_CONTEXT_HEADER = "X-Trace-Context"
-
-#: Response header carrying the request's trace id back to the client.
-TRACE_ID_HEADER = "X-Trace-Id"
-
-_TRACE_RE = re.compile(
-    r"^00-(?P<trace>[0-9a-f]{32})-(?P<span>[0-9a-f]{16})"
-    r"-(?P<hops>[0-9a-f]{2})$"
-)
-
-#: A context whose hop counter reached this is no longer forwarded as a
-#: parent — the chain restarts (loop guard, mirroring max forwards).
-MAX_HOPS = 255
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """One hop's identity on a request's path through the fleet.
-
-    ``trace_id`` names the whole request journey; ``span_id`` names this
-    process's hop; ``hops`` counts forwards so far.  Ids are random
-    (uniqueness matters, reproducibility explicitly does not — they are
-    measured data and never enter a deterministic report section).
-    """
-
-    trace_id: str
-    span_id: str
-    hops: int = 0
-
-    def header_value(self) -> str:
-        return f"00-{self.trace_id}-{self.span_id}-{self.hops:02x}"
-
-    @classmethod
-    def parse(cls, value: object) -> Optional["TraceContext"]:
-        """Parse a header value; ``None`` on *anything* malformed."""
-        if not isinstance(value, str):
-            return None
-        match = _TRACE_RE.match(value.strip().lower())
-        if match is None:
-            return None
-        return cls(
-            trace_id=match.group("trace"),
-            span_id=match.group("span"),
-            hops=int(match.group("hops"), 16),
-        )
-
-    @classmethod
-    def root(cls) -> "TraceContext":
-        """Mint a fresh context at the edge of the fleet."""
-        return cls(
-            trace_id=os.urandom(16).hex(),
-            span_id=os.urandom(8).hex(),
-            hops=0,
-        )
-
-    def child(self) -> "TraceContext":
-        """The next hop: same trace, fresh span id, hop count up."""
-        return TraceContext(
-            trace_id=self.trace_id,
-            span_id=os.urandom(8).hex(),
-            hops=min(self.hops + 1, MAX_HOPS),
-        )
-
-
-def extract_trace_context(headers: Dict[str, str]) -> Optional[TraceContext]:
-    """The inbound :class:`TraceContext`, or ``None`` when the header is
-    absent or malformed (case-insensitive header lookup)."""
-    return TraceContext.parse(get_header(headers, TRACE_CONTEXT_HEADER))
-
-
-def continue_trace(obs: Obs, name: str, request) -> Tuple[TraceContext, object]:
-    """This hop's context and its (not yet entered) ``name`` span.
-
-    The hop continues the request's trace when it carries a well-formed
-    ``X-Trace-Context`` and is a fresh root otherwise — a malformed
-    header parses to ``None``, never to an error response.
-    """
-    inbound = extract_trace_context(request.headers)
-    ctx = inbound.child() if inbound is not None else TraceContext.root()
-    return ctx, obs.span(
-        name,
-        url=request.url,
-        trace_id=ctx.trace_id,
-        ctx=ctx.span_id,
-        parent_ctx=inbound.span_id if inbound is not None else None,
-    )
-
-
-def set_trace_header(headers: Dict[str, str], ctx: TraceContext) -> None:
-    """Stamp ``ctx`` onto a header dict in place.
-
-    Any case-variant of the header already present (e.g. the lowercased
-    inbound copy a parsed request carries) is removed first, so a
-    forwarded request never carries two conflicting contexts.
-    """
-    wanted = TRACE_CONTEXT_HEADER.lower()
-    for name in [n for n in headers if n.lower() == wanted]:
-        del headers[name]
-    headers[TRACE_CONTEXT_HEADER] = ctx.header_value()
-
 
 def assemble_span_tree(spans: Sequence[dict], trace_id: str) -> List[dict]:
     """Assemble spans from any number of processes into one tree.

@@ -24,14 +24,32 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 import time
 from collections import deque
 from contextlib import nullcontext
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Union
+from typing import (
+    TYPE_CHECKING, Callable, Deque, Dict, Iterable, List, Optional, Tuple,
+    Union,
+)
 
-__all__ = ["SpanHandle", "Tracer"]
+if TYPE_CHECKING:
+    from repro.obs import Obs
+
+__all__ = [
+    "SpanHandle",
+    "Tracer",
+    "TRACE_CONTEXT_HEADER",
+    "TRACE_ID_HEADER",
+    "MAX_HOPS",
+    "TraceContext",
+    "continue_trace",
+    "extract_trace_context",
+    "set_trace_header",
+]
 
 
 class SpanHandle:
@@ -261,3 +279,123 @@ class Tracer:
             json.dumps(trace, sort_keys=True), encoding="utf-8",
         )
         return len(trace["traceEvents"])
+
+
+# -- cross-process trace context ----------------------------------------------
+#
+# The router stamps an ``X-Trace-Context`` header, shards and the origin
+# continue it, so spans recorded in each process assemble into one tree
+# (:func:`repro.obs.telemetry.assemble_span_tree`).  A malformed or
+# missing header always degrades to a fresh root span: propagation can
+# never 500 a request.
+
+
+#: The propagation header: ``00-<32hex trace>-<16hex span>-<2hex hops>``
+#: (the W3C ``traceparent`` layout with the flags byte repurposed as a
+#: hop counter so a forwarding loop is self-evident in the header).
+TRACE_CONTEXT_HEADER = "X-Trace-Context"
+
+#: Response header carrying the request's trace id back to the client.
+TRACE_ID_HEADER = "X-Trace-Id"
+
+_HEADER_KEY = TRACE_CONTEXT_HEADER.lower()
+
+_TRACE_RE = re.compile(
+    r"^00-(?P<trace>[0-9a-f]{32})-(?P<span>[0-9a-f]{16})"
+    r"-(?P<hops>[0-9a-f]{2})$"
+)
+
+#: A context whose hop counter reached this is no longer forwarded as a
+#: parent — the chain restarts (loop guard, mirroring max forwards).
+MAX_HOPS = 255
+
+
+@dataclass(frozen=True)
+class TraceContext:
+    """One hop's identity on a request's path through the fleet.
+
+    ``trace_id`` names the whole request journey; ``span_id`` names this
+    process's hop; ``hops`` counts forwards so far.  Ids are random
+    (uniqueness matters, reproducibility explicitly does not — they are
+    measured data and never enter a deterministic report section).
+    """
+
+    trace_id: str
+    span_id: str
+    hops: int = 0
+
+    def header_value(self) -> str:
+        return f"00-{self.trace_id}-{self.span_id}-{self.hops:02x}"
+
+    @classmethod
+    def parse(cls, value: object) -> Optional["TraceContext"]:
+        """Parse a header value; ``None`` on *anything* malformed."""
+        if not isinstance(value, str):
+            return None
+        match = _TRACE_RE.match(value.strip().lower())
+        if match is None:
+            return None
+        return cls(
+            trace_id=match.group("trace"),
+            span_id=match.group("span"),
+            hops=int(match.group("hops"), 16),
+        )
+
+    @classmethod
+    def root(cls) -> "TraceContext":
+        """Mint a fresh context at the edge of the fleet."""
+        return cls(
+            trace_id=os.urandom(16).hex(),
+            span_id=os.urandom(8).hex(),
+            hops=0,
+        )
+
+    def child(self) -> "TraceContext":
+        """The next hop: same trace, fresh span id, hop count up."""
+        return TraceContext(
+            trace_id=self.trace_id,
+            span_id=os.urandom(8).hex(),
+            hops=min(self.hops + 1, MAX_HOPS),
+        )
+
+
+def extract_trace_context(headers: Dict[str, str]) -> Optional[TraceContext]:
+    """The inbound :class:`TraceContext`, or ``None`` when the header is
+    absent or malformed (case-insensitive header lookup: a parsed
+    request's names are lowercase, a hand-built one's canonical)."""
+    value = headers.get(TRACE_CONTEXT_HEADER, headers.get(_HEADER_KEY))
+    if value is None:
+        value = next((
+            v for n, v in headers.items() if n.lower() == _HEADER_KEY
+        ), None)
+    return TraceContext.parse(value)
+
+
+def continue_trace(obs: Obs, name: str, request) -> Tuple[TraceContext, object]:
+    """This hop's context and its (not yet entered) ``name`` span.
+
+    The hop continues the request's trace when it carries a well-formed
+    ``X-Trace-Context`` and is a fresh root otherwise — a malformed
+    header parses to ``None``, never to an error response.
+    """
+    inbound = extract_trace_context(request.headers)
+    ctx = inbound.child() if inbound is not None else TraceContext.root()
+    return ctx, obs.span(
+        name,
+        url=request.url,
+        trace_id=ctx.trace_id,
+        ctx=ctx.span_id,
+        parent_ctx=inbound.span_id if inbound is not None else None,
+    )
+
+
+def set_trace_header(headers: Dict[str, str], ctx: TraceContext) -> None:
+    """Stamp ``ctx`` onto a header dict in place.
+
+    Any case-variant of the header already present (e.g. the lowercased
+    inbound copy a parsed request carries) is removed first, so a
+    forwarded request never carries two conflicting contexts.
+    """
+    for name in [n for n in headers if n.lower() == _HEADER_KEY]:
+        del headers[name]
+    headers[TRACE_CONTEXT_HEADER] = ctx.header_value()

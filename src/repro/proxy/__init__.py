@@ -27,23 +27,12 @@ cheap in a live server.
   driving calibrated workloads through real sockets.
 """
 
-from repro.proxy.consistency import ConsistencyEstimator, Freshness
-from repro.proxy.store import CachedDocument, ProxyStore, StoreStats
-from repro.proxy.origin import OriginServer, SyntheticSite
-from repro.proxy.overload import AdmissionController, OverloadPolicy
-from repro.proxy.server import CachingProxy, OriginError, ProxyStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConsistencyEstimator",
-    "Freshness",
-    "CachedDocument",
-    "ProxyStore",
-    "StoreStats",
-    "OriginServer",
-    "SyntheticSite",
-    "AdmissionController",
-    "OverloadPolicy",
-    "CachingProxy",
-    "OriginError",
-    "ProxyStats",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "consistency": "ConsistencyEstimator Freshness",
+    "store": "CachedDocument ProxyStore StoreStats",
+    "origin": "OriginServer SyntheticSite",
+    "overload": "AdmissionController OverloadPolicy",
+    "server": "CachingProxy OriginError ProxyStats",
+})

@@ -29,7 +29,6 @@ from repro.httpnet.client import request as _client_request
 from repro.httpnet.message import HttpMessageError, HttpRequest, get_header
 from repro.obs.metrics import sample_quantile
 from repro.retry import DEADLINE_HEADER
-from repro.workloads.generator import generate_valid
 
 __all__ = [
     "build_schedule",
@@ -59,6 +58,8 @@ def build_schedule(
     The validated trace is cycled if shorter than ``requests`` so the
     schedule length is exactly what the caller asked for.
     """
+    from repro.workloads.generator import generate_valid
+
     trace = generate_valid(profile, seed=seed, scale=scale)
     if not trace:
         raise ValueError(f"workload {profile!r} produced an empty trace")

@@ -16,7 +16,7 @@ from typing import Dict, Optional, Tuple
 from repro.httpnet.message import HttpRequest, HttpResponse, format_http_date
 from repro.httpnet.server import HttpServer
 from repro.obs import Obs
-from repro.obs.telemetry import continue_trace
+from repro.obs.tracing import continue_trace
 
 __all__ = ["SyntheticSite", "OriginServer"]
 

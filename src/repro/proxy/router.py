@@ -40,7 +40,7 @@ from repro.httpnet.message import (
 from repro.httpnet.server import HttpServer, error_response
 from repro.obs import Obs
 from repro.obs.catalog import fleet_metrics
-from repro.obs.telemetry import (
+from repro.obs.tracing import (
     TRACE_ID_HEADER,
     TraceContext,
     continue_trace,

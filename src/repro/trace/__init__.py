@@ -19,79 +19,25 @@ Content-Type).  This subpackage provides:
   Section 2.2 (Table 4, Figures 1, 2, 13 and 14).
 """
 
-from repro.trace.record import (
-    DocumentType,
-    Request,
-    TraceMetadata,
-    classify_extension,
-    classify_url,
-)
-from repro.trace.clf import (
-    CLFError,
-    format_clf_line,
-    parse_clf_line,
-    parse_clf_time,
-)
-from repro.trace.compiled import CompiledTrace, compile_trace
-from repro.trace.validation import TraceValidator, ValidationStats
-from repro.trace.reader import read_clf_file, read_clf_lines
-from repro.trace.writer import write_clf_file, write_clf_lines
-from repro.trace.stats import (
-    WorkloadSummary,
-    interreference_scatter,
-    server_rank_series,
-    size_histogram,
-    summarize,
-    type_distribution,
-    url_bytes_rank_series,
-)
-from repro.trace.sampling import sample_by_url, url_sample_rate_hash
-from repro.trace.tools import (
-    anonymize_clients,
-    filter_clients,
-    filter_days,
-    filter_servers,
-    filter_types,
-    merge_traces,
-    rebase_timestamps,
-    split_by_day,
-    split_by_type,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DocumentType",
-    "Request",
-    "TraceMetadata",
-    "classify_extension",
-    "classify_url",
-    "CLFError",
-    "format_clf_line",
-    "parse_clf_line",
-    "parse_clf_time",
-    "CompiledTrace",
-    "compile_trace",
-    "TraceValidator",
-    "ValidationStats",
-    "read_clf_file",
-    "read_clf_lines",
-    "write_clf_file",
-    "write_clf_lines",
-    "WorkloadSummary",
-    "interreference_scatter",
-    "server_rank_series",
-    "size_histogram",
-    "summarize",
-    "type_distribution",
-    "url_bytes_rank_series",
-    "anonymize_clients",
-    "filter_clients",
-    "filter_days",
-    "filter_servers",
-    "filter_types",
-    "merge_traces",
-    "rebase_timestamps",
-    "split_by_day",
-    "split_by_type",
-    "sample_by_url",
-    "url_sample_rate_hash",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "record": (
+        "DocumentType Request TraceMetadata classify_extension classify_url"
+    ),
+    "clf": "CLFError format_clf_line parse_clf_line parse_clf_time",
+    "compiled": "CompiledTrace compile_trace",
+    "validation": "TraceValidator ValidationStats",
+    "reader": "read_clf_file read_clf_lines",
+    "writer": "write_clf_file write_clf_lines",
+    "stats": (
+        "WorkloadSummary interreference_scatter server_rank_series "
+        "size_histogram summarize type_distribution url_bytes_rank_series"
+    ),
+    "sampling": "sample_by_url url_sample_rate_hash",
+    "tools": (
+        "anonymize_clients filter_clients filter_days filter_servers "
+        "filter_types merge_traces rebase_timestamps split_by_day "
+        "split_by_type"
+    ),
+})

@@ -11,62 +11,19 @@ Typical use::
     trace = generate_valid("BL", seed=42, scale=0.1)
 """
 
-from repro.workloads.zipf import ZipfSampler, zipf_weights
-from repro.workloads.sizes import DEFAULT_SHAPES, SizeModel, model_for_mean
-from repro.workloads.calendars import (
-    ActivityCalendar,
-    classroom_calendar,
-    diurnal_offset,
-    flat_calendar,
-    semester_calendar,
-    weekday_calendar,
-)
-from repro.workloads.catalog import Catalog, Document, build_catalog
-from repro.workloads.profiles import (
-    PROFILES,
-    TypeShareTarget,
-    WorkloadProfile,
-    profile,
-)
-from repro.workloads.generator import (
-    GeneratedTrace,
-    WorkloadGenerator,
-    generate,
-    generate_valid,
-)
-from repro.workloads.custom import make_profile
-from repro.workloads.calibrate import (
-    measure_same_day_locality,
-    profile_from_trace,
-)
-from repro.workloads.fidelity import FidelityReport, check_fidelity
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ZipfSampler",
-    "zipf_weights",
-    "DEFAULT_SHAPES",
-    "SizeModel",
-    "model_for_mean",
-    "ActivityCalendar",
-    "classroom_calendar",
-    "diurnal_offset",
-    "flat_calendar",
-    "semester_calendar",
-    "weekday_calendar",
-    "Catalog",
-    "Document",
-    "build_catalog",
-    "PROFILES",
-    "TypeShareTarget",
-    "WorkloadProfile",
-    "profile",
-    "GeneratedTrace",
-    "WorkloadGenerator",
-    "generate",
-    "generate_valid",
-    "make_profile",
-    "measure_same_day_locality",
-    "profile_from_trace",
-    "FidelityReport",
-    "check_fidelity",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "zipf": "ZipfSampler zipf_weights",
+    "sizes": "DEFAULT_SHAPES SizeModel model_for_mean",
+    "calendars": (
+        "ActivityCalendar classroom_calendar diurnal_offset flat_calendar "
+        "semester_calendar weekday_calendar"
+    ),
+    "catalog": "Catalog Document build_catalog",
+    "profiles": "PROFILES TypeShareTarget WorkloadProfile profile",
+    "generator": "GeneratedTrace WorkloadGenerator generate generate_valid",
+    "custom": "make_profile",
+    "calibrate": "measure_same_day_locality profile_from_trace",
+    "fidelity": "FidelityReport check_fidelity",
+})

@@ -97,19 +97,28 @@ class TestSharedSecondLevel:
         assert shared.l2_hits_by_origin["two"] == 1
 
     def test_interleaves_by_timestamp(self):
-        seen = []
+        """Each L1 sees its own workload in timestamp order, and the
+        shared L2 sees every L1 miss in the merged timestamp order (the
+        L1s are independent, so no order between them is observable)."""
+        seen = {}
         class Spy(SimCache):
             def access_run(self, urls, sizes, stamps, types, codes, evicted=None):
-                seen.extend(stamps)
+                seen.setdefault(self.tag, []).extend(stamps)
                 super().access_run(urls, sizes, stamps, types, codes, evicted)
+
+        def spy(tag, capacity):
+            cache = Spy(capacity=capacity)
+            cache.tag = tag
+            return cache
+
         traces = {
             "a": [req(0, "x", 10), req(10, "y", 10)],
             "b": [req(5, "z", 10)],
         }
         simulate_shared_second_level(
-            traces, l1_factory=lambda key: Spy(capacity=1000),
+            traces, l1_factory=lambda key: spy(key, 1000), l2=spy("l2", None),
         )
-        assert seen == sorted(seen) == [0.0, 5.0, 10.0]
+        assert seen == {"a": [0.0, 10.0], "b": [5.0], "l2": [0.0, 5.0, 10.0]}
 
     def test_per_origin_metrics(self):
         traces = {

@@ -10,19 +10,21 @@ from repro.obs.catalog import fleet_metrics, proxy_metrics
 from repro.obs.metrics import Registry
 from repro.obs.telemetry import (
     DEFAULT_BURN_WINDOWS,
-    MAX_HOPS,
     BurnWindow,
     SLOEngine,
     SLOSpec,
     TelemetryAggregator,
-    TraceContext,
     assemble_span_tree,
     default_slo_specs,
-    extract_trace_context,
     render_dashboard_ascii,
-    set_trace_header,
     slo_config,
     snapshot_from_exposition,
+)
+from repro.obs.tracing import (
+    MAX_HOPS,
+    TraceContext,
+    extract_trace_context,
+    set_trace_header,
 )
 
 

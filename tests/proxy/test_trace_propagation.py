@@ -12,11 +12,11 @@ import pytest
 
 from repro.httpnet.message import HttpRequest
 from repro.obs import Obs
-from repro.obs.telemetry import (
+from repro.obs.telemetry import assemble_span_tree
+from repro.obs.tracing import (
     TRACE_CONTEXT_HEADER,
     TRACE_ID_HEADER,
     TraceContext,
-    assemble_span_tree,
 )
 from repro.proxy import CachingProxy, ProxyStore
 from repro.proxy.origin import OriginServer, SyntheticSite

@@ -23,7 +23,9 @@ no body is ever base64-encoded, and a proxy store's state is one
 journal that ``rewrite_journal`` compacts, with no manifest beside it,
 as is a sweep checkpoint, whose journal header names its sweep;
 ``SizeModel.draw`` writes the one size draw, and the workload generator
-draws only through the public ``random`` API.  A new
+draws only through the public ``random`` API; ``repro._lazy`` resolves
+every package's exports, so no package ``__init__`` imports its own
+submodules (``repro.obs`` keeps the four its ``Obs`` composes).  A new
 server, client, export, benchmark runner, flag, fleet, dashboard or
 replay loop that grows its own fails here instead of drifting apart
 from the shared one (as the router's deadline-less head reader once
@@ -296,3 +298,30 @@ def test_workloads_draw_through_the_public_random_api():
             path for path in files_containing(internal)
             if path.startswith("workloads/")
         ] == [], internal
+
+
+def test_one_lazy_export_helper():
+    """A package ``__init__`` loads nothing: its exports are one table
+    read by ``repro._lazy.lazy_exports``, and only ``repro.obs``
+    imports the submodules its ``Obs`` class composes."""
+    composed = {"events", "metrics", "profile", "tracing"}
+    lazy = []
+    for init in sorted(SRC.rglob("__init__.py")):
+        package = ".".join(("repro",) + init.parent.relative_to(SRC).parts)
+        tree = ast.parse(init.read_text(encoding="utf-8"))
+        own = {
+            node.module[len(package) + 1:].split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.startswith(package + ".")
+        }
+        assert own == (composed if package == "repro.obs" else set()), package
+        if "lazy_exports(__name__" in init.read_text(encoding="utf-8"):
+            lazy.append(package)
+    assert lazy == [
+        f"repro.{name}" for name in (
+            "analysis", "core", "des", "httpnet", "proxy", "trace",
+            "workloads",
+        )
+    ]
+    assert files_containing("def __getattr__(") == ["_lazy.py"]
