@@ -11,9 +11,11 @@ a *sweep*:
   :class:`concurrent.futures.ProcessPoolExecutor` (``workers > 1``) or a
   plain loop (``workers = 1`` — the safe serial fallback, bit-identical
   to the parallel path because every job seeds its own RNG);
-* completed runs are memoized in an on-disk :class:`ResultCache` keyed by
+* completed runs are memoized in a :class:`ResultCache` keyed by
   ``(trace content hash, policy spec, capacity, simulator options,
-  engine version)``, so re-running a sweep only computes the delta.
+  engine version)``, so re-running a sweep only computes the delta; the
+  cache is one journal, and a checkpoint is the same store with the
+  sweep's identity in its header.
 
 Determinism guarantee: a :class:`SweepJob` fully describes one
 simulation.  Workers rebuild the policy from its :class:`PolicySpec` and
@@ -26,7 +28,6 @@ HR/WHR, eviction counts, and day series.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import signal as _signal
 import time
@@ -40,12 +41,12 @@ from repro.core.metrics import DayStats, MetricsCollector
 from repro.core.policy import KeyPolicy
 from repro.core.simulator import SimulationResult, simulate
 from repro.durability import (
+    Journal,
+    JournalRecovery,
     ManifestError,
-    atomic_write_text,
     checksum as _checksum,
     read_journal,
     rewrite_journal,
-    Journal,
 )
 from repro.obs import EventLog, Obs
 from repro.obs.catalog import sweep_metrics
@@ -58,7 +59,6 @@ __all__ = [
     "SimOptions",
     "SweepJob",
     "JobResult",
-    "SweepCheckpoint",
     "SweepInterrupted",
     "SweepReport",
     "ResultCache",
@@ -72,9 +72,9 @@ __all__ = [
 #: previously cached results.  Part of every result-cache key.
 ENGINE_VERSION = 1
 
-#: On-disk envelope format of :class:`ResultCache` entries.  Bumped when
-#: the envelope (not the simulation) changes; entries with any other
-#: version are quarantined and recomputed, never silently reinterpreted.
+#: Record format of a :class:`ResultCache` journal, carried in its
+#: header.  Bumped when the record (not the simulation) changes; a
+#: journal under any other version is recomputed, never reinterpreted.
 #: v3 added the per-day ``occupancy`` map (end-of-day used bytes and
 #: document count, the collector's day stamps).
 RESULT_SCHEMA_VERSION = 3
@@ -245,15 +245,14 @@ def record_to_result(record: dict) -> SimulationResult:
     The collector comes back whole — day counters, totals and the
     end-of-day occupancy stamps — so ``result.timeseries`` of the
     rebuilt result gives the samples the original run's would (the
-    serial/parallel/cached differential tests pin this).  A record
-    written before the ``occupancy`` map existed rebuilds without stamps.
+    serial/parallel/cached differential tests pin this).
     """
     metrics = MetricsCollector()
     for day, counts in sorted(
         record["days"].items(), key=lambda item: int(item[0]),
     ):
         metrics.days[int(day)] = DayStats(*counts)
-    for day, pair in record.get("occupancy", {}).items():
+    for day, pair in record["occupancy"].items():
         metrics.occupancy[int(day)] = tuple(pair)
     (metrics.total_requests, metrics.total_hits,
      metrics.total_bytes_requested, metrics.total_bytes_hit) = (
@@ -263,15 +262,9 @@ def record_to_result(record: dict) -> SimulationResult:
         AccessOutcome(value): count
         for value, count in record["outcomes"].items()
     })
-    keys = record.get("policy_keys") or []
-    if keys:
-        policy = PolicySpec(
-            keys=tuple(keys),
-            name=record["policy_name"],
-        ).build()
-    else:  # pragma: no cover - key policies always carry their keys
-        policy = KeyPolicy.__new__(KeyPolicy)
-        policy.name = record["policy_name"]
+    policy = PolicySpec(
+        keys=tuple(record["policy_keys"]), name=record["policy_name"],
+    ).build()
     shim = CacheStats(capacity=record["capacity"], policy=policy,
                       **record["cache"])
     return SimulationResult(
@@ -285,115 +278,12 @@ def record_to_result(record: dict) -> SimulationResult:
     )
 
 
-# -- the on-disk result cache -------------------------------------------------
+# -- finished jobs: one journal -----------------------------------------------
 
 
-class ResultCache:
-    """Directory of memoized sweep runs, one JSON file per cache key.
-
-    The key covers the trace content hash, the full policy spec, the
-    capacity, every simulator option, and :data:`ENGINE_VERSION` — any
-    input that could change a result busts the cache (see
-    :meth:`SweepJob.cache_fields`).  Display names are excluded, so
-    relabelled reruns of the same simulation still hit.
-
-    Integrity: entries are stored in an envelope carrying
-    :data:`RESULT_SCHEMA_VERSION` and a SHA-256 checksum of the record.
-    A file that fails to parse, fails the checksum, or carries another
-    schema version is *quarantined* — moved into a ``quarantine/``
-    subdirectory, counted in ``corrupt_entries``, and treated as a miss
-    so the run is recomputed rather than crashing or silently skipping.
-    """
-
-    def __init__(self, root: Union[str, Path]) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.corrupt_entries = 0
-
-    @property
-    def quarantine_dir(self) -> Path:
-        return self.root / "quarantine"
-
-    @staticmethod
-    def key_for(job: SweepJob, trace_hash: str) -> str:
-        """Deterministic key for one job against one trace."""
-        return _checksum(job.cache_fields(trace_hash))
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
-    def _quarantine(self, path: Path) -> None:
-        """Move a bad entry aside (kept for post-mortems, never reread)."""
-        self.corrupt_entries += 1
-        try:
-            self.quarantine_dir.mkdir(exist_ok=True)
-            os.replace(path, self.quarantine_dir / path.name)
-        except OSError:  # pragma: no cover - racing cleanup
-            try:
-                path.unlink()
-            except OSError:
-                pass
-
-    def get(self, job: SweepJob, trace_hash: str) -> Optional[dict]:
-        """The stored record for a job, or ``None`` (counted as a miss).
-
-        Corrupt, truncated, tampered, or stale-schema entries are
-        quarantined and reported as misses.
-        """
-        path = self._path(self.key_for(job, trace_hash))
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError:
-            self.misses += 1
-            return None
-        try:
-            envelope = json.loads(text)
-            if not isinstance(envelope, dict) or "record" not in envelope:
-                raise ValueError("not a result envelope")
-            if envelope.get("schema") != RESULT_SCHEMA_VERSION:
-                raise ValueError("stale schema version")
-            record = envelope["record"]
-            if envelope.get("checksum") != _checksum(record):
-                raise ValueError("checksum mismatch")
-        except (ValueError, TypeError):
-            self._quarantine(path)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return record
-
-    def put(self, job: SweepJob, trace_hash: str, record: dict) -> Path:
-        """Store a completed run (atomically, for concurrent sweeps)."""
-        path = self._path(self.key_for(job, trace_hash))
-        envelope = {
-            "schema": RESULT_SCHEMA_VERSION,
-            "checksum": _checksum(record),
-            "record": record,
-        }
-        atomic_write_text(path, json.dumps(envelope))
-        self.stores += 1
-        return path
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.json"))
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "corrupt_entries": self.corrupt_entries,
-        }
-
-
-# -- crash-safe checkpoints ---------------------------------------------------
-
-
-#: Journal ``kind`` tag for sweep checkpoints.
-CHECKPOINT_KIND = "sweep-checkpoint"
+#: Journal ``kind`` tags and file names of a checkpoint and a result cache.
+CHECKPOINT_KIND, CHECKPOINT_NAME = "sweep-checkpoint", "journal.jsonl"
+RESULTS_KIND, RESULTS_NAME = "sweep-results", "result-cache.json"
 
 
 def jobs_fingerprint(jobs: Sequence[SweepJob], trace_hash: str) -> str:
@@ -433,30 +323,26 @@ class SweepInterrupted(RuntimeError):
         self.signum = signum
 
 
-class SweepCheckpoint:
-    """Crash-safe progress record of one sweep: one journal,
-    ``<root>/journal.jsonl``, one record per finished job.
+class ResultCache:
+    """A sweep's finished jobs: one journal, one verified record a slot.
 
-    The journal's header pins the checkpoint to a specific sweep —
-    engine version, trace fingerprint, the full job-grid fingerprint
-    and the job count — so ``--resume`` against a different trace,
-    grid, or engine refuses loudly instead of splicing mismatched
-    results; the checkpoint is complete when it replays ``total``
-    jobs.  Each record carries the job's flattened result, its timing,
-    its provenance (computed vs cached) and the worker's obs export;
-    replaying them in index order reproduces the original run's slots
-    *and* event stream byte-for-byte.
+    Opened plain, it is the result cache, ``<root>/result-cache.json``,
+    whose header carries :data:`RESULT_SCHEMA_VERSION` and whose slots
+    are :meth:`key_for` keys (every input that can change a result, not
+    the display name, so relabelled reruns still hit).  Opened with a
+    sweep's ``jobs``, it is that sweep's checkpoint,
+    ``<root>/journal.jsonl``, whose header names the sweep (engine, trace
+    and job-grid fingerprints, job count) and whose slots are job indices.
 
-    Crash semantics: a record is durable once :meth:`record` returns
-    (the journal fsyncs per append).  A crash mid-append leaves a torn
-    tail; :meth:`open` discards it with the rest of what it does not
-    keep, so the at-most-one partially-journaled job is simply
-    recomputed.  A write fault (injected or real) latches the
-    checkpoint ``broken``: the sweep carries on uncheckpointed rather
-    than aborting — durability degrades, results never do.
+    :meth:`open` keeps the verified prefix, so a torn, corrupt, tampered
+    or stale-schema record is never reused: it and every record after
+    it count in ``corrupt_entries`` and are recomputed.  A write fault
+    latches ``broken`` and the sweep carries on unpersisted.  Handles
+    sharing a directory each append to the generation their own open
+    wrote: the last open wins, and a lost record costs a recomputation,
+    never a wrong result.  A closed handle reopens on :meth:`get` or
+    :meth:`put`.
     """
-
-    JOURNAL_NAME = "journal.jsonl"
 
     def __init__(
         self,
@@ -468,87 +354,82 @@ class SweepCheckpoint:
         self.fsync = fsync
         self.faults = faults
         self.broken = False
-        self.tail_discarded = 0
+        #: slot -> record: the last open's kept records and later appends.
+        self.entries: Dict[object, dict] = {}
+        self.hits = self.corrupt_entries = 0
+        self._slot = "key"
         self._journal: Optional[Journal] = None
 
-    @property
-    def journal_path(self) -> Path:
-        return self.root / self.JOURNAL_NAME
+    @staticmethod
+    def key_for(job: SweepJob, trace_hash: str) -> str:
+        """Deterministic key for one job against one trace."""
+        return _checksum(job.cache_fields(trace_hash))
 
     def open(
         self,
-        trace_hash: str,
-        jobs: Sequence[SweepJob],
-        resume: bool = False,
+        trace_hash: str = "",
+        jobs: Optional[Sequence[SweepJob]] = None,
+        resume: bool = True,
     ) -> List[dict]:
-        """Start (or resume) checkpointing; returns replayable records.
-
-        A resume reads the journal; when its header names a sweep, that
-        identity must be this one's (else :class:`ManifestError`) and
-        the first record of each valid job index is kept.  A journal
-        naming no sweep (missing, torn header, or written before the
-        header carried one) is a cold start.  Either way the journal is
-        replaced by one :func:`rewrite_journal` of this sweep's header
-        and the kept records — one disk-fault event that leaves the
-        previous file whole when it fails, latching ``broken``.
+        """Read the journal (not when ``resume`` is false), check its header,
+        keep the first verified record of each valid slot, and write
+        them back under this header in one :func:`rewrite_journal` —
+        one disk-fault event; a fault leaves the file whole and latches
+        ``broken``.  Returns the kept records.  A checkpoint header that
+        names another sweep raises :class:`ManifestError`; any other
+        header mismatch is a cold start.
         """
+        self.close()
         self.root.mkdir(parents=True, exist_ok=True)
-        identity = {
-            "engine": ENGINE_VERSION,
-            "trace_hash": trace_hash,
-            "jobs": jobs_fingerprint(jobs, trace_hash),
-            "total": len(jobs),
-        }
-        records: List[dict] = []
+        if jobs is None:
+            name, kind, self._slot = RESULTS_NAME, RESULTS_KIND, "key"
+            header: dict = {"schema": RESULT_SCHEMA_VERSION}
+        else:
+            name, kind, self._slot = CHECKPOINT_NAME, CHECKPOINT_KIND, "index"
+            header = {
+                "engine": ENGINE_VERSION,
+                "trace_hash": trace_hash,
+                "jobs": jobs_fingerprint(jobs, trace_hash),
+                "total": len(jobs),
+            }
+        path = self.root / name
         recovery = (
-            read_journal(self.journal_path, kind=CHECKPOINT_KIND)
-            if resume else None
+            read_journal(path, kind=kind) if resume else JournalRecovery()
         )
-        if recovery is not None and "jobs" in recovery.header:
-            for key, wanted in identity.items():
-                found = recovery.header.get(key)
-                if found != wanted:
-                    raise ManifestError(
-                        f"checkpoint {self.root} is for a different sweep: "
-                        f"{key}={found!r}, this run has {key}={wanted!r}"
-                    )
-            self.tail_discarded = recovery.discarded
-            seen: Set[int] = set()
-            for record in recovery.records:
-                index = record.get("index")
-                if isinstance(index, int) and 0 <= index < len(jobs) and (
-                    index not in seen
-                ):
-                    seen.add(index)
-                    records.append(record)
+        found = {key: recovery.header.get(key) for key in header}
+        if found != header and jobs is not None and "jobs" in recovery.header:
+            key = next(key for key in header if found[key] != header[key])
+            raise ManifestError(
+                f"checkpoint {self.root} is for a different sweep: "
+                f"{key}={found[key]!r}, this run has {key}={header[key]!r}"
+            )
+        kept = recovery.records if found == header else []
+        self.corrupt_entries = (
+            recovery.discarded + len(recovery.records) - len(kept)
+        )
+        self.broken, self.entries = False, {}
+        for record in kept:
+            slot = record.get(self._slot)
+            if isinstance(slot, str) if jobs is None else (
+                isinstance(slot, int) and 0 <= slot < len(jobs)
+            ):
+                self.entries.setdefault(slot, record)
         try:
             self._journal = rewrite_journal(
-                self.journal_path, records, kind=CHECKPOINT_KIND,
-                fsync=self.fsync, faults=self.faults, header=identity,
+                path, list(self.entries.values()), kind=kind,
+                fsync=self.fsync, faults=self.faults, header=header,
             )
         except OSError:
             self.broken = True
-        return records
+        return list(self.entries.values())
 
-    def record(
-        self,
-        index: int,
-        seconds: float,
-        record: dict,
-        export: Optional[dict],
-        from_cache: bool,
-    ) -> None:
-        """Durably journal one finished job (fsynced before returning)."""
+    def append(self, record: dict) -> None:
+        """Durably journal one finished job under its slot."""
+        self.entries.setdefault(record[self._slot], record)
         if self.broken or self._journal is None:
             return
         try:
-            self._journal.append({
-                "index": index,
-                "seconds": seconds,
-                "from_cache": from_cache,
-                "record": record,
-                "export": export,
-            })
+            self._journal.append(record)
         except OSError:
             self.broken = True
 
@@ -556,6 +437,25 @@ class SweepCheckpoint:
         if self._journal is not None:
             self._journal.close()
             self._journal = None
+
+    def get(self, job: SweepJob, trace_hash: str) -> Optional[dict]:
+        """The stored record for a job, or ``None``."""
+        if self._journal is None and not self.broken:
+            self.open()
+        entry = self.entries.get(self.key_for(job, trace_hash))
+        if entry is None:
+            return None
+        self.hits += 1
+        return entry["record"]
+
+    def put(self, job: SweepJob, trace_hash: str, record: dict) -> None:
+        """Store a completed run."""
+        if self._journal is None and not self.broken:
+            self.open()
+        self.append({"key": self.key_for(job, trace_hash), "record": record})
+
+    def __len__(self) -> int:
+        return len(self.entries)
 
 
 # -- execution ----------------------------------------------------------------
@@ -585,9 +485,18 @@ def _init_worker(
 
 
 def _execute(
-    trace: Sequence[Request], job: SweepJob, obs: Optional[Obs] = None,
-) -> SimulationResult:
-    """Run one job against the shared trace (worker and serial path)."""
+    trace: Sequence[Request], job: SweepJob, log_level: int,
+) -> Tuple[dict, float, dict]:
+    """Run one job against the shared trace (worker and serial path):
+    its record, seconds and obs export.
+
+    The job collects into a private obs context whose export rides back
+    with the record; the parent merges exports in job order, so every
+    run shape (serial, parallel, resumed) assembles one identical event
+    stream.
+    """
+    start = time.perf_counter()
+    obs = Obs(events=EventLog(level=log_level))
     options = job.options
     cache = SimCache(
         capacity=job.capacity,
@@ -595,39 +504,27 @@ def _execute(
         seed=options.seed,
         use_heap_index=options.use_heap_index,
     )
-    if obs is None:
-        return simulate(
-            trace, cache, name=job.name or job.spec.label,
-            track_positions_every=options.track_positions_every,
-        )
     with obs.span(
         "sweep.job", policy=job.spec.label, capacity=job.capacity,
     ):
-        return simulate(
+        result = simulate(
             trace, cache, name=job.name or job.spec.label,
             track_positions_every=options.track_positions_every,
             obs=obs,
         )
+    seconds = time.perf_counter() - start
+    return result_to_record(result), seconds, obs.export()
 
 
 def _run_job_in_worker(
     payload: Tuple[int, SweepJob],
-) -> Tuple[int, float, dict, dict]:
+) -> Tuple[int, dict, float, dict]:
     index, job = payload
     if index in _WORKER_KILL_INDICES:
         # Injected crash: die the way a real worker does — no exception,
         # no cleanup — so the parent sees a broken pool, not an error.
         os._exit(73)
-    start = time.perf_counter()
-    # Each job collects into a private obs context whose export rides
-    # the result pipeline back; the parent merges payloads in job order
-    # so parallel aggregation stays deterministic.
-    obs = Obs(events=EventLog(level=_WORKER_LOG_LEVEL))
-    result = _execute(_WORKER_TRACE, job, obs=obs)
-    return (
-        index, time.perf_counter() - start,
-        result_to_record(result), obs.export(),
-    )
+    return (index, *_execute(_WORKER_TRACE, job, _WORKER_LOG_LEVEL))
 
 
 @dataclass
@@ -782,8 +679,10 @@ def run_sweep(
         workers: process count.  ``1`` runs everything in-process (the
             serial fallback); higher values fan uncached jobs out over a
             :class:`ProcessPoolExecutor`.
-        result_cache: optional :class:`ResultCache`; completed runs are
-            looked up before simulating and stored after.
+        result_cache: optional :class:`ResultCache`; opened for the run
+            (records it cannot verify are counted ``quarantined``),
+            completed runs are looked up before simulating and stored
+            after, and a write fault leaves the sweep uncached.
         trace_hash: precomputed :func:`trace_fingerprint`, for callers
             sweeping the same trace repeatedly.
         fault_plan: optional :class:`~repro.faults.FaultPlan`; a worker
@@ -848,16 +747,25 @@ def run_sweep(
         def kill_hook(index: int) -> None:
             os._exit(75)  # an unclean coordinator death, like SIGKILL
 
-    checkpoint: Optional[SweepCheckpoint] = None
+    checkpoint: Optional[ResultCache] = None
     resumed_records: List[dict] = []
     if checkpoint_dir is not None:
         disk_faults = (
             fault_plan.disk_injector() if fault_plan is not None else None
         )
-        checkpoint = SweepCheckpoint(checkpoint_dir, faults=disk_faults)
+        checkpoint = ResultCache(checkpoint_dir, faults=disk_faults)
         resumed_records = checkpoint.open(
             trace_hash or "", jobs, resume=resume,
         )
+    if result_cache is not None:
+        result_cache.open()
+        if result_cache.corrupt_entries:
+            m.result_cache.labels(event="quarantined").inc(
+                result_cache.corrupt_entries,
+            )
+            channel.warning(
+                "cache.quarantined", entries=result_cache.corrupt_entries,
+            )
 
     # Graceful drain on SIGINT/SIGTERM, but only when there is a
     # checkpoint to drain into (and only from the main thread — signal
@@ -895,18 +803,16 @@ def run_sweep(
             """Fill one job's slot from its record, count it, journal
             it — the one way a job finishes.  ``source`` is its
             ``repro_sweep_jobs_total`` label; every computed record is
-            stored, and one ``resumed`` from the journal is not
-            journaled again."""
+            a result-cache miss and is stored, and one ``resumed`` from
+            the journal is not journaled again."""
             job = jobs[index]
             computed = source == "computed"
-            if result_cache is not None:
-                if not computed:
-                    m.result_cache.labels(event="hit").inc()
-                else:
-                    if resumed:  # a fresh miss was counted at its lookup
-                        m.result_cache.labels(event="miss").inc()
-                    result_cache.put(job, trace_hash, record)
-                    m.result_cache.labels(event="store").inc()
+            if result_cache is not None and computed:
+                m.result_cache.labels(event="miss").inc()
+                result_cache.put(job, trace_hash, record)
+                m.result_cache.labels(event="store").inc()
+            elif result_cache is not None:
+                m.result_cache.labels(event="hit").inc()
             if export is not None:
                 worker_exports[index] = export
             slots[index] = JobResult(
@@ -926,9 +832,11 @@ def run_sweep(
                 )
                 return
             if checkpoint is not None:
-                checkpoint.record(
-                    index, seconds, record, export, from_cache=not computed,
-                )
+                checkpoint.append({
+                    "index": index, "seconds": seconds,
+                    "from_cache": not computed, "record": record,
+                    "export": export,
+                })
             if computed and index in coordinator_kills:
                 # Chaos: the coordinator dies right after this job's
                 # result hit the journal — the worst-timed crash a
@@ -949,40 +857,25 @@ def run_sweep(
         if resumed_records:
             channel.debug(
                 "checkpoint.resumed", jobs=len(resumed_records),
-                tail_discarded=checkpoint.tail_discarded,
+                tail_discarded=checkpoint.corrupt_entries,
             )
 
-        pending: List[Tuple[int, SweepJob]] = []
+        remaining: List[Tuple[int, SweepJob]] = []
         for index, job in enumerate(jobs):
             if slots[index] is not None:  # restored from the checkpoint
                 continue
-            if result_cache is not None:
-                quarantined_before = result_cache.corrupt_entries
-                record = result_cache.get(job, trace_hash)
-                quarantined = (
-                    result_cache.corrupt_entries - quarantined_before
-                )
-                if quarantined:
-                    m.result_cache.labels(event="quarantined").inc(
-                        quarantined,
-                    )
-                    channel.warning(
-                        "cache.quarantined", index=index,
-                        policy=job.spec.label, capacity=job.capacity,
-                    )
+            record = (
+                result_cache.get(job, trace_hash)
+                if result_cache is not None else None
+            )
+            if record is None:
+                remaining.append((index, job))
             else:
-                record = None
-            if record is not None:
                 settle(
                     index, dict(record, name=job.name or job.spec.label),
                     0.0, None, "cached",
                 )
-            else:
-                if result_cache is not None:
-                    m.result_cache.labels(event="miss").inc()
-                pending.append((index, job))
 
-        remaining = list(pending)
         if remaining and workers > 1:
             # Only a parallel sweep pays for loading the process pool.
             from concurrent.futures import (
@@ -1015,7 +908,7 @@ def run_sweep(
                         draining = False
                         for future in as_completed(futures):
                             try:
-                                index, seconds, record, export = (
+                                index, record, seconds, export = (
                                     future.result()
                                 )
                             except CancelledError:
@@ -1078,17 +971,9 @@ def run_sweep(
                 channel.warning(
                     "job.fallback", index=index, policy=job.spec.label,
                 )
-            job_start = time.perf_counter()
-            # The serial path collects into a private per-job context
-            # and ships its export through the same index-ordered merge
-            # as the workers, so every run shape (serial, parallel,
-            # resumed) assembles one identical event stream.
-            job_obs = Obs(events=EventLog(level=run_obs.events.level))
-            result = _execute(trace, job, obs=job_obs)
-            seconds = time.perf_counter() - job_start
             settle(
-                index, result_to_record(result), seconds,
-                job_obs.export(), "computed",
+                index, *_execute(trace, job, run_obs.events.level),
+                "computed",
             )
         # (workers == 1 lands here directly: the plain serial path.)
 
@@ -1113,8 +998,6 @@ def run_sweep(
         # Completion events, one per grid cell in job order, timing-free
         # (timings live in spans and the job_seconds histogram).
         for index, slot in enumerate(slots):
-            if slot is None:  # pragma: no cover - every job finishes
-                continue
             channel.info(
                 "job.done", index=index, name=slot.result.name,
                 policy=slot.job.spec.label, capacity=slot.job.capacity,
@@ -1124,12 +1007,10 @@ def run_sweep(
     finally:
         run_span.__exit__(None, None, None)
         for signum, previous in installed_handlers:
-            try:
-                _signal.signal(signum, previous)
-            except ValueError:  # pragma: no cover - non-main thread
-                pass
-        if checkpoint is not None:
-            checkpoint.close()
+            _signal.signal(signum, previous)
+        for store in (checkpoint, result_cache):
+            if store is not None:
+                store.close()
 
     if obs is not None:
         obs.absorb(run_obs.export())

@@ -1,8 +1,8 @@
 """repro.durability — crash-safe persistence primitives.
 
 Three building blocks, shared by every layer that must survive process
-death (the sweep coordinator's checkpoints, the proxy store's journaled
-state, the result and snapshot caches):
+death (the sweep's store of finished jobs — its result cache and its
+checkpoints — and the proxy store's journaled state):
 
 * :func:`atomic_write_bytes` / :func:`atomic_write_text` /
   :func:`atomic_write_json` — the classic tmp + fsync + rename
@@ -424,8 +424,9 @@ def rewrite_journal(
     :meth:`Journal.append` encodes them and written in one
     :func:`atomic_write_bytes` — one disk-fault event, and a fault or
     crash leaves the previous file byte-identical.  The proxy store
-    compacts to one put per survivor; every sweep checkpoint open
-    writes its identity and verified prefix this way.  Returns the
+    compacts to one put per survivor; every open of a sweep's store
+    (result cache or checkpoint) writes its header and verified prefix
+    this way.  Returns the
     journal, open for appends.
     """
     data = [_journal_header(kind, header)]

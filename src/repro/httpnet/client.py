@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.httpnet.message import HttpMessageError, HttpRequest, HttpResponse
 
-__all__ = ["fetch", "request", "NoResponse", "UpstreamClient"]
+__all__ = ["connect", "fetch", "request", "NoResponse", "UpstreamClient"]
 
 #: Headers that describe one connection, not the message: never forwarded.
 HOP_BY_HOP = frozenset(("connection", "keep-alive"))
@@ -33,6 +33,17 @@ MAX_IDLE_PER_ADDRESS = 16
 
 class NoResponse(ConnectionError):
     """The peer closed (or reset) before sending a single response byte."""
+
+
+def connect(address: Tuple[str, int], timeout: float) -> socket.socket:
+    """Open a TCP connection to ``address``.  An ASCII host reaches
+    ``getaddrinfo`` as bytes: a ``str`` host makes the stdlib load its
+    idna codec, ``stringprep`` and ``unicodedata`` on the first connect."""
+    host, port = address
+    return socket.create_connection(
+        (host.encode("ascii") if host.isascii() else host, port),
+        timeout=timeout,
+    )
 
 
 def _receive(
@@ -110,7 +121,7 @@ def request(
         HttpMessageError: when the response bytes are not HTTP.
         ValueError: when the response exceeds ``max_response_bytes``.
     """
-    with socket.create_connection(address, timeout=timeout) as connection:
+    with connect(address, timeout) as connection:
         connection.sendall(message.serialize())
         connection.shutdown(socket.SHUT_WR)
         return _receive(
@@ -183,7 +194,7 @@ class UpstreamClient:
             except NoResponse:
                 pass  # stale: the peer closed it while it sat idle
         return self._exchange(
-            socket.create_connection(address, timeout=timeout),
+            connect(address, timeout),
             address, wire, head_only, timeout, max_response_bytes,
         )
 

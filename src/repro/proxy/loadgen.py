@@ -25,7 +25,7 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.httpnet.client import request as _client_request
+from repro.httpnet.client import connect, request as _client_request
 from repro.httpnet.message import HttpMessageError, HttpRequest, get_header
 from repro.obs.metrics import sample_quantile
 from repro.retry import DEADLINE_HEADER
@@ -252,9 +252,7 @@ class LoadGenerator:
         """
         head = f"GET {url} HTTP/1.0\r\n".encode("ascii")
         try:
-            with socket.create_connection(
-                self.address, timeout=self.timeout,
-            ) as connection:
+            with connect(self.address, self.timeout) as connection:
                 connection.sendall(head[: len(head) // 2])
                 _time.sleep(self.slow_hold)
                 try:

@@ -1,9 +1,9 @@
 """Resilience tests for the sweep engine and its result cache.
 
-Covers the :class:`ResultCache` integrity envelope (corrupt, tampered,
-and stale-schema entries are quarantined and recomputed, never silently
-reused) and :func:`run_sweep`'s crash recovery (killed workers, retry
-accounting, and the in-process fallback path).
+Covers the :class:`ResultCache` journal's integrity (unparseable,
+tampered, stale-schema and torn records are counted and recomputed,
+never silently reused) and :func:`run_sweep`'s crash recovery (killed
+workers, retry accounting, and the in-process fallback path).
 """
 
 import json
@@ -12,6 +12,8 @@ import pytest
 
 from repro.core.sweep import (
     RESULT_SCHEMA_VERSION,
+    RESULTS_KIND,
+    RESULTS_NAME,
     PolicySpec,
     ResultCache,
     SimOptions,
@@ -19,6 +21,7 @@ from repro.core.sweep import (
     run_sweep,
     trace_fingerprint,
 )
+from repro.durability import read_journal, rewrite_journal
 from repro.faults import FaultKind, FaultPlan, FaultRule
 from repro.workloads import generate_valid
 
@@ -39,80 +42,150 @@ def make_job(name="SIZE", capacity=50_000):
     )
 
 
-class TestResultCacheIntegrity:
-    def entry_path(self, cache, job, trace_hash):
-        return cache.root / f"{ResultCache.key_for(job, trace_hash)}.json"
+def unparseable(path):
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:-1]) + b"{ this is not json\n")
 
+
+def tampered(path):
+    lines = path.read_bytes().splitlines(keepends=True)
+    line = json.loads(lines[-1])
+    line["rec"]["record"]["totals"][1] += 1  # nudge the hit count
+    path.write_bytes(b"".join(lines[:-1]) + json.dumps(line).encode() + b"\n")
+
+
+def stale_schema(path):
+    records = read_journal(path, kind=RESULTS_KIND).records
+    rewrite_journal(
+        path, records, kind=RESULTS_KIND,
+        header={"schema": RESULT_SCHEMA_VERSION - 1},
+    ).close()
+
+
+def torn(path):
+    path.write_bytes(path.read_bytes()[:-20])
+
+
+class TestResultCacheIntegrity:
     def seed_entry(self, tmp_path, trace):
-        """A cache holding one genuine entry, plus the pieces to break it."""
+        """A cache holding one genuine record, plus the pieces to break it."""
         cache = ResultCache(tmp_path / "cache")
         job = make_job()
         trace_hash = trace_fingerprint(trace)
         run_sweep(trace, [job], workers=1, result_cache=cache,
                   trace_hash=trace_hash)
-        path = self.entry_path(cache, job, trace_hash)
-        assert path.exists()
+        path = cache.root / RESULTS_NAME
+        assert read_journal(path, kind=RESULTS_KIND).replayed == 1
         return cache, job, trace_hash, path
 
     def test_round_trip_hits(self, tmp_path, trace):
         cache, job, trace_hash, _ = self.seed_entry(tmp_path, trace)
-        assert cache.get(job, trace_hash) is not None
-        assert cache.stats()["hits"] == 1
-        assert cache.stats()["corrupt_entries"] == 0
+        fresh = ResultCache(cache.root)
+        assert fresh.get(job, trace_hash) is not None
+        assert fresh.hits == 1
+        assert fresh.corrupt_entries == 0
+
+    def check_quarantined(self, tmp_path, trace, damage):
+        """A damaged record is never served: the sweep's open counts it,
+        the job is recomputed, and its record is stored again."""
+        cache, job, trace_hash, path = self.seed_entry(tmp_path, trace)
+        reference = ResultCache(cache.root).get(job, trace_hash)
+        damage(path)
+        report = run_sweep(trace, [job], workers=1, result_cache=cache,
+                           trace_hash=trace_hash)
+        assert not report.results[0].from_cache
+        assert report.cache_hits == 0
+        assert report.cache_quarantined == 1
+        assert report.cache_stores == 1
+        assert cache.corrupt_entries == 1
+        healed = ResultCache(cache.root)
+        assert healed.get(job, trace_hash) == reference
+        assert healed.corrupt_entries == 0
+        assert len(healed) == 1
 
     def test_unparseable_json_is_quarantined(self, tmp_path, trace):
-        cache, job, trace_hash, path = self.seed_entry(tmp_path, trace)
-        path.write_text("{ this is not json", encoding="utf-8")
-        assert cache.get(job, trace_hash) is None
-        assert cache.stats()["corrupt_entries"] == 1
-        assert not path.exists()
-        assert (cache.quarantine_dir / path.name).exists()
+        self.check_quarantined(tmp_path, trace, unparseable)
 
     def test_checksum_tamper_is_quarantined(self, tmp_path, trace):
-        cache, job, trace_hash, path = self.seed_entry(tmp_path, trace)
-        envelope = json.loads(path.read_text(encoding="utf-8"))
-        envelope["record"]["totals"][1] += 1  # nudge the hit count
-        path.write_text(json.dumps(envelope), encoding="utf-8")
-        assert cache.get(job, trace_hash) is None
-        assert cache.stats()["corrupt_entries"] == 1
-        assert (cache.quarantine_dir / path.name).exists()
+        self.check_quarantined(tmp_path, trace, tampered)
 
     def test_stale_schema_is_quarantined(self, tmp_path, trace):
-        cache, job, trace_hash, path = self.seed_entry(tmp_path, trace)
-        envelope = json.loads(path.read_text(encoding="utf-8"))
-        envelope["schema"] = RESULT_SCHEMA_VERSION - 1
-        path.write_text(json.dumps(envelope), encoding="utf-8")
-        assert cache.get(job, trace_hash) is None
-        assert cache.stats()["corrupt_entries"] == 1
+        self.check_quarantined(tmp_path, trace, stale_schema)
 
-    def test_pre_envelope_record_is_quarantined(self, tmp_path, trace):
-        """A bare record from the schema-1 era (no envelope at all) is
-        treated as stale, not misread as a result."""
-        cache, job, trace_hash, path = self.seed_entry(tmp_path, trace)
-        envelope = json.loads(path.read_text(encoding="utf-8"))
-        path.write_text(json.dumps(envelope["record"]), encoding="utf-8")
-        assert cache.get(job, trace_hash) is None
-        assert cache.stats()["corrupt_entries"] == 1
+    def test_torn_record_is_quarantined(self, tmp_path, trace):
+        self.check_quarantined(tmp_path, trace, torn)
 
     def test_corrupt_entry_is_recomputed_and_restored(self, tmp_path, trace):
-        """A sweep over a corrupted cache self-heals: the damaged entry is
-        quarantined, the job reruns, and a pristine entry is re-stored."""
+        """A sweep over a corrupted cache self-heals: the garbage line is
+        dropped and counted, the job reruns, and a pristine record is
+        journaled again — the only one a fresh open keeps."""
         cache, job, trace_hash, path = self.seed_entry(tmp_path, trace)
-        reference = cache.get(job, trace_hash)
-        path.write_text("garbage", encoding="utf-8")
+        reference = ResultCache(cache.root).get(job, trace_hash)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(lines[0] + b"garbage\n")
         report = run_sweep(trace, [job], workers=1, result_cache=cache,
                            trace_hash=trace_hash)
         assert report.cache_hits == 0
-        assert cache.stats()["corrupt_entries"] == 1
-        assert cache.get(job, trace_hash) == reference
-        # Only the healthy entry remains in the main directory.
-        assert len(cache) == 1
+        assert cache.corrupt_entries == 1
+        healed = ResultCache(cache.root)
+        assert healed.open() == [
+            {"key": ResultCache.key_for(job, trace_hash), "record": reference},
+        ]
+        healed.close()
+
+    def test_records_after_a_bad_one_are_recomputed_too(
+        self, tmp_path, trace,
+    ):
+        """The journal keeps only its verified prefix: a record torn in
+        the middle costs the records behind it, never a wrong result."""
+        cache = ResultCache(tmp_path / "cache")
+        jobs = [make_job(capacity=c) for c in (30_000, 50_000, 70_000)]
+        baseline = run_sweep(trace, jobs, workers=1, result_cache=cache)
+        path = cache.root / RESULTS_NAME
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:2]) + b"garbage\n" + lines[3])
+        report = run_sweep(trace, jobs, workers=1, result_cache=cache)
+        assert (report.cache_hits, report.cache_misses) == (1, 2)
+        assert report.cache_quarantined == 2
+        assert [jr.result.hit_rate for jr in report.results] == [
+            jr.result.hit_rate for jr in baseline.results
+        ]
+        warnings = report.obs.events.events(event="cache.quarantined")
+        assert [event["entries"] for event in warnings] == [2]
 
     def test_quarantine_does_not_count_as_cache_entries(self, tmp_path, trace):
+        """A fresh handle over a damaged journal holds nothing it could
+        serve: the torn record is counted, not kept."""
         cache, job, trace_hash, path = self.seed_entry(tmp_path, trace)
-        path.write_text("garbage", encoding="utf-8")
-        cache.get(job, trace_hash)
-        assert len(cache) == 0  # *.json glob excludes quarantine/
+        torn(path)
+        fresh = ResultCache(cache.root)
+        assert fresh.get(job, trace_hash) is None
+        assert fresh.corrupt_entries == 1
+        assert len(fresh) == 0
+        fresh.close()
+
+    def test_a_parent_result_file_is_a_cold_start(self, tmp_path, trace):
+        """A ``<key>.json`` envelope of the one-file-per-key layout is
+        neither read nor deleted: the job is computed and journaled."""
+        root = tmp_path / "cache"
+        root.mkdir()
+        job = make_job()
+        trace_hash = trace_fingerprint(trace)
+        old = root / f"{ResultCache.key_for(job, trace_hash)}.json"
+        old.write_text(json.dumps({
+            "schema": RESULT_SCHEMA_VERSION, "checksum": "0" * 64,
+            "record": {"totals": [1, 1, 1, 1]},
+        }), encoding="utf-8")
+        before = old.read_bytes()
+        report = run_sweep(trace, [job], workers=1,
+                           result_cache=ResultCache(root),
+                           trace_hash=trace_hash)
+        assert (report.cache_hits, report.cache_misses) == (0, 1)
+        assert report.cache_quarantined == 0
+        assert old.read_bytes() == before
+        assert sorted(p.name for p in root.iterdir()) == sorted(
+            [old.name, RESULTS_NAME],
+        )
 
 
 class TestWorkerCrashRecovery:

@@ -16,8 +16,8 @@ from repro.core.sweep import (
     CHECKPOINT_KIND,
     ENGINE_VERSION,
     PolicySpec,
+    ResultCache,
     SimOptions,
-    SweepCheckpoint,
     SweepInterrupted,
     SweepJob,
     jobs_fingerprint,
@@ -428,7 +428,7 @@ class TestCheckpointUnit:
                 "record": {}, "export": None,
             })
         trace_hash = trace_fingerprint(trace)
-        checkpoint = SweepCheckpoint(tmp_path / "ck")
+        checkpoint = ResultCache(tmp_path / "ck")
         try:
             records = checkpoint.open(trace_hash, jobs, resume=True)
             assert [r["index"] for r in records] == [0, 1]

@@ -21,12 +21,16 @@ from repro.core.experiments import max_needed_for
 from repro.core.policy import taxonomy_policies
 from repro.core.simulator import simulate
 from repro.core.sweep import (
+    RESULT_SCHEMA_VERSION,
+    RESULTS_KIND,
+    RESULTS_NAME,
     PolicySpec,
     ResultCache,
     SimOptions,
     SweepJob,
     run_sweep,
 )
+from repro.durability import read_journal, rewrite_journal
 from repro.obs import EventLog, Obs, Profiler
 from repro.workloads import generate_valid
 
@@ -229,13 +233,40 @@ class TestResultCacheTelemetry:
         assert warm.cache_misses == 0
         assert warm.summary()["result_cache"]["hits"] == N_JOBS
 
-        # Corrupt one entry: it is quarantined, recomputed, re-stored —
-        # and the report says so.
-        victim = next(iter((tmp_path / "results").glob("*.json")))
-        victim.write_text("{not json", encoding="utf-8")
-        third = run_sweep(trace, jobs, workers=1, result_cache=cache)
-        assert third.cache_quarantined == 1
-        assert third.cache_hits == N_JOBS - 1
-        assert third.cache_stores == 1
-        warnings = third.obs.events.events(event="cache.quarantined")
-        assert len(warnings) == 1
+        # Damage the journal's last record four ways: each time it is
+        # quarantined, recomputed and re-stored (as the last record
+        # again) — and the report says so.  A stale schema is the
+        # header's, so it costs every record.
+        journal = tmp_path / "results" / RESULTS_NAME
+
+        def last_line(edit):
+            lines = journal.read_bytes().splitlines(keepends=True)
+            journal.write_bytes(b"".join(lines[:-1]) + edit(lines[-1]))
+
+        def tamper(line):
+            envelope = json.loads(line)
+            envelope["rec"]["record"]["totals"][1] += 1
+            return json.dumps(envelope).encode() + b"\n"
+
+        def stale_schema():
+            records = read_journal(journal, kind=RESULTS_KIND).records
+            rewrite_journal(
+                journal, records, kind=RESULTS_KIND,
+                header={"schema": RESULT_SCHEMA_VERSION - 1},
+            ).close()
+
+        for damage, lost in (
+            (lambda: last_line(lambda line: b"{not json\n"), 1),
+            (lambda: last_line(tamper), 1),
+            (lambda: last_line(lambda line: line[:-20]), 1),
+            (stale_schema, N_JOBS),
+        ):
+            damage()
+            third = run_sweep(trace, jobs, workers=1, result_cache=cache)
+            assert third.cache_quarantined == lost
+            assert third.cache_hits == N_JOBS - lost
+            assert third.cache_misses == third.cache_stores == lost
+            for fresh, served in zip(cold.results, third.results):
+                assert_results_identical(fresh.result, served.result)
+            warnings = third.obs.events.events(event="cache.quarantined")
+            assert [event["entries"] for event in warnings] == [lost]

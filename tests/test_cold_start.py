@@ -113,10 +113,6 @@ proxy = CachingProxy(
     ProxyStore(capacity=1 << 20), resolver=lambda host: origin.address,
 ).start()
 router = FleetRouter(StaticDirectory({0: proxy.address})).start()
-# The stdlib loads its idna codec on a process's first getaddrinfo (the
-# client's connect here, a shard's first origin fetch in production):
-# load it first, so what is left is what the tiers' own code imports.
-"127.0.0.1".encode("idna")
 before = sorted(sys.modules)
 statuses = [
     fetch(proxy.address, "http://cold.edu/a.html").status,   # miss

@@ -21,7 +21,8 @@ value is one expression that ``KeyPolicy`` compiles into its sort value
 and heap record; ``repro.durability`` encodes each journal line once,
 no body is ever base64-encoded, and a proxy store's state is one
 journal that ``rewrite_journal`` compacts, with no manifest beside it,
-as is a sweep checkpoint, whose journal header names its sweep;
+as is a sweep's store of finished jobs (one class, whose journal
+header carries a result cache's schema or a checkpoint's sweep);
 ``SizeModel.draw`` writes the one size draw, and the workload generator
 draws only through the public ``random`` API; ``repro._lazy`` resolves
 every package's exports, so no package ``__init__`` imports its own
@@ -56,12 +57,12 @@ def test_one_request_head_reader():
 
 # The load generator's slowloris probe trickles a request head and then
 # watches for the cut-off, which is exactly what a well-behaved client
-# does not do: it must hand-roll its socket.
+# does not do: it connects through ``connect`` but reads on its own.
 CLIENT_SIDE = ["httpnet/client.py", "proxy/loadgen.py"]
 
 
 def test_one_upstream_client():
-    assert files_containing("create_connection(") == CLIENT_SIDE
+    assert files_containing("create_connection(") == ["httpnet/client.py"]
 
 
 def test_one_response_reader():
@@ -263,6 +264,50 @@ def test_a_state_directory_is_one_journal():
     assert source.count("rewrite_journal(") == 1
     assert "Journal(" not in source
     assert "truncate=" not in source
+
+
+def test_one_sweep_store():
+    """A sweep's finished jobs are one journal: ``core/sweep.py`` has one
+    persistence class (the result cache, which a checkpoint is with the
+    sweep's identity in its header), and it writes through
+    ``rewrite_journal`` and ``Journal.append`` alone — no per-file
+    envelope, no quarantine directory, no directory scan."""
+    import inspect
+
+    from repro.core import sweep
+
+    tree = ast.parse(inspect.getsource(sweep))
+    disk = {"read_journal", "rewrite_journal", "Journal", "glob", "rglob"}
+
+    def names(node):
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Name):
+                yield inner.id
+            elif isinstance(inner, ast.Attribute):
+                yield inner.attr
+
+    classes = [
+        node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    ]
+    assert [
+        node.name for node in classes
+        if any(name in disk or name.startswith("atomic_write")
+               for name in names(node))
+    ] == ["ResultCache"]
+    called = [
+        call.func for call in ast.walk(tree) if isinstance(call, ast.Call)
+    ]
+    attributes = {f.attr for f in called if isinstance(f, ast.Attribute)}
+    functions = {f.id for f in called if isinstance(f, ast.Name)}
+    assert not {name for name in attributes | functions
+                if name.startswith("atomic_write")}
+    assert "open" not in functions
+    assert not attributes & {
+        "glob", "rglob", "iterdir", "write_text", "write_bytes", "write",
+        "replace", "rename", "unlink", "read_text", "read_bytes",
+    }
+    assert "rewrite_journal" in functions and "append" in attributes
+    assert "quarantine" not in inspect.getsource(sweep.ResultCache)
 
 
 def test_each_journal_line_is_encoded_once():
