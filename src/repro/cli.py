@@ -1362,7 +1362,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if "log_level" in args:
         from repro.obs import Obs
 
-        args.obs = Obs.create(log_level=args.log_level)
+        # Spans are kept only when --trace-out will write them.
+        args.obs = Obs.create(
+            log_level=args.log_level, spans=bool(args.trace_out),
+        )
     try:
         code = args.func(args)
     except CommandError as error:

@@ -13,7 +13,9 @@ by the :class:`Obs` facade that call sites pass around:
 * **tracing spans** (:mod:`repro.obs.tracing`): nested wall-time spans
   exported as Chrome ``trace_event`` JSON (``--trace-out``, viewable in
   ``about:tracing`` / Perfetto) and aggregated into per-phase
-  breakdowns by ``repro obs summarize``.
+  breakdowns by ``repro obs summarize``.  Spans are recorded only where
+  someone reads them: a CLI run given ``--trace-out``, or a caller that
+  passes its own :class:`Obs` (see :meth:`Obs.private`).
 
 Metric names are declared once, in :mod:`repro.obs.catalog`; the
 ``repro obs check`` lint (:mod:`repro.obs.check`) fails on duplicate or
@@ -66,9 +68,12 @@ __all__ = [
 class Obs:
     """One run's observability context: registry + event log + tracer.
 
-    Cheap to construct; components that accept an optional ``obs``
-    default to a private instance, so instrumentation is always safe to
-    call and callers opt in to collection simply by passing their own.
+    Cheap to construct.  A component that accepts an optional ``obs``
+    and is handed none builds :meth:`private`: its metrics registry and
+    event log collect as usual (a server's ``GET /metrics`` serves every
+    family), but its tracer is disabled, because no caller could ever
+    export the spans.  Passing your own ``Obs()`` or :meth:`create`
+    records spans too.
     """
 
     def __init__(
@@ -91,9 +96,20 @@ class Obs:
         cls,
         log_level: Union[str, int] = "info",
         clock: Optional[Callable[[], float]] = None,
+        spans: bool = True,
     ) -> "Obs":
-        """The common construction: a fresh context at one log level."""
-        return cls(events=EventLog(level=log_level, clock=clock))
+        """The common construction: a fresh context at one log level,
+        recording spans unless ``spans`` is false."""
+        return cls(
+            events=EventLog(level=log_level, clock=clock),
+            tracer=Tracer(enabled=spans),
+        )
+
+    @classmethod
+    def private(cls) -> "Obs":
+        """A component's own context when its caller passed none: metrics
+        and events as usual, no spans (nobody can read them)."""
+        return cls(tracer=Tracer(enabled=False))
 
     # -- conveniences mirroring the member APIs ------------------------------
 

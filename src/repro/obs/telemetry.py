@@ -334,7 +334,7 @@ class SLOEngine:
             tuple(specs) if specs else default_slo_specs()
         )
         self.windows: Tuple[BurnWindow, ...] = tuple(windows)
-        self.obs = obs if obs is not None else Obs()
+        self.obs = obs if obs is not None else Obs.private()
         self.m = telemetry_metrics(self.obs.registry)
         self._channel = self.obs.channel("slo")
         self._lock = threading.Lock()
@@ -498,7 +498,7 @@ class TelemetryAggregator:
         fetch: Optional[Callable[[Tuple[str, int], float], str]] = None,
     ) -> None:
         self.supervisor = supervisor
-        self.obs = obs if obs is not None else Obs()
+        self.obs = obs if obs is not None else Obs.private()
         self.m = telemetry_metrics(self.obs.registry)
         self.fleet_m = fleet_metrics(self.obs.registry)
         self.slo = SLOEngine(specs, windows, obs=self.obs)

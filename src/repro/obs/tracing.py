@@ -17,7 +17,7 @@ records it as its parent.  The collected spans serve two outputs:
 
 Timing uses ``time.perf_counter`` and therefore does not perturb any
 simulation state; a tracer can also be constructed ``enabled=False`` to
-make every span a no-op.
+make every span a no-op and hold nothing, absorbed spans included.
 """
 
 from __future__ import annotations
@@ -124,9 +124,9 @@ _NO_SPAN = nullcontext()
 class Tracer:
     """Collects nested spans from any number of threads."""
 
-    #: Span-buffer bound: long-lived servers (proxy, router) record a
-    #: span per request, so the buffer is a ring — the oldest spans are
-    #: dropped (and counted) once the cap is hit.
+    #: Span-buffer bound: a long-lived server handed a recording ``Obs``
+    #: keeps a span per request, so the buffer is a ring — the oldest
+    #: spans are dropped (and counted) once the cap is hit.
     MAX_SPANS = 65536
 
     def __init__(
@@ -170,7 +170,9 @@ class Tracer:
     def absorb(self, spans: Iterable[dict]) -> None:
         """Fold spans exported from another process in, re-keying ids so
         they cannot collide with local ones (parent links are remapped
-        within the absorbed batch)."""
+        within the absorbed batch).  A disabled tracer drops the batch."""
+        if not self.enabled:
+            return
         batch = [dict(span) for span in spans]
         with self._lock:
             mapping: Dict[int, int] = {}

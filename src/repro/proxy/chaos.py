@@ -193,7 +193,7 @@ def run_chaos(
             timeout=1.0, max_retries=2, backoff_base=0.01, max_backoff=0.1,
         )
 
-    obs = obs if obs is not None else Obs()
+    obs = obs if obs is not None else Obs.private()
     m = chaos_metrics(obs.registry)
     channel = obs.channel("chaos")
 

@@ -182,7 +182,7 @@ class FleetSupervisor:
         suspect_threshold: int = 3,
         grace: float = 3.0,
     ) -> None:
-        self.obs = obs if obs is not None else Obs()
+        self.obs = obs if obs is not None else Obs.private()
         self.m = fleet_metrics(self.obs.registry)
         self._channel = self.obs.channel("fleet")
         self.python = python
@@ -559,7 +559,7 @@ class Fleet:
         self, specs: Sequence[ShardSpec], obs: Optional[Obs] = None,
         **router_options,
     ) -> None:
-        self.obs = obs if obs is not None else Obs()
+        self.obs = obs if obs is not None else Obs.private()
         self.supervisor = FleetSupervisor(specs, obs=self.obs)
         self.aggregator = TelemetryAggregator(self.supervisor, obs=self.obs)
         self._router_options = router_options
@@ -724,7 +724,7 @@ def run_fleet_chaos(
         profile=profile, seed=seed, scale=scale, requests=requests,
     )
     checksum = schedule_checksum(urls, rate, seed)
-    obs = obs if obs is not None else Obs()
+    obs = obs if obs is not None else Obs.private()
 
     origin = _SlowOrigin(
         service_time=service_time, site=SyntheticSite(),

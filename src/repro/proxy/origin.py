@@ -92,7 +92,7 @@ class OriginServer(HttpServer):
     ) -> None:
         super().__init__(host, port, timeout)
         self.site = site if site is not None else SyntheticSite()
-        self.obs = obs if obs is not None else Obs()
+        self.obs = obs if obs is not None else Obs.private()
 
     def answer(self, request: HttpRequest, peer: str) -> HttpResponse:
         return self.respond(request)

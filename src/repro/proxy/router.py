@@ -163,7 +163,7 @@ class FleetRouter(HttpServer):
         self.directory = directory
         self.shard_timeout = shard_timeout
         self.default_budget = default_budget
-        self.obs = obs if obs is not None else Obs()
+        self.obs = obs if obs is not None else Obs.private()
         self.m = fleet_metrics(self.obs.registry)
         self._channel = self.obs.channel("fleet")
         self.telemetry = telemetry

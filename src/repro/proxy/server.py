@@ -116,7 +116,7 @@ class ProxyStats:
     """
 
     def __init__(self, obs: Optional[Obs] = None) -> None:
-        self.obs = obs if obs is not None else Obs()
+        self.obs = obs if obs is not None else Obs.private()
         self.m = proxy_metrics(self.obs.registry)
 
     def inc(self, name: str, amount: int = 1) -> None:
@@ -213,7 +213,7 @@ class CachingProxy(HttpServer):
         self.store = store
         self.resolver = resolver if resolver is not None else self._default_resolver
         self.estimator = estimator if estimator is not None else ConsistencyEstimator()
-        self.obs = obs if obs is not None else Obs()
+        self.obs = obs if obs is not None else Obs.private()
         self.stats = ProxyStats(self.obs)
         self._channel = self.obs.channel("proxy")
         # Per-request store phase timing (lookup/evict/admit) into the

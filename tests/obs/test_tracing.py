@@ -65,6 +65,14 @@ class TestSpans:
             assert handle is None
         assert tracer.spans() == []
 
+    def test_disabled_tracer_drops_absorbed_spans(self):
+        source = Tracer()
+        with source.span("worker.job"):
+            pass
+        tracer = Tracer(enabled=False)
+        tracer.absorb(source.to_dicts())
+        assert tracer.spans() == []
+
 
 class TestPhaseBreakdown:
     def test_aggregates_count_total_max(self):

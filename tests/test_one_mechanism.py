@@ -26,7 +26,8 @@ header carries a result cache's schema or a checkpoint's sweep);
 ``SizeModel.draw`` writes the one size draw, and the workload generator
 draws only through the public ``random`` API; ``repro._lazy`` resolves
 every package's exports, so no package ``__init__`` imports its own
-submodules (``repro.obs`` keeps the four its ``Obs`` composes).  A new
+submodules (``repro.obs`` keeps the four its ``Obs`` composes), and a
+component handed no ``Obs`` builds its own through ``Obs.private()``.  A new
 server, client, export, benchmark runner, flag, fleet, dashboard or
 replay loop that grows its own fails here instead of drifting apart
 from the shared one (as the router's deadline-less head reader once
@@ -370,3 +371,25 @@ def test_one_lazy_export_helper():
         )
     ]
     assert files_containing("def __getattr__(") == ["_lazy.py"]
+
+
+def test_a_private_obs_is_built_one_way():
+    """A component handed no ``Obs`` builds ``Obs.private()`` (metrics
+    and events, no spans), and ``Obs(...)`` is called directly only by
+    the sweep engine, whose worker and run contexts export their spans
+    to the caller's."""
+    direct, defaults = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        relative = str(path.relative_to(SRC))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "Obs"):
+                direct.append(relative)
+            if isinstance(node, ast.IfExp) and "Obs" in ast.unparse(node.orelse):
+                defaults.add((relative, ast.unparse(node.orelse)))
+    assert direct == ["core/sweep.py", "core/sweep.py"]
+    assert {call for _, call in defaults} == {"Obs.private()"}
+    assert sorted({path for path, _ in defaults}) == [
+        "obs/telemetry.py", "proxy/chaos.py", "proxy/fleet.py",
+        "proxy/origin.py", "proxy/router.py", "proxy/server.py",
+    ]
