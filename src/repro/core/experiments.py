@@ -15,7 +15,9 @@ the paper's tables and figure series.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from repro.core.cache import SimCache
 from repro.core.keys import (
@@ -25,22 +27,14 @@ from repro.core.keys import (
     TAXONOMY_KEYS,
     SortKey,
 )
-from repro.core.multilevel import TwoLevelCache, simulate_two_level
-from repro.core.partitioned import (
-    PartitionedCache,
-    audio_partition,
-    simulate_partitioned,
-)
 from repro.core.policy import KeyPolicy, RemovalPolicy, taxonomy_policies
 from repro.core.simulator import SimulationResult, simulate
-from repro.core.sweep import (
-    PolicySpec,
-    ResultCache,
-    SimOptions,
-    SweepJob,
-    run_sweep,
-)
 from repro.trace.record import Request
+
+if TYPE_CHECKING:
+    from repro.core.multilevel import TwoLevelCache
+    from repro.core.partitioned import PartitionedCache
+    from repro.core.sweep import PolicySpec, ResultCache, SweepJob
 
 __all__ = [
     "run_infinite_cache",
@@ -96,6 +90,8 @@ def grid_jobs(
 ) -> List[SweepJob]:
     """One sweep job per ``(name, spec)``, every cache at ``fraction`` of
     MaxNeeded: the grid Experiment 2 and ``repro sweep`` run."""
+    from repro.core.sweep import SimOptions, SweepJob
+
     capacity = max(1, int(max_needed * fraction))
     return [
         SweepJob(
@@ -123,6 +119,8 @@ def primary_key_sweep(
     across all runs, ``workers > 1`` fans the grid out over processes,
     and ``result_cache`` memoizes completed runs on disk.
     """
+    from repro.core.sweep import PolicySpec, run_sweep
+
     jobs = grid_jobs(
         [(key.name, PolicySpec((key.name, RANDOM.name))) for key in primaries],
         max_needed, fraction, seed,
@@ -146,6 +144,8 @@ def secondary_key_sweep(
     """Experiment 2 (Figure 15): fixed primary key (⌊log2 SIZE⌋, which
     produces the most ties), every other Table 1 key plus RANDOM as the
     secondary."""
+    from repro.core.sweep import PolicySpec, run_sweep
+
     secondaries: List[SortKey] = [
         key for key in TAXONOMY_KEYS if key != primary
     ] + [RANDOM]
@@ -174,6 +174,8 @@ def full_taxonomy_sweep(
     obs=None,
 ) -> Dict[Tuple[str, str], SimulationResult]:
     """All 36 primary/secondary combinations of Section 1.2."""
+    from repro.core.sweep import run_sweep
+
     jobs = grid_jobs(taxonomy_specs(), max_needed, fraction, seed)
     report = run_sweep(
         trace, jobs, workers=workers, result_cache=result_cache, obs=obs,
@@ -185,6 +187,8 @@ def full_taxonomy_sweep(
 
 def taxonomy_specs() -> List[Tuple[str, PolicySpec]]:
     """The 36 policies of Section 1.2, named, as sweep specs."""
+    from repro.core.sweep import PolicySpec
+
     return [
         (policy.name, PolicySpec.from_policy(policy))
         for policy in taxonomy_policies()
@@ -201,6 +205,8 @@ def run_two_level(
 ) -> TwoLevelCache:
     """Experiment 3 (Figures 16-18): finite L1 under the Experiment 2
     winner (SIZE, random secondary), infinite L2."""
+    from repro.core.multilevel import simulate_two_level
+
     capacity = max(1, int(max_needed * fraction))
     if policy is None:
         policy = KeyPolicy([SIZE, RANDOM], name="SIZE")
@@ -217,6 +223,8 @@ def run_partitioned_sweep(
 ) -> Dict[float, PartitionedCache]:
     """Experiment 4 (Figures 19-20): audio/non-audio partitions at the
     Table 5 split levels, SIZE primary key, over workload BR."""
+    from repro.core.partitioned import audio_partition, simulate_partitioned
+
     capacity = max(1, int(max_needed * fraction))
     results = {}
     for audio_fraction in audio_fractions:

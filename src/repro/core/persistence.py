@@ -27,7 +27,7 @@ from typing import Optional, Union
 from repro.core.cache import SimCache
 from repro.core.entry import CacheEntry
 from repro.core.policy import RemovalPolicy
-from repro.durability import atomic_write_json, checksum
+from repro.durability import atomic_write_text, checksum
 from repro.trace.record import DocumentType
 
 __all__ = ["snapshot_cache", "save_cache", "restore_cache", "load_cache"]
@@ -73,7 +73,9 @@ def save_cache(cache: SimCache, path: Union[str, Path]) -> Path:
         "checksum": checksum(snapshot),
         "snapshot": snapshot,
     }
-    return atomic_write_json(path, envelope, indent=1)
+    return atomic_write_text(
+        path, json.dumps(envelope, sort_keys=True, indent=1) + "\n",
+    )
 
 
 def restore_cache(

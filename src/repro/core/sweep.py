@@ -48,7 +48,7 @@ from repro.durability import (
     read_journal,
     rewrite_journal,
 )
-from repro.obs import EventLog, Obs
+from repro.obs import Obs
 from repro.obs.catalog import sweep_metrics
 from repro.trace.record import Request
 
@@ -468,24 +468,29 @@ _WORKER_TRACE: Optional[Sequence[Request]] = None
 #: deterministic stand-in for OOM kills and segfaults mid-grid).
 _WORKER_KILL_INDICES: frozenset = frozenset()
 
-#: Event-log threshold inherited from the parent's obs context, so a
-#: ``--log-level debug`` sweep streams worker eviction events too.
+#: Event-log threshold and span switch inherited from the parent's run
+#: context, so a ``--log-level debug`` sweep streams worker eviction
+#: events too, and a sweep nobody traces records no worker spans.
 _WORKER_LOG_LEVEL: int = 20
+_WORKER_SPANS: bool = True
 
 
 def _init_worker(
     trace: Sequence[Request],
     kill_indices: frozenset = frozenset(),
     log_level: int = 20,
+    spans: bool = True,
 ) -> None:
     global _WORKER_TRACE, _WORKER_KILL_INDICES, _WORKER_LOG_LEVEL
+    global _WORKER_SPANS
     _WORKER_TRACE = trace
     _WORKER_KILL_INDICES = kill_indices
     _WORKER_LOG_LEVEL = log_level
+    _WORKER_SPANS = spans
 
 
 def _execute(
-    trace: Sequence[Request], job: SweepJob, log_level: int,
+    trace: Sequence[Request], job: SweepJob, log_level: int, spans: bool,
 ) -> Tuple[dict, float, dict]:
     """Run one job against the shared trace (worker and serial path):
     its record, seconds and obs export.
@@ -496,7 +501,7 @@ def _execute(
     stream.
     """
     start = time.perf_counter()
-    obs = Obs(events=EventLog(level=log_level))
+    obs = Obs.create(log_level=log_level, spans=spans)
     options = job.options
     cache = SimCache(
         capacity=job.capacity,
@@ -524,7 +529,9 @@ def _run_job_in_worker(
         # Injected crash: die the way a real worker does — no exception,
         # no cleanup — so the parent sees a broken pool, not an error.
         os._exit(73)
-    return (index, *_execute(_WORKER_TRACE, job, _WORKER_LOG_LEVEL))
+    return (index, *_execute(
+        _WORKER_TRACE, job, _WORKER_LOG_LEVEL, _WORKER_SPANS,
+    ))
 
 
 @dataclass
@@ -700,7 +707,9 @@ def run_sweep(
             end.  Workers collect into their own contexts and ship the
             export back with each result; the parent absorbs those
             payloads in job order, so the merged event stream of a
-            parallel run is as reproducible as a serial one.
+            parallel run is as reproducible as a serial one.  Spans are
+            recorded only when ``obs`` is ``None`` (the report is then
+            the only view) or its tracer records them.
         checkpoint_dir: optional state directory.  When set, every
             finished job (computed or cache-served) is durably journaled
             there as it completes, and SIGINT/SIGTERM trigger a graceful
@@ -728,9 +737,10 @@ def run_sweep(
     if resume and checkpoint_dir is None:
         raise ValueError("resume requires a checkpoint_dir")
     start = time.perf_counter()
-    run_obs = Obs(events=EventLog(
-        level=obs.events.level if obs is not None else "info",
-    ))
+    run_obs = Obs.create(
+        log_level=obs.events.level if obs is not None else "info",
+        spans=obs.tracer.enabled if obs is not None else True,
+    )
     m = sweep_metrics(run_obs.registry)
     channel = run_obs.channel("sweep")
 
@@ -899,6 +909,7 @@ def run_sweep(
                         initializer=_init_worker,
                         initargs=(
                             trace, kill_indices, run_obs.events.level,
+                            run_obs.tracer.enabled,
                         ),
                     ) as pool:
                         futures = {
@@ -972,7 +983,9 @@ def run_sweep(
                     "job.fallback", index=index, policy=job.spec.label,
                 )
             settle(
-                index, *_execute(trace, job, run_obs.events.level),
+                index, *_execute(
+                    trace, job, run_obs.events.level, run_obs.tracer.enabled,
+                ),
                 "computed",
             )
         # (workers == 1 lands here directly: the plain serial path.)

@@ -4,11 +4,11 @@ Three building blocks, shared by every layer that must survive process
 death (the sweep's store of finished jobs — its result cache and its
 checkpoints — and the proxy store's journaled state):
 
-* :func:`atomic_write_bytes` / :func:`atomic_write_text` /
-  :func:`atomic_write_json` — the classic tmp + fsync + rename
-  sequence.  A reader never observes a half-written file: either the
-  old content or the new content exists, all the way through a crash
-  (including one injected mid-write by the disk-fault rules below).
+* :func:`atomic_write_bytes` / :func:`atomic_write_text` — the classic
+  tmp + fsync + rename sequence.  A reader never observes a half-written
+  file: either the old content or the new content exists, all the way
+  through a crash (including one injected mid-write by the disk-fault
+  rules below).
 * :class:`Journal` — a checksummed, append-only log.  Every record is
   one canonical-JSON line carrying a SHA-256 of its payload, which pins
   the length and SHA-256 of any raw blob (a body) written after the
@@ -56,7 +56,6 @@ __all__ = [
     "JournalRecovery",
     "atomic_write_bytes",
     "atomic_write_text",
-    "atomic_write_json",
     "canonical_json",
     "checksum",
     "jsonl_checksum",
@@ -184,18 +183,6 @@ def atomic_write_text(
     return atomic_write_bytes(
         path, text.encode("utf-8"), fsync=fsync, faults=faults,
     )
-
-
-def atomic_write_json(
-    path: Union[str, Path],
-    record: object,
-    fsync: bool = True,
-    faults=None,
-    indent: Optional[int] = None,
-) -> Path:
-    """Serialise ``record`` (sorted keys) and write it atomically."""
-    text = json.dumps(record, sort_keys=True, indent=indent) + "\n"
-    return atomic_write_text(path, text, fsync=fsync, faults=faults)
 
 
 # -- the append-only journal --------------------------------------------------

@@ -17,7 +17,6 @@ from repro.durability import (
     JOURNAL_FORMAT,
     Journal,
     atomic_write_bytes,
-    atomic_write_json,
     atomic_write_text,
     canonical_json,
     checksum,
@@ -57,11 +56,6 @@ class TestAtomicWrite:
         atomic_write_bytes(path, b"old")
         atomic_write_bytes(path, b"new")
         assert path.read_bytes() == b"new"
-
-    def test_json_sorted_keys(self, tmp_path):
-        path = tmp_path / "doc.json"
-        atomic_write_json(path, {"b": 1, "a": 2})
-        assert path.read_text() == '{"a": 2, "b": 1}\n'
 
     def test_no_tmp_litter_on_success(self, tmp_path):
         atomic_write_text(tmp_path / "doc.txt", "x")

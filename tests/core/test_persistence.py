@@ -140,7 +140,7 @@ class TestFileEnvelope:
             load_cache(path, policy=KeyPolicy([SIZE]))
 
     def test_save_is_atomic_under_torn_write(self, tmp_path):
-        from repro.durability import atomic_write_json
+        from repro.durability import atomic_write_text
         from repro.faults import FaultKind, FaultPlan, FaultRule
 
         cache = warmed_cache()
@@ -149,8 +149,8 @@ class TestFileEnvelope:
             rules=(FaultRule(kind=FaultKind.TORN_WRITE, truncate_to=10),),
         )
         with pytest.raises(OSError):
-            atomic_write_json(
-                path, {"replacement": True}, faults=plan.disk_injector(),
+            atomic_write_text(
+                path, '{"replacement": true}\n', faults=plan.disk_injector(),
             )
         # The original (valid) snapshot is still fully loadable.
         restored = load_cache(path, policy=KeyPolicy([SIZE]))

@@ -15,6 +15,8 @@ from repro.core import KeyPolicy, SimCache, simulate
 from repro.core.keys import ATIME, NREF, SIZE
 from repro.core.literature import hyper_g, lru
 from repro.core.sweep import (
+    CHECKPOINT_KIND,
+    CHECKPOINT_NAME,
     PolicySpec,
     ResultCache,
     SimOptions,
@@ -24,6 +26,8 @@ from repro.core.sweep import (
     run_sweep,
     trace_fingerprint,
 )
+from repro.durability import read_journal
+from repro.obs import Obs
 from repro.trace.record import Request
 from repro.workloads import generate_valid
 
@@ -134,6 +138,55 @@ class TestRunSweep:
     def test_workers_validated(self, trace, jobs):
         with pytest.raises(ValueError):
             run_sweep(trace, jobs, workers=0)
+
+
+def span_names(spans):
+    return sorted({span["name"] for span in spans})
+
+
+class TestSpanRetention:
+    """A sweep records spans only for a caller whose tracer records them;
+    with no caller context the report's ``obs`` is the only view, so it
+    records.  The names are the ones recorded before the switch."""
+
+    NAMES = ["sim.replay", "sweep.job", "sweep.run"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_private_obs_records_no_span(
+        self, trace, jobs, tmp_path, workers,
+    ):
+        caller = Obs.private()
+        report = run_sweep(
+            trace, jobs, workers=workers, obs=caller,
+            checkpoint_dir=tmp_path / "ck",
+        )
+        assert report.obs.tracer.spans() == []
+        assert caller.tracer.spans() == []
+        # No job recorded any: the flag reached the serial path and
+        # every pool worker (the journal keeps each job's own export).
+        exports = [
+            record["export"] for record in read_journal(
+                tmp_path / "ck" / CHECKPOINT_NAME, kind=CHECKPOINT_KIND,
+            ).records
+        ]
+        assert len(exports) == len(jobs)
+        assert all(export["spans"] == [] for export in exports)
+        # Metrics and events are collected as before.
+        assert report.obs.events.to_dicts()
+        assert caller.registry.snapshot()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_recording_caller_and_no_caller_keep_every_span(
+        self, trace, jobs, workers,
+    ):
+        caller = Obs()
+        report = run_sweep(trace, jobs, workers=workers, obs=caller)
+        assert span_names(report.obs.tracer.spans()) == self.NAMES
+        assert len(report.obs.tracer.spans()) == 1 + 2 * len(jobs)
+        assert span_names(caller.tracer.spans()) == self.NAMES
+        alone = run_sweep(trace, jobs, workers=workers)
+        assert span_names(alone.obs.tracer.spans()) == self.NAMES
+        assert len(alone.obs.tracer.spans()) == 1 + 2 * len(jobs)
 
 
 class TestResultCache:

@@ -3,9 +3,11 @@
 A proxy shard, the router and the origin load the modules they serve
 with and nothing of the simulator's topologies, the sweep engine's
 process pool, the figure code or the fleet aggregator; the simulator
-loads nothing of the live tiers; a package ``__init__`` loads none of
-its submodules; and once a tier is serving, answering a request imports
-nothing.
+loads nothing of the live tiers; the Experiment-1 path (generate, write
+and read a CLF log, validate, summarise, MaxNeeded) loads no sweep
+engine, topology, durability or obs code; a package ``__init__`` loads
+none of its submodules; and once a tier is serving, answering a request
+imports nothing.
 """
 
 import json
@@ -87,6 +89,21 @@ def test_the_simulator_loads_no_live_tier():
     assert under(loaded, [
         "repro.proxy", "repro.httpnet", "repro.analysis", "repro.core.sweep",
         "concurrent.futures.process",
+    ]) == []
+
+
+def test_the_experiment_1_path_loads_no_engine():
+    """Experiment 1 (an infinite cache gives MaxNeeded) feeds every other
+    experiment; its runner and the ingest modules leave the sweep engine,
+    the two topologies, the journal and the obs stack unloaded."""
+    loaded = loaded_after(
+        "repro.core.experiments", "repro.workloads.generator",
+        "repro.trace.reader", "repro.trace.writer", "repro.trace.stats",
+        "repro.trace.validation",
+    )
+    assert under(loaded, [
+        "repro.core.sweep", "repro.core.multilevel", "repro.core.partitioned",
+        "repro.durability", "repro.obs", "concurrent.futures",
     ]) == []
 
 

@@ -375,9 +375,9 @@ def test_one_lazy_export_helper():
 
 def test_a_private_obs_is_built_one_way():
     """A component handed no ``Obs`` builds ``Obs.private()`` (metrics
-    and events, no spans), and ``Obs(...)`` is called directly only by
-    the sweep engine, whose worker and run contexts export their spans
-    to the caller's."""
+    and events, no spans), and no module calls ``Obs(...)`` directly: the
+    sweep engine builds its run and worker contexts with ``Obs.create``,
+    recording spans only for a caller that records them."""
     direct, defaults = [], set()
     for path in sorted(SRC.rglob("*.py")):
         relative = str(path.relative_to(SRC))
@@ -387,7 +387,7 @@ def test_a_private_obs_is_built_one_way():
                 direct.append(relative)
             if isinstance(node, ast.IfExp) and "Obs" in ast.unparse(node.orelse):
                 defaults.add((relative, ast.unparse(node.orelse)))
-    assert direct == ["core/sweep.py", "core/sweep.py"]
+    assert direct == []
     assert {call for _, call in defaults} == {"Obs.private()"}
     assert sorted({path for path, _ in defaults}) == [
         "obs/telemetry.py", "proxy/chaos.py", "proxy/fleet.py",
