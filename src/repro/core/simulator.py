@@ -120,8 +120,9 @@ def replay(
     counts = [0] * len(OUTCOMES)
     codes = bytearray()
     for day, start, stop in trace.day_slices:
-        sizes = trace.sizes[start:stop]
-        run(trace.urls[start:stop], sizes, trace.stamps[start:stop],
+        # A day's sizes and stamps are boxed once, not once a read.
+        sizes = trace.sizes[start:stop].tolist()
+        run(trace.urls[start:stop], sizes, trace.stamps[start:stop].tolist(),
             trace.types[start:stop], codes)
         metrics.credit(day, sizes, codes)
         counts = [count + codes.count(code) for code, count in enumerate(counts)]

@@ -50,6 +50,7 @@ from repro.durability import (
 )
 from repro.obs import Obs
 from repro.obs.catalog import sweep_metrics
+from repro.trace.compiled import compile_trace
 from repro.trace.record import Request
 
 __all__ = [
@@ -158,17 +159,19 @@ class SweepJob:
 def trace_fingerprint(trace: Sequence[Request]) -> str:
     """Content hash of a decoded trace (the fields the simulator reads).
 
-    Hashes ``(timestamp, url, size, doc_type)`` per request, so any
-    change that could perturb a simulation changes the fingerprint while
-    re-decoding an identical log file does not.
+    Hashes ``(timestamp, url, size, doc_type)`` per request, read from
+    the compiled trace's columns, so any change that could perturb a
+    simulation changes the fingerprint while re-decoding an identical log
+    file does not.
     """
+    trace = compile_trace(trace)
     digest = hashlib.sha256()
-    for request in trace:
-        doc_type = request.doc_type.value if request.doc_type else ""
-        digest.update(
-            f"{request.timestamp!r}\x1f{request.url}\x1f"
-            f"{request.size}\x1f{doc_type}\n".encode("utf-8")
-        )
+    update = digest.update
+    for stamp, url, size, doc_type in zip(
+        trace.stamps, trace.urls, trace.sizes, trace.doc_types()
+    ):
+        kind = doc_type.value if doc_type else ""
+        update(f"{stamp!r}\x1f{url}\x1f{size}\x1f{kind}\n".encode("utf-8"))
     return digest.hexdigest()
 
 
@@ -544,6 +547,13 @@ class JobResult:
     from_cache: bool
 
 
+def _counter(family: str, doc: str, **labels: str) -> property:
+    """A report counter, read through from the run's metric registry."""
+    return property(
+        lambda report: int(report.obs.registry.value(family, **labels)), doc=doc,
+    )
+
+
 @dataclass
 class SweepReport:
     """All results of one sweep, in job order, plus engine telemetry.
@@ -551,8 +561,8 @@ class SweepReport:
     Engine telemetry lives in the run's :class:`~repro.obs.Obs` context
     (the ``repro_sweep_*`` metric families); the counter attributes the
     pre-obs report carried (``cache_hits``, ``retried_jobs``, ...) are
-    kept as read-through properties over that registry, so existing
-    callers and tests see the same numbers.
+    read through that registry, so existing callers and tests see the
+    same numbers.
     """
 
     results: List[JobResult]
@@ -564,57 +574,33 @@ class SweepReport:
     #: event of this run (workers included), merged in job order.
     obs: Obs = field(default_factory=Obs, repr=False, compare=False)
 
-    def _count(self, name: str, **labels: object) -> int:
-        return int(self.obs.registry.value(name, **labels))
-
-    @property
-    def cache_hits(self) -> int:
-        """Jobs served straight from the on-disk result cache."""
-        return self._count("repro_sweep_jobs_total", source="cached")
-
-    @property
-    def cache_misses(self) -> int:
-        """Jobs that had to be computed (no usable cached result)."""
-        return self._count("repro_sweep_jobs_total", source="computed")
-
-    @property
-    def cache_stores(self) -> int:
-        """Computed results persisted into the result cache."""
-        return self._count("repro_sweep_result_cache_total", event="store")
-
-    @property
-    def cache_quarantined(self) -> int:
-        """Corrupt/stale result-cache entries quarantined this run."""
-        return self._count(
-            "repro_sweep_result_cache_total", event="quarantined",
-        )
-
-    @property
-    def resumed_jobs(self) -> int:
-        """Jobs restored from a checkpoint journal instead of being
-        recomputed (``run_sweep(..., resume=True)``)."""
-        return self._count("repro_sweep_resumed_jobs_total")
-
-    @property
-    def retried_jobs(self) -> int:
-        """Job executions re-attempted after a worker crash or failure."""
-        return self._count("repro_sweep_retried_jobs_total")
-
-    @property
-    def recovered_jobs(self) -> int:
-        """Jobs that completed successfully after at least one failure."""
-        return self._count("repro_sweep_recovered_jobs_total")
-
-    @property
-    def pool_restarts(self) -> int:
-        """Times the process pool broke and was rebuilt (worker death)."""
-        return self._count("repro_sweep_pool_restarts_total")
-
-    @property
-    def fallback_jobs(self) -> int:
-        """Jobs finished on the in-process fallback path after the
-        pool-retry budget was exhausted."""
-        return self._count("repro_sweep_fallback_jobs_total")
+    cache_hits = _counter(
+        "repro_sweep_jobs_total", "Jobs served straight from the on-disk result cache.",
+        source="cached")
+    cache_misses = _counter(
+        "repro_sweep_jobs_total", "Jobs that had to be computed (no usable cached result).",
+        source="computed")
+    cache_stores = _counter(
+        "repro_sweep_result_cache_total", "Computed results persisted into the result cache.",
+        event="store")
+    cache_quarantined = _counter(
+        "repro_sweep_result_cache_total", "Corrupt/stale result-cache entries quarantined.",
+        event="quarantined")
+    resumed_jobs = _counter(
+        "repro_sweep_resumed_jobs_total",
+        "Jobs restored from a checkpoint journal instead of being recomputed.")
+    retried_jobs = _counter(
+        "repro_sweep_retried_jobs_total",
+        "Job executions re-attempted after a worker crash or failure.")
+    recovered_jobs = _counter(
+        "repro_sweep_recovered_jobs_total",
+        "Jobs that completed successfully after at least one failure.")
+    pool_restarts = _counter(
+        "repro_sweep_pool_restarts_total",
+        "Times the process pool broke and was rebuilt (worker death).")
+    fallback_jobs = _counter(
+        "repro_sweep_fallback_jobs_total",
+        "Jobs finished in-process after the pool-retry budget was exhausted.")
 
     @property
     def simulated_requests(self) -> int:
@@ -736,6 +722,7 @@ def run_sweep(
         raise ValueError("workers must be >= 1")
     if resume and checkpoint_dir is None:
         raise ValueError("resume requires a checkpoint_dir")
+    trace = compile_trace(trace)  # once, for the fingerprint and every job
     start = time.perf_counter()
     run_obs = Obs.create(
         log_level=obs.events.level if obs is not None else "info",
@@ -836,6 +823,10 @@ def run_sweep(
                     m.recovered.inc()
             if resumed:
                 m.resumed.inc()
+                if not (export or {}).get("spans"):  # a spanless run journaled it
+                    with run_obs.span("sweep.job", policy=job.spec.label,
+                                      capacity=job.capacity, resumed=True):
+                        pass
                 channel.debug(
                     "job.resumed", index=index, policy=job.spec.label,
                     capacity=job.capacity, from_cache=not computed,
@@ -856,8 +847,10 @@ def run_sweep(
         # Replay the checkpoint journal: restore each finished job's
         # slot, export, and telemetry exactly as the original run
         # recorded them, so the resumed run's report and event stream
-        # are byte-identical to an uninterrupted one.
-        for entry in resumed_records:
+        # are byte-identical to an uninterrupted one.  Job order, not
+        # the journal's completion order, so a parallel run's resume
+        # reads the same.
+        for entry in sorted(resumed_records, key=lambda entry: entry["index"]):
             settle(
                 entry["index"], entry["record"], entry["seconds"],
                 entry.get("export"),

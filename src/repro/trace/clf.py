@@ -192,15 +192,33 @@ def format_clf_line(
         augmented: when true, append the Last-Modified epoch column used by
             the paper's tcpdump filter output (``-`` when absent).
     """
-    when = format_clf_time(epoch + request.timestamp)
-    status = request.status if request.status else "-"
+    return format_clf_fields(
+        request.timestamp, request.url, request.size, request.status,
+        request.client, request.last_modified, epoch, method, augmented,
+    )
+
+
+def format_clf_fields(
+    timestamp: float,
+    url: str,
+    size: int,
+    status: int,
+    client: str,
+    last_modified: Optional[float],
+    epoch: float = 0.0,
+    method: str = "GET",
+    augmented: bool = False,
+) -> str:
+    """:func:`format_clf_line` from a request's fields, as a compiled
+    trace's columns hold them."""
+    when = format_clf_time(epoch + timestamp)
     line = (
-        f'{request.client or "-"} - - [{when}] '
-        f'"{method} {request.url} HTTP/1.0" {status} {request.size}'
+        f'{client or "-"} - - [{when}] '
+        f'"{method} {url} HTTP/1.0" {status or "-"} {size}'
     )
     if augmented:
-        if request.last_modified is None:
+        if last_modified is None:
             line += " -"
         else:
-            line += f" {request.last_modified:.0f}"
+            line += f" {last_modified:.0f}"
     return line

@@ -1,21 +1,16 @@
 """Request records and document-type classification.
 
-A *document* in the paper is any item retrieved by a URL.  The simulator only
-needs a handful of fields per request; everything else carried by a log line
-(identities, protocol version, raw header fields) is preserved on the record
-for the collection-pipeline substrate but ignored by the cache simulation.
-
-Document types follow the grouping of Table 4 of the paper: ``graphics``,
-``text`` (text/HTML), ``audio``, ``video``, ``cgi`` (dynamically generated)
-and ``unknown``.  Types are derived from the filename extension exactly as the
-paper describes ("files ending in .gif, .jpg, .jpeg, etc. are considered
-graphics"); URLs whose extension fits no category are ``unknown``.
+A *document* in the paper is any item retrieved by a URL.  Document types
+follow the grouping of Table 4 of the paper: ``graphics``, ``text``,
+``audio``, ``video``, ``cgi`` (dynamically generated) and ``unknown``,
+derived from the filename extension as the paper describes ("files ending
+in .gif, .jpg, .jpeg, etc. are considered graphics").
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 from urllib.parse import urlsplit
 
@@ -36,27 +31,14 @@ class DocumentType(enum.Enum):
 
 #: Filename extensions for each category, mirroring mid-1990s web content.
 _EXTENSION_TABLE = {
-    DocumentType.GRAPHICS: (
-        "gif", "jpg", "jpeg", "jpe", "xbm", "xpm", "png", "bmp", "pbm",
-        "pgm", "ppm", "rgb", "tif", "tiff", "ico",
-    ),
-    DocumentType.TEXT: (
-        "html", "htm", "txt", "text", "ps", "tex", "dvi", "doc", "rtf",
-        "pdf", "md",
-    ),
-    DocumentType.AUDIO: (
-        "au", "snd", "wav", "aif", "aiff", "aifc", "mp2", "mpa", "ra",
-        "ram", "mid", "midi", "mp3",
-    ),
-    DocumentType.VIDEO: (
-        "mpg", "mpeg", "mpe", "mov", "qt", "avi", "movie", "fli",
-    ),
+    DocumentType.GRAPHICS: "gif jpg jpeg jpe xbm xpm png bmp pbm pgm ppm rgb tif tiff ico",
+    DocumentType.TEXT: "html htm txt text ps tex dvi doc rtf pdf md",
+    DocumentType.AUDIO: "au snd wav aif aiff aifc mp2 mpa ra ram mid midi mp3",
+    DocumentType.VIDEO: "mpg mpeg mpe mov qt avi movie fli",
 }
 
 _EXTENSION_TO_TYPE = {
-    ext: doc_type
-    for doc_type, extensions in _EXTENSION_TABLE.items()
-    for ext in extensions
+    ext: doc_type for doc_type, names in _EXTENSION_TABLE.items() for ext in names.split()
 }
 
 #: Path substrings that mark a document as dynamically generated (CGI).
@@ -73,19 +55,11 @@ def split_url(url: str) -> Tuple[str, str, bool]:
 
     A plain ``http://host/path`` URL -- lower-case scheme, printable ASCII,
     none of ``?#[]`` -- is split at its first slash after the scheme, which
-    is all ``urlsplit`` does with it (nothing to strip, no query or fragment,
-    no bracketed host or non-ASCII netloc to check).  Every other URL goes
-    through ``urlsplit``.
+    is all ``urlsplit`` does with it.  Every other URL goes through
+    ``urlsplit``.
     """
-    if (
-        url.startswith("http://")
-        and url.isascii()
-        and url.isprintable()
-        and "?" not in url
-        and "#" not in url
-        and "[" not in url
-        and "]" not in url
-    ):
+    if (url.startswith("http://") and url.isascii() and url.isprintable()
+            and "?" not in url and "#" not in url and "[" not in url and "]" not in url):
         slash = url.find("/", 7)
         if slash < 0:
             return url[7:], "", False
@@ -104,21 +78,15 @@ def classify_url(url: str) -> DocumentType:
     treated as text, matching how mid-90s servers returned ``index.html``.
     """
     _, path, has_query = split_url(url)
-    path = path or "/"
-    if has_query or path.endswith((".cgi", ".pl")):
-        return DocumentType.CGI
     lowered = path.lower()
-    for marker in _CGI_MARKERS:
-        if marker in lowered:
-            return DocumentType.CGI
+    if has_query or lowered.endswith((".cgi", ".pl")) or any(
+        marker in lowered for marker in _CGI_MARKERS
+    ):
+        return DocumentType.CGI
     final = lowered.rsplit("/", 1)[-1]
-    if "." not in final:
-        return DocumentType.TEXT
-    extension = final.rsplit(".", 1)[-1]
+    extension = final.rsplit(".", 1)[1] if "." in final else ""
     if not extension:
         return DocumentType.TEXT
-    if extension in ("cgi", "pl"):
-        return DocumentType.CGI
     return _EXTENSION_TO_TYPE.get(extension, DocumentType.UNKNOWN)
 
 
@@ -132,10 +100,10 @@ def server_of_url(url: str) -> str:
 
 @dataclass(frozen=True, init=False)
 class Request:
-    """One client request for a URL, as consumed by the simulator.
+    """One client request for a URL: one row of a trace.
 
     Frozen and compared by value; slotted (no per-instance ``__dict__``)
-    because a pass over a trace builds several of these per log line.
+    because iterating a trace builds one per row.
 
     Attributes:
         timestamp: seconds since the start of the trace epoch (float so that
@@ -144,9 +112,7 @@ class Request:
         size: document size in bytes as reported by the log (the response
             body length).  ``0`` encodes "size unknown" per Section 1.1.
         status: HTTP status code returned to the client (default 200).
-        client: requesting host (dotted quad or name); used only by the
-            collection pipeline and workload characterisation
-            (default ``"-"``).
+        client: requesting host (dotted quad or name; default ``"-"``).
         doc_type: the Table 4 media category, precomputed when known.
         last_modified: Last-Modified timestamp when the augmented log carries
             it (workloads BR/BL); ``None`` otherwise.
@@ -155,8 +121,7 @@ class Request:
     # ``@dataclass(slots=True)`` needs Python 3.10; with explicit slots the
     # fields cannot carry class-level defaults, so ``__init__`` holds them.
     __slots__ = (
-        "timestamp", "url", "size", "status", "client", "doc_type",
-        "last_modified",
+        "timestamp", "url", "size", "status", "client", "doc_type", "last_modified",
     )
 
     timestamp: float
@@ -168,21 +133,14 @@ class Request:
     last_modified: Optional[float]
 
     def __init__(
-        self,
-        timestamp: float,
-        url: str,
-        size: int,
-        status: int = 200,
-        client: str = "-",
-        doc_type: Optional[DocumentType] = None,
+        self, timestamp: float, url: str, size: int, status: int = 200,
+        client: str = "-", doc_type: Optional[DocumentType] = None,
         last_modified: Optional[float] = None,
     ) -> None:
         if size < 0:
             raise ValueError(f"size must be non-negative, got {size}")
         if timestamp < 0:
-            raise ValueError(
-                f"timestamp must be non-negative, got {timestamp}"
-            )
+            raise ValueError(f"timestamp must be non-negative, got {timestamp}")
         # The slot descriptors write past the frozen ``__setattr__``.
         _set_timestamp(self, timestamp)
         _set_url(self, url)
@@ -194,12 +152,8 @@ class Request:
 
     def __reduce__(self):
         # Default pickling of a slotted object restores state with setattr,
-        # which a frozen class refuses; rebuild through ``__init__`` instead
-        # (sweep workers receive the trace by pickle).
-        return (self.__class__, (
-            self.timestamp, self.url, self.size, self.status, self.client,
-            self.doc_type, self.last_modified,
-        ))
+        # which a frozen class refuses; rebuild through ``__init__`` instead.
+        return (self.__class__, tuple(map(self.__getattribute__, self.__slots__)))
 
     @property
     def media_type(self) -> DocumentType:
@@ -219,15 +173,9 @@ class Request:
         return int(self.timestamp // 86400)
 
     def with_size(self, size: int) -> "Request":
-        """Return a copy of this request carrying a different size.
-
-        Used by validation when a size-0 request inherits the URL's last
-        known size (Section 1.1).
-        """
-        return Request(
-            self.timestamp, self.url, size, self.status, self.client,
-            self.doc_type, self.last_modified,
-        )
+        """A copy carrying ``size`` (a size-0 line inheriting its URL's
+        last known size, Section 1.1)."""
+        return replace(self, size=size)
 
 
 _set_timestamp = Request.timestamp.__set__

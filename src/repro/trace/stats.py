@@ -26,6 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from repro.trace.compiled import compile_trace
 from repro.trace.record import DocumentType, Request, server_of_url
 
 __all__ = [
@@ -192,26 +193,20 @@ class WorkloadSummary:
 
 
 def summarize(requests: Iterable[Request]) -> WorkloadSummary:
-    """Compute headline numbers for a valid trace."""
+    """Compute headline numbers for a valid trace, from its columns (a
+    trace that is not compiled yet is compiled first)."""
+    trace = compile_trace(requests)
     summary = WorkloadSummary()
-    urls: Dict[str, int] = {}
-    per_day: Counter = Counter()
-    count = total_bytes = 0
-    last_timestamp = 0.0
-    for request in requests:
-        size = request.size
-        count += 1
-        total_bytes += size
-        urls[request.url] = size
-        per_day[request.day] += 1
-        if request.timestamp > last_timestamp:
-            last_timestamp = request.timestamp
-    summary.requests = count
-    summary.total_bytes = total_bytes
+    # Each URL's last size, in order of first reference.
+    urls: Dict[str, int] = dict(zip(trace.urls, trace.sizes))
+    per_day = Counter(int(stamp // 86400) for stamp in trace.stamps)
+    summary.requests = len(trace)
+    summary.total_bytes = sum(trace.sizes)
     summary.unique_urls = len(urls)
     # A trace names each URL many times: split each URL once.
     summary.unique_servers = len({server_of_url(url) for url in urls})
     summary.unique_bytes = sum(urls.values())
+    last_timestamp = max(trace.stamps, default=0.0)
     summary.duration_days = int(last_timestamp // 86400) + 1 if summary.requests else 0
     summary.per_day_requests = dict(per_day)
     if summary.duration_days:

@@ -22,9 +22,9 @@ use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Optional
+from typing import Dict, Iterable, Optional
 
-from repro.trace.compiled import CompiledTrace
+from repro.trace.compiled import CompiledTrace, request_fields
 from repro.trace.record import Request
 
 __all__ = ["ValidationStats", "TraceValidator"]
@@ -75,6 +75,26 @@ class TraceValidator:
         self._last_known_size: Dict[str, int] = {}
         self.stats = ValidationStats()
 
+    def _admit(self, url: str, size: int, status: int) -> Optional[int]:
+        """The Section 1.1 rule for one logged line: the size it enters
+        the valid trace with, or ``None`` when it is discarded."""
+        stats = self.stats
+        stats.total += 1
+        if status not in self._accepted_statuses:
+            stats.rejected_status += 1
+            return None
+        if size == 0:
+            size = self._last_known_size.get(url)
+            if size is None:
+                stats.rejected_zero_size += 1
+                return None
+            stats.inherited_size += 1
+        else:
+            self._last_known_size[url] = size
+        stats.accepted += 1
+        stats.accepted_bytes += size
+        return size
+
     def feed(self, request: Request) -> Optional[Request]:
         """Validate one request.
 
@@ -82,31 +102,20 @@ class TraceValidator:
             The request to include in the valid trace (possibly with an
             inherited size), or ``None`` when the request is discarded.
         """
-        self.stats.total += 1
-        if request.status not in self._accepted_statuses:
-            self.stats.rejected_status += 1
+        size = self._admit(request.url, request.size, request.status)
+        if size is None:
             return None
-        if request.size == 0:
-            known = self._last_known_size.get(request.url)
-            if known is None:
-                self.stats.rejected_zero_size += 1
-                return None
-            request = request.with_size(known)
-            self.stats.inherited_size += 1
-        else:
-            self._last_known_size[request.url] = request.size
-        self.stats.accepted += 1
-        self.stats.accepted_bytes += request.size
-        return request
-
-    def iter_valid(self, requests: Iterable[Request]) -> Iterator[Request]:
-        """Yield the valid subsequence of a raw request stream."""
-        for request in requests:
-            valid = self.feed(request)
-            if valid is not None:
-                yield valid
+        return request if size == request.size else request.with_size(size)
 
     def validate(self, requests: Iterable[Request]) -> CompiledTrace:
         """Materialise the valid trace for a raw request sequence,
-        compiled once for every replay over it."""
-        return CompiledTrace(self.iter_valid(requests))
+        compiled once for every replay over it.  A compiled trace is read
+        column by column; a ``Request`` stream is compiled as it streams."""
+        valid = CompiledTrace()
+        add, admit = valid.appender(), self._admit
+        for stamp, url, size, status, client, kind, modified in request_fields(requests):
+            size = admit(url, size, status)
+            if size is not None:
+                add(stamp, url, size, status, client, kind, modified)
+        valid.seal()
+        return valid

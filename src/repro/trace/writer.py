@@ -6,7 +6,8 @@ import gzip
 from pathlib import Path
 from typing import Iterable, Union
 
-from repro.trace.clf import format_clf_line
+from repro.trace.clf import format_clf_fields
+from repro.trace.compiled import request_fields
 from repro.trace.record import Request
 
 __all__ = ["write_clf_lines", "write_clf_file"]
@@ -17,9 +18,12 @@ def write_clf_lines(
     epoch: float = 0.0,
     augmented: bool = False,
 ) -> Iterable[str]:
-    """Render requests as CLF lines (lazily)."""
-    for request in requests:
-        yield format_clf_line(request, epoch=epoch, augmented=augmented)
+    """Render requests as CLF lines (lazily); a compiled trace's are
+    formatted from its columns, with no ``Request`` built."""
+    for stamp, url, size, status, client, _, modified in request_fields(requests):
+        yield format_clf_fields(
+            stamp, url, size, status, client, modified, epoch, "GET", augmented,
+        )
 
 
 def write_clf_file(
@@ -38,7 +42,7 @@ def write_clf_file(
     count = 0
     with opener(path, "wt", encoding="utf-8") as handle:
         write = handle.write
-        for request in requests:
-            write(format_clf_line(request, epoch, "GET", augmented) + "\n")
+        for line in write_clf_lines(requests, epoch, augmented):
+            write(line + "\n")
             count += 1
     return count

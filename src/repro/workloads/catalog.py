@@ -14,6 +14,7 @@ Figure 1.
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List
@@ -35,16 +36,37 @@ _EXTENSION_FOR_TYPE = {
 }
 
 
-@dataclass
 class Document:
     """One document in the synthetic universe."""
 
-    url: str
-    server: str
-    doc_type: DocumentType
-    size: int
-    generation: int = 0
-    times_modified: int = 0
+    # Slotted by hand, as ``Request`` is: ``@dataclass(slots=True)`` needs
+    # Python 3.10.  A generator run makes one per referenced URL.
+    __slots__ = (
+        "url", "server", "doc_type", "size", "generation", "times_modified",
+    )
+
+    def __init__(
+        self,
+        url: str,
+        server: str,
+        doc_type: DocumentType,
+        size: int,
+        generation: int = 0,
+        times_modified: int = 0,
+    ) -> None:
+        self.url = url
+        self.server = server
+        self.doc_type = doc_type
+        self.size = size
+        self.generation = generation
+        self.times_modified = times_modified
+
+    def __repr__(self) -> str:
+        return (
+            f"Document({self.url!r}, {self.server!r}, {self.doc_type}, "
+            f"size={self.size}, generation={self.generation}, "
+            f"times_modified={self.times_modified})"
+        )
 
     def modify(self, new_size: int) -> None:
         """Record a modification event changing the document's size."""
@@ -57,22 +79,24 @@ class Document:
 @dataclass
 class Column:
     """One media type of one generation, in popularity order: each rank's
-    drawn size and server, and a document made only when first looked up
-    (a trace references a small share of its catalog), then kept so
-    ``modify()`` acts on one object."""
+    drawn size (``array('q')``) and server (``array('i')`` of indices into
+    ``hosts``, the catalog's server names), and a document made only when
+    first looked up (a trace references a small share of its catalog),
+    then kept so ``modify()`` acts on one object."""
 
     doc_type: DocumentType
     generation: int
     stem: str
-    sizes: List[int]
-    servers: List[str]
+    sizes: array
+    server_ids: array
+    hosts: List[str]
     made: Dict[int, Document] = field(default_factory=dict)
 
     def document(self, rank: int) -> Document:
         """The document at popularity ``rank``."""
         doc = self.made.get(rank)
         if doc is None:
-            server = self.servers[rank]
+            server = self.hosts[self.server_ids[rank]]
             doc = self.made[rank] = Document(
                 f"http://{server}/{self.stem}{rank}.{_EXTENSION_FOR_TYPE[self.doc_type]}",
                 server, self.doc_type, self.sizes[rank], self.generation,
@@ -191,12 +215,13 @@ def build_catalog(
             raise ValueError(f"negative document count for {doc_type}")
         if count == 0:
             continue
-        sizes = _correlated_size_assignment(
+        sizes = array("q", _correlated_size_assignment(
             size_models[doc_type].draw(rng, count), size_rank_correlation, rng
-        )
+        ))
         # Rank r's URL is http://<server>/<stem><r>.<extension>.
         columns.append(Column(
             doc_type, generation, f"{url_prefix}{doc_type.value}/doc{generation}_",
-            sizes, [servers[bisect_left(cumulative, uniform() * total)] for _ in sizes],
+            sizes, array("i", [bisect_left(cumulative, uniform() * total) for _ in sizes]),
+            servers,
         ))
     return Catalog(columns, servers)

@@ -24,10 +24,9 @@ import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.trace.record import DocumentType, Request, TraceMetadata
+from repro.trace.record import DocumentType, TraceMetadata
 from repro.trace.compiled import CompiledTrace
 from repro.trace.validation import TraceValidator
 from repro.workloads.calendars import diurnal_offset
@@ -41,12 +40,12 @@ __all__ = ["GeneratedTrace", "WorkloadGenerator", "generate", "generate_valid"]
 
 @dataclass
 class GeneratedTrace:
-    """A synthesised workload: the raw log plus provenance."""
+    """A synthesised workload: the raw log, as columns, plus provenance."""
 
     profile: WorkloadProfile
     seed: int
     scale: float
-    raw: List[Request]
+    raw: CompiledTrace
     #: Every document the generator could reference, all generations.
     catalog: Catalog
     metadata: TraceMetadata
@@ -146,7 +145,9 @@ class WorkloadGenerator:
 
         The order in which random numbers are drawn is part of the output:
         the loop below hoists what does not change from one request to the
-        next, and draws exactly what a request has always drawn.
+        next, and draws exactly what a request has always drawn.  Each row
+        goes straight into the raw log's columns; each day's stretch is
+        then put in timestamp order.
         """
         rng = self._rng
         prof = self.profile
@@ -180,7 +181,8 @@ class WorkloadGenerator:
         seen_urls: set = set()
         nonzero_logged: set = set()
         history: List[Document] = []
-        raw: List[Request] = []
+        raw = CompiledTrace()
+        add = raw.appender()
         clients = self._client_pool()
 
         draw, choice, choices = rng.random, rng.choice, rng.choices
@@ -190,11 +192,10 @@ class WorkloadGenerator:
         modification_rate = prof.modification_rate
         zero_size_rate = prof.zero_size_rate
         invalid_status_rate = prof.invalid_status_rate
-        by_timestamp = attrgetter("timestamp")
 
         for day, count in enumerate(per_day):
             day_start = day * 86400.0
-            day_requests: List[Request] = []
+            first = len(raw)
             today_refs: List[Document] = []
             in_review = review_start_day is not None and day >= review_start_day
             in_fall = fall_start_day is not None and day >= fall_start_day
@@ -228,15 +229,11 @@ class WorkloadGenerator:
                 size = 0 if log_zero else doc.size
                 if size:
                     nonzero_logged.add(url)
-                day_requests.append(Request(
-                    timestamp, url, size, 200, choice(clients), doc.doc_type,
-                ))
+                add(timestamp, url, size, 200, choice(clients), doc.doc_type)
                 if draw() < invalid_status_rate:
-                    day_requests.append(self._invalid_line(
-                        rng, day, doc, clients,
-                    ))
-            day_requests.sort(key=by_timestamp)
-            raw.extend(day_requests)
+                    self._invalid_line(add, rng, day, doc, clients)
+            raw.sort_from(first)
+        raw.seal()
 
         metadata = TraceMetadata(
             name=prof.key,
@@ -283,20 +280,21 @@ class WorkloadGenerator:
 
     @staticmethod
     def _invalid_line(
+        add: Callable[..., None],
         rng: random.Random,
         day: int,
         doc: Document,
         clients: Sequence[str],
-    ) -> Request:
-        """A raw log line validation must discard (non-200 status)."""
+    ) -> None:
+        """Add a raw log line validation must discard (non-200 status)."""
         status = rng.choice((304, 403, 404, 500))
-        return Request(
-            timestamp=day * 86400.0 + diurnal_offset(rng),
-            url=doc.url,
-            size=0 if status == 304 else doc.size,
-            status=status,
-            client=rng.choice(clients),
-            doc_type=doc.doc_type,
+        add(
+            day * 86400.0 + diurnal_offset(rng),
+            doc.url,
+            0 if status == 304 else doc.size,
+            status,
+            rng.choice(clients),
+            doc.doc_type,
         )
 
 

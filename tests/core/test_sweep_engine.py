@@ -9,6 +9,9 @@ Covers the three pillars of :mod:`repro.core.sweep`:
 * :func:`run_sweep` — serial, parallel, and cached replays agree.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core import KeyPolicy, SimCache, simulate
@@ -28,8 +31,14 @@ from repro.core.sweep import (
 )
 from repro.durability import read_journal
 from repro.obs import Obs
+from repro.trace import TraceValidator, read_clf_lines, write_clf_lines
 from repro.trace.record import Request
 from repro.workloads import generate_valid
+
+FINGERPRINTS = (
+    Path(__file__).resolve().parents[1] / "fixtures"
+    / "trace_fingerprint_parent.json"
+)
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +124,22 @@ class TestTraceFingerprint:
         ]
         assert len({baseline} | {trace_fingerprint(v) for v in variants}) == 4
 
+    def test_digest_is_the_one_recorded_before_columns(self):
+        """An existing ``--cache-dir`` stays warm: the digest over the
+        columns is byte-identical to the one taken over ``Request`` rows
+        (recorded at commit ``216dfe6``, before the trace became columns:
+        BR generated, and BR after a plain-CLF write and read)."""
+        golden = json.loads(FINGERPRINTS.read_text(encoding="utf-8"))
+        generated = generate_valid("BR", seed=1996, scale=0.05)
+        read = TraceValidator().validate(
+            read_clf_lines(write_clf_lines(generated))
+        )
+        for name, trace in (("generated", generated), ("clf", read)):
+            want = golden[f"BR:seed=1996:scale=0.05:{name}"]
+            assert len(trace) == want["requests"]
+            assert trace_fingerprint(trace) == want["sha256"]
+            assert trace_fingerprint(list(trace)) == want["sha256"]
+
 
 class TestRunSweep:
     def test_serial_equals_parallel(self, trace, jobs):
@@ -187,6 +212,45 @@ class TestSpanRetention:
         alone = run_sweep(trace, jobs, workers=workers)
         assert span_names(alone.obs.tracer.spans()) == self.NAMES
         assert len(alone.obs.tracer.spans()) == 1 + 2 * len(jobs)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_job_resumed_without_spans_gets_one_resumed_span(
+        self, trace, jobs, tmp_path, workers,
+    ):
+        """A checkpoint journaled with no spans resumes with one
+        ``sweep.job`` span a job, marked ``resumed``; one journaled with
+        spans resumes with the spans it recorded."""
+        spanless, recorded = tmp_path / "private", tmp_path / "recorded"
+        run_sweep(trace, jobs, workers=workers, obs=Obs.private(),
+                  checkpoint_dir=spanless)
+        first = run_sweep(trace, jobs, workers=workers, obs=Obs(),
+                          checkpoint_dir=recorded)
+        for directory in (spanless, recorded):
+            caller = Obs()
+            report = run_sweep(
+                trace, jobs, workers=workers, obs=caller,
+                checkpoint_dir=directory, resume=True,
+            )
+            assert report.resumed_jobs == len(jobs)
+            spans = caller.tracer.spans()
+            job_spans = [s for s in spans if s["name"] == "sweep.job"]
+            assert len(job_spans) == len(jobs)
+            if directory == spanless:
+                assert span_names(spans) == ["sweep.job", "sweep.run"]
+                assert [s["args"] for s in job_spans] == [
+                    {"policy": job.spec.label, "capacity": job.capacity,
+                     "resumed": True}
+                    for job in jobs
+                ]
+            else:
+                assert span_names(spans) == self.NAMES
+                assert [
+                    (s["name"], s["args"]) for s in spans
+                    if s["name"] != "sweep.run"
+                ] == [
+                    (s["name"], s["args"]) for s in first.obs.tracer.spans()
+                    if s["name"] != "sweep.run"
+                ]
 
 
 class TestResultCache:

@@ -1,7 +1,11 @@
-"""``CompiledTrace`` behaves as the list of requests it replaces."""
+"""``CompiledTrace`` behaves as the list of requests it replaces, and
+holds columns only."""
 
 import ast
+import gc
 import pickle
+import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -11,10 +15,11 @@ from repro.core import (
     taxonomy_policies,
 )
 from repro.trace import (
-    CompiledTrace, Request, TraceValidator, read_clf_lines, write_clf_lines,
+    CompiledTrace, DocumentType, Request, TraceValidator, read_clf_lines,
+    write_clf_lines,
 )
 from repro.trace.compiled import compile_trace
-from repro.workloads import generate_valid
+from repro.workloads import generate, generate_valid
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 DAY = 86400
@@ -34,19 +39,44 @@ def test_validation_compiles_and_equals_the_row_list(trace):
     assert len(trace) == len(rows)
 
 
-def test_slicing_and_iteration_yield_the_same_requests(trace):
-    rows = trace.rows
-    assert all(a is b for a, b in zip(trace, rows))
-    assert all(a is b for a, b in zip(trace[10:20], rows[10:20]))
-    assert trace[-1] is rows[-1]
-    assert trace[3:1:-1] == rows[3:1:-1]
+ROWS = [
+    Request(5.0, "http://s/a.html", 10),
+    Request(9.5, "http://s/a.html", 0, 304, "c1", None, 800_000_000.0),
+    Request(DAY + 1.0, "http://t/b.gif", 7, 200, "c2", DocumentType.GRAPHICS),
+    Request(3.0, "http://t/b.gif", 7, 404, "c1", DocumentType.TEXT, 5.0),
+    Request(2 * DAY, "http://u/cgi-bin/q", 1 << 40, 200, "-"),
+]
+
+
+def test_slicing_and_iteration_yield_views_equal_to_the_rows(trace):
+    for rows in (ROWS, list(read_clf_lines(write_clf_lines(trace))), list(trace)):
+        compiled = CompiledTrace(rows)
+        assert list(compiled) == rows
+        assert [compiled[i] for i in range(len(rows))] == rows
+        assert compiled[-1] == rows[-1] and compiled[1:3] == rows[1:3]
+        assert compiled[3:1:-1] == rows[3:1:-1] and compiled[::2] == rows[::2]
+        assert [r.doc_type for r in compiled] == [r.doc_type for r in rows]
+    with pytest.raises(IndexError):
+        CompiledTrace(ROWS)[len(ROWS)]
 
 
 def test_columns_are_the_rows_fields(trace):
+    assert isinstance(trace.sizes, array) and trace.sizes.typecode == "q"
+    assert isinstance(trace.stamps, array) and trace.stamps.typecode == "d"
     assert trace.urls == [r.url for r in trace]
-    assert trace.sizes == [r.size for r in trace]
-    assert trace.stamps == [r.timestamp for r in trace]
+    assert list(trace.sizes) == [r.size for r in trace]
+    assert list(trace.stamps) == [r.timestamp for r in trace]
     assert trace.types == [r.media_type for r in trace]
+
+
+def test_a_string_is_stored_once_per_trace():
+    rows = list(read_clf_lines(write_clf_lines(ROWS * 3)))
+    assert rows[0].url is not rows[5].url
+    compiled = TraceValidator().validate(rows)
+    assert compiled.urls[0] is compiled.urls[3]
+    assert len({id(s) for s in compiled.urls + compiled.clients}) == len(
+        set(compiled.urls + compiled.clients)
+    )
 
 
 def test_day_slices_follow_the_clock_as_it_runs():
@@ -60,11 +90,62 @@ def test_day_slices_follow_the_clock_as_it_runs():
     assert CompiledTrace([]).day_slices == []
 
 
-def test_pickles_as_its_rows(trace):
-    copy = pickle.loads(pickle.dumps(trace))
+def test_pickles_as_its_columns(trace):
+    shipped = pickle.dumps(trace)
+    copy = pickle.loads(shipped)
     assert isinstance(copy, CompiledTrace)
-    assert copy == trace
+    assert copy == trace and list(copy) == list(trace)
     assert copy.types == trace.types and copy.day_slices == trace.day_slices
+    assert copy.urls[0] is copy.urls[copy.urls.index(copy.urls[0], 1)]
+    assert b"Request" not in shipped
+
+
+# -- memory -------------------------------------------------------------------
+
+
+def _requests_alive() -> int:
+    gc.collect()
+    return sum(type(o) is Request for o in gc.get_objects())
+
+
+def test_a_trace_holds_no_request_object():
+    before = _requests_alive()
+    valid = generate_valid("BR", seed=1996, scale=0.1)
+    raw = generate("U", seed=1996, scale=0.05).raw
+    assert len(valid) > 15_000 and len(raw) > 8_000
+    assert _requests_alive() == before
+
+
+#: Bytes a row a generated raw log holds: two list slots (URL, client),
+#: two typed-array items (size, stamp), the status, the Last-Modified
+#: slot, the type slot and its flag -- 53 -- plus the lists' growth slack.
+#: Its strings are the catalog's.  A ``Request`` row costs ~120.
+RAW_BYTES_PER_ROW = 64
+#: A trace validated from CLF text also owns its strings: U at scale 0.05
+#: names 3,932 URLs in 8,666 valid rows, ~45 bytes a row stored once
+#: each.  As ``Request`` rows with a string per line it cost ~350.
+CLF_BYTES_PER_ROW = 128
+
+
+def test_bytes_per_row_stay_bounded():
+    tracemalloc.start()
+    try:
+        generated = generate("U", seed=1996, scale=0.05)
+        lines = list(write_clf_lines(generated.raw, augmented=True))
+        rows = len(generated.raw)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        generated.raw = None
+        gc.collect()
+        raw_bytes = before - tracemalloc.get_traced_memory()[0]
+        before = tracemalloc.get_traced_memory()[0]
+        valid = TraceValidator().validate(read_clf_lines(lines))
+        gc.collect()
+        valid_bytes = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert raw_bytes / rows < RAW_BYTES_PER_ROW
+    assert valid_bytes / len(valid) < CLF_BYTES_PER_ROW
 
 
 def test_a_parallel_sweep_returns_the_serial_results(trace):
