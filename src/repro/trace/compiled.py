@@ -9,8 +9,9 @@ stored once.  A row costs ~57 bytes, where a ``Request`` costs ~120.
 There are no rows.  It is still the ``Sequence[Request]`` it replaces:
 indexing, slicing and iterating build ``Request`` views equal to the
 rows that went in, it equals the list of them, and it pickles as its
-columns.  The generator, validation and :func:`compile_trace` append rows
-straight into the columns (:meth:`CompiledTrace.appender`).
+columns, each but the stamps as its distinct values and an array of
+indices into them.  The generator, validation and :func:`compile_trace`
+append rows straight into the columns (:meth:`CompiledTrace.appender`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ __all__ = ["CompiledTrace", "compile_trace", "request_fields"]
 
 #: A ``Request``'s fields, in its argument order.
 _FIELDS = attrgetter("timestamp", "url", "size", "status", "client", "doc_type", "last_modified")
-#: The row columns, which ``sort_from`` permutes and ``==`` compares.
+#: The row columns, which ``sort_from`` permutes and ``==`` compares;
+#: the stamps first (they pickle unpacked).
 _COLUMNS = ("stamps", "urls", "sizes", "statuses", "clients", "modified", "types", "given")
 
 
@@ -125,12 +127,37 @@ class CompiledTrace(Sequence):
     def __iter__(self) -> Iterator[Request]:
         return starmap(Request, request_fields(self))
 
+    def __reduce__(self):
+        # The stamps are nearly all distinct, so they ship as they are;
+        # every other column repeats a few values (URLs, sizes, statuses,
+        # clients, types) and ships them once, with a narrow index a row.
+        packed = map(_pack, map(self.__getattribute__, _COLUMNS[1:]))
+        return _unpickle, (self.day_slices, self.stamps, *packed)
+
     def __eq__(self, other) -> bool:
         if isinstance(other, CompiledTrace):
             return all(getattr(self, name) == getattr(other, name) for name in _COLUMNS)
         if isinstance(other, list):
             return list(self) == other
         return NotImplemented  # and, defining ``__eq__``, unhashable
+
+
+def _pack(column) -> tuple:
+    """``column`` as an empty column of its kind, its distinct values and
+    an array of each row's index into them, the narrowest that fits."""
+    index: dict = {}
+    ids = [index.setdefault(value, len(index)) for value in column]
+    code = "B" if len(index) <= 1 << 8 else "H" if len(index) <= 1 << 16 else "I"
+    return column[:0], list(index), array(code, ids)
+
+
+def _unpickle(day_slices, stamps, *packed) -> CompiledTrace:
+    trace = CompiledTrace.__new__(CompiledTrace)
+    trace.day_slices, trace.stamps = day_slices, stamps
+    for name, (column, values, ids) in zip(_COLUMNS[1:], packed):
+        column.extend(map(values.__getitem__, ids))
+        setattr(trace, name, column)
+    return trace
 
 
 def request_fields(requests: Iterable[Request]) -> Iterator[tuple]:

@@ -1,10 +1,12 @@
 """URL catalogs: the universe of documents a synthetic workload references.
 
-A catalog holds, per media type, an ordered list of documents (most popular
-first).  Each document has a stable URL, a home server, and a *current* size
-that modification events may change over the life of the trace — the paper
-measured that 0.5%-4.1% of re-referenced URLs had changed size, and its hit
-definition (URL *and* size match) makes those modifications misses.
+A catalog holds, per media type, a column of documents in popularity order
+(most popular first).  Each document has a stable URL, a home server, and a
+*current* size that modification events may change over the life of the
+trace — the paper measured that 0.5%-4.1% of re-referenced URLs had changed
+size, and its hit definition (URL *and* size match) makes those
+modifications misses.  A document is a rank in its column; a
+:class:`Document` is a view built when asked for.
 
 Servers are assigned to documents by a Zipf draw so that a few servers host
 the popular documents, reproducing the request-per-server concentration of
@@ -37,10 +39,11 @@ _EXTENSION_FOR_TYPE = {
 
 
 class Document:
-    """One document in the synthetic universe."""
+    """One document in the synthetic universe: a value, built on request
+    from its catalog column (:meth:`Column.document`)."""
 
     # Slotted by hand, as ``Request`` is: ``@dataclass(slots=True)`` needs
-    # Python 3.10.  A generator run makes one per referenced URL.
+    # Python 3.10.
     __slots__ = (
         "url", "server", "doc_type", "size", "generation", "times_modified",
     )
@@ -68,21 +71,15 @@ class Document:
             f"times_modified={self.times_modified})"
         )
 
-    def modify(self, new_size: int) -> None:
-        """Record a modification event changing the document's size."""
-        if new_size < 1:
-            raise ValueError("modified size must be positive")
-        self.size = new_size
-        self.times_modified += 1
-
 
 @dataclass
 class Column:
     """One media type of one generation, in popularity order: each rank's
-    drawn size (``array('q')``) and server (``array('i')`` of indices into
-    ``hosts``, the catalog's server names), and a document made only when
-    first looked up (a trace references a small share of its catalog),
-    then kept so ``modify()`` acts on one object."""
+    current size (``array('q')``, as drawn until a modification rewrites
+    it) and server (``array('i')`` of indices into ``hosts``, the
+    catalog's server names), and how many times each modified rank
+    changed size.  No ``Document`` is kept: :meth:`document` builds a
+    view of a rank as it stands."""
 
     doc_type: DocumentType
     generation: int
@@ -90,18 +87,28 @@ class Column:
     sizes: array
     server_ids: array
     hosts: List[str]
-    made: Dict[int, Document] = field(default_factory=dict)
+    modified: Dict[int, int] = field(init=False, default_factory=dict)
+
+    def url(self, rank: int) -> str:
+        """The URL of the document at popularity ``rank``."""
+        return (
+            f"http://{self.hosts[self.server_ids[rank]]}/{self.stem}{rank}"
+            f".{_EXTENSION_FOR_TYPE[self.doc_type]}"
+        )
+
+    def modify(self, rank: int, new_size: int) -> None:
+        """Record a modification event changing ``rank``'s size."""
+        if new_size < 1:
+            raise ValueError("modified size must be positive")
+        self.sizes[rank] = new_size
+        self.modified[rank] = self.modified.get(rank, 0) + 1
 
     def document(self, rank: int) -> Document:
-        """The document at popularity ``rank``."""
-        doc = self.made.get(rank)
-        if doc is None:
-            server = self.hosts[self.server_ids[rank]]
-            doc = self.made[rank] = Document(
-                f"http://{server}/{self.stem}{rank}.{_EXTENSION_FOR_TYPE[self.doc_type]}",
-                server, self.doc_type, self.sizes[rank], self.generation,
-            )
-        return doc
+        """A view of the document at popularity ``rank``, as it stands."""
+        return Document(
+            self.url(rank), self.hosts[self.server_ids[rank]], self.doc_type,
+            self.sizes[rank], self.generation, self.modified.get(rank, 0),
+        )
 
 
 @dataclass
@@ -113,8 +120,8 @@ class Catalog:
 
     @property
     def by_type(self) -> Dict[DocumentType, List[Document]]:
-        """Every document per media type in popularity order, generation 0
-        first; made here if no request has referenced it."""
+        """A view of every document per media type in popularity order,
+        generation 0 first."""
         grouped: Dict[DocumentType, List[Document]] = {}
         for column in self.columns:
             grouped.setdefault(column.doc_type, []).extend(
@@ -130,10 +137,10 @@ class Catalog:
     @property
     def total_bytes(self) -> int:
         """Sum of current document sizes (upper bound on MaxNeeded)."""
-        return sum(doc.size for doc in self.documents())
+        return sum(sum(column.sizes) for column in self.columns)
 
     def documents(self) -> List[Document]:
-        """All documents, in no particular order."""
+        """A view of every document, in no particular order."""
         return [doc for docs in self.by_type.values() for doc in docs]
 
 

@@ -21,16 +21,17 @@ from __future__ import annotations
 
 import random
 import zlib
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.trace.record import DocumentType, TraceMetadata
 from repro.trace.compiled import CompiledTrace
 from repro.trace.validation import TraceValidator
 from repro.workloads.calendars import diurnal_offset
-from repro.workloads.catalog import Catalog, Column, Document, build_catalog
+from repro.workloads.catalog import Catalog, Column, build_catalog
 from repro.workloads.profiles import PROFILES, WorkloadProfile, profile as lookup_profile
 from repro.workloads.sizes import SizeModel, model_for_mean
 from repro.workloads.zipf import ZipfSampler
@@ -178,9 +179,19 @@ class WorkloadGenerator:
         # A second catalog exists exactly when the profile names this day.
         fall_start_day = prof.new_generation_day
 
-        seen_urls: set = set()
-        nonzero_logged: set = set()
-        history: List[Document] = []
+        # A document gets a dense id on its first reference (``ids[rank]``
+        # of its pick; id 0 names none) and from then on is one row of
+        # these id-indexed columns: its URL (the string the raw log
+        # interns), current size, type, and home column and rank.  A
+        # document referenced before has logged a non-zero size (a first
+        # reference logs its size, and every size is positive), so the
+        # log-zero draw, like the modification draw, asks only "seen?".
+        urls: List[str] = [""]
+        sizes = array("q", [0])
+        types: List[Optional[DocumentType]] = [None]
+        homes: List[Optional[Column]] = [None]
+        ranks = array("i", [0])
+        history = array("i")
         raw = CompiledTrace()
         add = raw.appender()
         clients = self._client_pool()
@@ -196,10 +207,11 @@ class WorkloadGenerator:
         for day, count in enumerate(per_day):
             day_start = day * 86400.0
             first = len(raw)
-            today_refs: List[Document] = []
+            today_refs = array("i")
             in_review = review_start_day is not None and day >= review_start_day
             in_fall = fall_start_day is not None and day >= fall_start_day
             for _ in range(count):
+                seen = True
                 if today_refs and draw() < same_day_locality:
                     doc = choice(today_refs)
                 elif in_review and history and draw() < review_boost:
@@ -212,26 +224,37 @@ class WorkloadGenerator:
                     generation = (
                         1 if in_fall and draw() < new_generation_share else 0
                     )
-                    total, column = choices(
+                    total, column, ids = choices(
                         picks[generation], cum_weights=cum_weights
                     )[0]
-                    doc = column.document(
-                        bisect_left(rank_cdf, draw() * total)
-                    )
-                url = doc.url
-                if url in seen_urls and draw() < modification_rate:
-                    doc.modify(models[doc.doc_type].sample(rng))
-                seen_urls.add(url)
+                    rank = bisect_left(rank_cdf, draw() * total)
+                    doc = ids[rank]
+                    if not doc:
+                        seen = False
+                        doc = ids[rank] = len(urls)
+                        urls.append(column.url(rank))
+                        sizes.append(column.sizes[rank])
+                        types.append(column.doc_type)
+                        homes.append(column)
+                        ranks.append(rank)
+                doc_type = types[doc]
+                if seen and draw() < modification_rate:
+                    sizes[doc] = models[doc_type].sample(rng)
+                    homes[doc].modify(ranks[doc], sizes[doc])
                 today_refs.append(doc)
                 history.append(doc)
                 timestamp = day_start + diurnal_offset(rng)
-                log_zero = url in nonzero_logged and draw() < zero_size_rate
-                size = 0 if log_zero else doc.size
-                if size:
-                    nonzero_logged.add(url)
-                add(timestamp, url, size, 200, choice(clients), doc.doc_type)
+                url = urls[doc]
+                size = 0 if seen and draw() < zero_size_rate else sizes[doc]
+                add(timestamp, url, size, 200, choice(clients), doc_type)
                 if draw() < invalid_status_rate:
-                    self._invalid_line(add, rng, day, doc, clients)
+                    # A raw log line validation must discard.
+                    status = choice((304, 403, 404, 500))
+                    add(
+                        day_start + diurnal_offset(rng), url,
+                        0 if status == 304 else sizes[doc], status,
+                        choice(clients), doc_type,
+                    )
             raw.sort_from(first)
         raw.seal()
 
@@ -260,15 +283,19 @@ class WorkloadGenerator:
         catalog: Catalog,
         type_population: Sequence[DocumentType],
         rank_cdf: List[float],
-    ) -> List[Tuple[float, Column]]:
+    ) -> List[Tuple[float, Column, array]]:
         """For each media type of the mix, in order: the total of
-        ``rank_cdf`` over the catalog's column of that type, and the
-        column.  A type the catalog lacks stands in the catalog's first."""
-        columns = {column.doc_type: column for column in catalog.columns}
-        fallback = catalog.columns[0]
+        ``rank_cdf`` over the catalog's column of that type, the column,
+        and its rank -> document id map (all 0, shared by the column's
+        picks).  A type the catalog lacks stands in the catalog's first."""
+        columns = {
+            column.doc_type: (column, array("i", [0]) * len(column.sizes))
+            for column in catalog.columns
+        }
+        fallback = columns[catalog.columns[0].doc_type]
         return [
-            (rank_cdf[len(column.sizes) - 1], column)
-            for column in (columns.get(t, fallback) for t in type_population)
+            (rank_cdf[len(column.sizes) - 1], column, ids)
+            for column, ids in (columns.get(t, fallback) for t in type_population)
         ]
 
     def _client_pool(self) -> List[str]:
@@ -277,25 +304,6 @@ class WorkloadGenerator:
             return [f"remote{i}.client{i % 211}.net"
                     for i in range(prof.client_count)]
         return [f"client{i}.{prof.domain}" for i in range(prof.client_count)]
-
-    @staticmethod
-    def _invalid_line(
-        add: Callable[..., None],
-        rng: random.Random,
-        day: int,
-        doc: Document,
-        clients: Sequence[str],
-    ) -> None:
-        """Add a raw log line validation must discard (non-200 status)."""
-        status = rng.choice((304, 403, 404, 500))
-        add(
-            day * 86400.0 + diurnal_offset(rng),
-            doc.url,
-            0 if status == 304 else doc.size,
-            status,
-            rng.choice(clients),
-            doc.doc_type,
-        )
 
 
 def generate(

@@ -18,7 +18,7 @@ from repro.trace import (
     CompiledTrace, DocumentType, Request, TraceValidator, read_clf_lines,
     write_clf_lines,
 )
-from repro.trace.compiled import compile_trace
+from repro.trace.compiled import _COLUMNS, compile_trace
 from repro.workloads import generate, generate_valid
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -100,6 +100,21 @@ def test_pickles_as_its_columns(trace):
     assert b"Request" not in shipped
 
 
+def test_pickles_smaller_than_its_rows(trace):
+    """Each column but the stamps ships as its distinct values and an
+    index a row: 69,622 bytes against the rows' 89,537 for this trace
+    (0.78; the columns pickled as they are read 1.05)."""
+    for compiled in (trace, CompiledTrace(ROWS), CompiledTrace([])):
+        shipped = pickle.dumps(compiled)
+        copy = pickle.loads(shipped)
+        assert copy == compiled and list(copy) == list(compiled)
+        assert copy.day_slices == compiled.day_slices
+        assert [type(getattr(copy, name)) for name in _COLUMNS] == [
+            type(getattr(compiled, name)) for name in _COLUMNS
+        ]
+    assert len(pickle.dumps(trace)) < 0.9 * len(pickle.dumps(list(trace)))
+
+
 # -- memory -------------------------------------------------------------------
 
 
@@ -119,7 +134,8 @@ def test_a_trace_holds_no_request_object():
 #: Bytes a row a generated raw log holds: two list slots (URL, client),
 #: two typed-array items (size, stamp), the status, the Last-Modified
 #: slot, the type slot and its flag -- 53 -- plus the lists' growth slack.
-#: Its strings are the catalog's.  A ``Request`` row costs ~120.
+#: Its strings (the raw log's own: the catalog keeps none) are held
+#: apart while it is measured.  A ``Request`` row costs ~120.
 RAW_BYTES_PER_ROW = 64
 #: A trace validated from CLF text also owns its strings: U at scale 0.05
 #: names 3,932 URLs in 8,666 valid rows, ~45 bytes a row stored once
@@ -133,6 +149,8 @@ def test_bytes_per_row_stay_bounded():
         generated = generate("U", seed=1996, scale=0.05)
         lines = list(write_clf_lines(generated.raw, augmented=True))
         rows = len(generated.raw)
+        # Kept alive, so that freeing the log frees its rows only.
+        strings = set(generated.raw.urls + generated.raw.clients)
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
         generated.raw = None
@@ -144,7 +162,7 @@ def test_bytes_per_row_stay_bounded():
         valid_bytes = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert raw_bytes / rows < RAW_BYTES_PER_ROW
+    assert strings and raw_bytes / rows < RAW_BYTES_PER_ROW
     assert valid_bytes / len(valid) < CLF_BYTES_PER_ROW
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from repro.trace import DocumentType
 from repro.workloads import build_catalog, model_for_mean
-from repro.workloads.catalog import Document
 
 MODELS = {
     DocumentType.GRAPHICS: model_for_mean("graphics", 3_000),
@@ -85,19 +84,22 @@ class TestBuildCatalog:
 
 
 class TestDocument:
+    """A document is modified in its column; its view shows it."""
+
     def test_modify_updates_size_and_counter(self):
-        doc = Document(
-            url="http://s/x.gif", server="s",
-            doc_type=DocumentType.GRAPHICS, size=100,
-        )
-        doc.modify(200)
-        assert doc.size == 200
-        assert doc.times_modified == 1
+        column = make_catalog().columns[0]
+        before = column.document(3)
+        column.modify(3, 200)
+        column.modify(3, 200)
+        after = column.document(3)
+        assert (after.size, after.times_modified) == (200, 2)
+        assert (after.url, after.server) == (before.url, before.server)
+        assert before.times_modified == 0
+        assert column.document(4).times_modified == 0
 
     def test_modify_rejects_nonpositive(self):
-        doc = Document(
-            url="http://s/x.gif", server="s",
-            doc_type=DocumentType.GRAPHICS, size=100,
-        )
+        column = make_catalog().columns[0]
+        size = column.sizes[3]
         with pytest.raises(ValueError):
-            doc.modify(0)
+            column.modify(3, 0)
+        assert column.sizes[3] == size and not column.modified
